@@ -93,6 +93,15 @@ _POTENTIAL_KEYS = {
     "potential.k4": (float, 0.0, _NONNEG),
 }
 
+# physical parameters a scenario defaults and constrains beyond PhysicalParams
+_SCENARIO_PARAMS = {
+    "harmonic": {"omega0": (1.0, _POSITIVE)},
+}
+
+# (low, high) option pairs that must satisfy low < high; for
+# free-high-friction a time of 0 means automatic and is not compared
+_ORDERED_KEYS = (("grid.x_min", "grid.x_max"), ("time.start", "time.stop"))
+
 _SCHEMAS = {
     "free-zero-T": {
         "sigma0": (float, 1.0, _POSITIVE),
@@ -177,12 +186,36 @@ def _parse_value(raw, typ, ln, key, errors):
         return None
 
 
+def _cross_key_errors(scen, options, seen):
+    """Errors of checks that span two keys, each citing both keys' lines."""
+    def where(key):
+        return f"line {seen[key]}" if key in seen else "default"
+
+    errors = []
+    for lo, hi in _ORDERED_KEYS:
+        if lo not in options:
+            continue
+        a, b = options[lo], options[hi]
+        if scen == "free-high-friction" and 0.0 in (a, b):
+            continue
+        if b <= a:
+            errors.append((max(seen.get(lo, 0), seen.get(hi, 0)),
+                           f"{hi} = {b!r} ({where(hi)}) must exceed "
+                           f"{lo} = {a!r} ({where(lo)})"))
+    if options.get("time.spacing") == "log" and options["time.start"] <= 0:
+        errors.append((max(seen.get("time.start", 0), seen["time.spacing"]),
+                       f"time.spacing = log ({where('time.spacing')}) needs "
+                       f"time.start > 0, got {options['time.start']!r} "
+                       f"({where('time.start')})"))
+    return errors
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config.
 
     Collects every error (unknown key, duplicate key, bad value, missing
-    required key, out-of-range value) with its line number and raises one
-    ConfigError carrying the full list.
+    required key, out-of-range value, inconsistent key pair) with its line
+    number and raises one ConfigError carrying the full list.
     """
     errors = []
     seen = {}        # key -> line number
@@ -256,6 +289,17 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append((0, f"missing required key '{key}'"))
             else:
                 options[key] = default
+    if not errors:  # pairs are compared only once each key is valid alone
+        errors.extend(_cross_key_errors(scen, options, seen))
+
+    for name, (default, (what, ok)) in _SCENARIO_PARAMS.get(scen, {}).items():
+        if name not in param_kwargs:
+            param_kwargs[name] = default
+        elif not ok(param_kwargs[name]):
+            key = f"params.{name}"
+            errors.append((seen[key], f"value {param_kwargs.pop(name)!r} for "
+                                      f"key '{key}' {what} for scenario "
+                                      f"'{scen}'"))
 
     try:
         params = PhysicalParams(**param_kwargs)
@@ -353,11 +397,7 @@ class Manifest:
 
 def _time_grid(o):
     start, stop = o["time.start"], o["time.stop"]
-    if stop <= start:
-        raise ValueError("time.stop must exceed time.start")
     if o["time.spacing"] == "log":
-        if start <= 0:
-            raise ValueError("log spacing requires time.start > 0")
         return np.geomspace(start, stop, o["time.points"])
     return np.linspace(start, stop, o["time.points"])
 

@@ -8,6 +8,7 @@ sigma_x^2(t) trajectories.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -15,9 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (ConvergenceError, OdeSolverConfig, cumulative_trapezoid,
-                       lambert_w_minus1, coth, solve_ode)
+from .numerics import (ConvergenceError, OdeSolverConfig, Rk4Steps,
+                       cumulative_trapezoid, lambert_w_minus1, coth,
+                       solve_linear_rk4, solve_ode)
 from .params import PhysicalParams, derived_scales, momentum_dispersion
+
+_log = logging.getLogger(__name__)
 
 
 class ModelCompatibilityError(ValueError):
@@ -262,20 +266,20 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
 # Harmonic oscillator with temperature self-consistency
 
 
-def _interp_rows(t_nodes, rows, t):
-    """Linear interpolation of a (nt, k) table along its first axis."""
-    i = int(np.searchsorted(t_nodes, t))
-    if i <= 0:
-        return rows[0]
-    if i >= t_nodes.size:
-        return rows[-1]
-    w = (t - t_nodes[i - 1]) / (t_nodes[i] - t_nodes[i - 1])
-    return (1.0 - w) * rows[i - 1] + w * rows[i]
+def _interp_weights(nodes, x):
+    """Linear interpolation in nodes at x as rows lo, lo + 1 and weights.
+
+    A table f is read at x as (1 - w) f[lo] + w f[lo + 1]; outside the
+    nodes it is held at its end rows.
+    """
+    lo = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
+    w = np.clip((x - nodes[lo]) / (nodes[lo + 1] - nodes[lo]), 0.0, 1.0)
+    return lo, w[:, None]
 
 
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                    mu0: float, dmu0: float, t_grid, beta_grid=None,
-                   cfg: OdeSolverConfig | None = None, relaxation: float = 0.7,
+                   max_step: float | None = None, relaxation: float = 0.7,
                    tol: float = 1e-8, max_iter: int = 200,
                    full_output: bool = False):
     """Integrate the harmonic dispersion equation with its beta-integral.
@@ -285,7 +289,8 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     term, which requires the same ODE solved at every beta node.  The
     surface is iterated to self-consistency (Picard with relaxation);
     the friction coefficient stays fixed across beta nodes while k_B T
-    is recomputed per node.
+    is recomputed per node.  With the beta-integral frozen, each sweep is
+    linear in (S, S') and runs as fixed-step RK4 of at most max_step.
     """
     if p.omega0 <= 0:
         raise ModelCompatibilityError("harmonic solver requires omega0 > 0")
@@ -294,20 +299,17 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     if sigma0_sq <= 0:
         raise ValueError("sigma0_sq must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 2:
+        raise ValueError("t_grid needs at least two times")
     beta_phys = p.beta
     if beta_grid is None:
         beta_grid = make_beta_grid(beta_phys)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    if cfg is None:
-        span = t_grid[-1] - t_grid[0]
-        cfg = OdeSolverConfig(method="rk4", max_step=min(span / 200.0,
-                                                         0.02 / p.omega0))
+    if max_step is None:
+        max_step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
 
     nb = beta_grid.size
-    kT = np.empty(nb)
-    kT[0] = np.inf
-    kT[1:] = 1.0 / beta_grid[1:]
-    kT_cols = kT[1:]
+    kT = 1.0 / beta_grid[1:]
     w0sq = p.omega0 ** 2
     spring_floor = 1e-8 * w0sq
     quantum_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
@@ -321,18 +323,23 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                        OdeSolverConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12))
 
     ncol = nb - 1
-    y0 = np.concatenate((np.full(ncol, sigma0_sq), np.full(ncol, dsigma0_sq)))
+    y0 = np.stack((np.full(ncol, sigma0_sq), np.full(ncol, dsigma0_sq)))
+    # y = (S, S'): S'' = 2 k_B T / m - (b / m) S' - 2 spring(I) S
+    steps = Rk4Steps.on_grid(t_grid, max_step)
+    lo, w = _interp_weights(t_grid, steps.times)
+    drive = np.zeros((1, 2, ncol))
+    drive[0, 1] = 2.0 * kT / p.mass
 
     def sweep(I_table):
-        def rhs(t, y):
-            S, V = y[:ncol], y[ncol:]
-            I_row = _interp_rows(t_grid, I_table, t)
-            spring = np.maximum(w0sq - kT_cols * I_row, spring_floor)
-            dV = (2.0 * kT_cols - p.friction * V) / p.mass - 2.0 * spring * S
-            return np.concatenate((V, dV))
+        def coef(i, j):
+            I = (1.0 - w[i:j]) * I_table[lo[i:j]] + w[i:j] * I_table[lo[i:j] + 1]
+            A = np.zeros((j - i, 2, 2, ncol))
+            A[:, 0, 1] = 1.0
+            A[:, 1, 0] = -2.0 * np.maximum(w0sq - kT * I, spring_floor)
+            A[:, 1, 1] = -p.friction / p.mass
+            return A, np.broadcast_to(drive, (j - i, 2, ncol))
 
-        sol = solve_ode(rhs, y0, t_grid, cfg)
-        return sol[:, :ncol]
+        return solve_linear_rk4(coef, y0, steps)[:, 0]
 
     surface = sweep(np.zeros((t_grid.size, ncol)))  # classical first pass
     residuals = []
@@ -353,6 +360,8 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
         raise ConvergenceError(
             f"harmonic beta self-consistency not converged "
             f"(last residual {residuals[-1]:.3e})", residuals)
+    _log.debug("harmonic Picard solve: %d sweeps x %d RK4 steps, final residual "
+               "%.3e", len(residuals) + 1, steps.h.size, residuals[-1])
 
     values = np.empty((t_grid.size, nb))
     values[:, 0] = np.inf
@@ -451,16 +460,15 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float, t_grid,
 
 def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
                           relaxation: float = 0.7, tol: float = 1e-8,
-                          max_iter: int = 200, explicit_substitution: bool = False,
-                          anchor_factor: float = 1e-8):
+                          max_iter: int = 200, anchor_factor: float = 1e-8):
     """Self-consistent high-friction dispersion across inverse temperature.
 
     dS/dt = 2 D(beta) [1 + S int_0^beta hbar^2 / (4 m S(t, beta')^2) dbeta'],
     with D and lambda_T recomputed per beta node while b stays constant.
     Picard iteration starts from the quantum+classical superposition at
-    every node; each sweep re-solves the outer ODE (or, with
-    explicit_substitution, integrates the previous right-hand side
-    directly) and is relaxed until the surface stops moving.
+    every node; each sweep re-solves the outer ODE, linear in S once the
+    beta-integral is frozen, by fixed-step RK4 in log t, and is relaxed
+    until the surface stops moving.
 
     The time grid is extended internally far below its first positive
     node so the small-time quantum asymptote anchors the integration;
@@ -500,31 +508,25 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
     S = pq[:, None] + 2.0 * Dj[None, :] * ti[:, None]  # superposition start
     anchor_row = S[0].copy()
 
-    cfg = OdeSolverConfig(method="rk4", max_step=0.05)
+    # dS/dtau = a + a I S with a = 2 D t, log I interpolated linearly in tau
+    steps = Rk4Steps.on_grid(tau, 0.05)
+    lo, w = _interp_weights(tau, steps.times)
+    two_t = 2.0 * np.exp(steps.times)[:, None]
+
+    def sweep(logI):
+        def coef(i, j):
+            a = two_t[i:j] * Dj
+            I = np.exp((1.0 - w[i:j]) * logI[lo[i:j]] + w[i:j] * logI[lo[i:j] + 1])
+            return (a * I)[:, None, None], a[:, None]
+
+        return solve_linear_rk4(coef, anchor_row[None], steps)[:, 0]
 
     residuals = []
     for _ in range(max_iter):
         integrand = np.zeros((ti.size, nb))
         integrand[:, 1:] = q_coef / S ** 2
         I_full = cumulative_trapezoid(integrand, beta_grid)
-        I_cols = I_full[:, 1:]
-        if explicit_substitution:
-            rhs_prev = 2.0 * Dj[None, :] * (1.0 + S * I_cols)
-            d = np.diff(ti)
-            new = np.empty_like(S)
-            new[0] = anchor_row
-            new[1:] = anchor_row + np.cumsum(
-                0.5 * (rhs_prev[1:] + rhs_prev[:-1]) * d[:, None], axis=0)
-        else:
-            logI = np.log(np.maximum(I_cols, 1e-300))
-
-            def rhs(lt, y):
-                t = math.exp(lt)
-                I_row = np.exp(_interp_rows(tau, logI, lt))
-                return t * 2.0 * Dj * (1.0 + y * I_row)
-
-            sol = solve_ode(rhs, anchor_row, tau, cfg)
-            new = sol
+        new = sweep(np.log(np.maximum(I_full[:, 1:], 1e-300)))
         if np.any(new <= 0):
             raise ConvergenceError("negative dispersion during Picard "
                                    "iteration; refine grids", residuals)
@@ -537,18 +539,14 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
         raise ConvergenceError(
             f"overdamped Picard iteration not converged "
             f"(last residual {residuals[-1]:.3e})", residuals)
+    _log.debug("overdamped Picard solve: %d sweeps x %d RK4 steps, final "
+               "residual %.3e", len(residuals), steps.h.size, residuals[-1])
 
-    keep = ti.size - tp.size
-    S_out = S[keep:]
+    values = np.empty((t_grid.size, nb))
+    values[:, 0] = np.inf
+    values[-tp.size:, 1:] = S[-tp.size:]
     if has_zero:
-        values = np.empty((t_grid.size, nb))
         values[0] = 0.0
-        values[1:, 1:] = S_out
-        values[1:, 0] = np.inf
-    else:
-        values = np.empty((t_grid.size, nb))
-        values[:, 1:] = S_out
-        values[:, 0] = np.inf
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
     traj = DispersionTrajectory.from_sigma(
         t_grid, values[:, j_phys], p, "overdamped-full")

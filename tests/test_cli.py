@@ -54,6 +54,38 @@ def test_all_errors_collected():
     assert sorted(ln for ln, _ in exc.value.errors) == [2, 3, 4]
 
 
+def test_harmonic_omega0_default_and_zero():
+    assert parse_config("scenario = harmonic\n").params.omega0 == 1.0
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scenario = harmonic\nparams.omega0 = 0\n")
+    (ln, msg), = exc.value.errors
+    assert ln == 2 and "params.omega0" in msg and "positive" in msg
+
+
+def test_grid_bounds_must_be_ordered():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scenario = classical-telegraph\n"
+                     "grid.x_max = -5\n"
+                     "grid.x_min = 5\n")
+    (ln, msg), = exc.value.errors
+    assert ln == 3
+    assert "grid.x_max" in msg and "line 2" in msg
+    assert "grid.x_min" in msg and "line 3" in msg
+
+
+def test_time_span_must_be_ordered(tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scenario = harmonic\ntime.start = 5\ntime.stop = 1\n")
+    (ln, msg), = exc.value.errors
+    assert ln == 3
+    assert "time.stop" in msg and "line 3" in msg
+    assert "time.start" in msg and "line 2" in msg
+    cfg_path = tmp_path / "span.cfg"
+    cfg_path.write_text("scenario = vacuum-spreading\n"
+                        "time.start = 5\ntime.stop = 5\n")
+    assert main(["run", str(cfg_path)]) == 2
+
+
 def test_missing_and_unknown_scenario():
     with pytest.raises(ConfigError):
         parse_config("params.mass = 1\n")
@@ -147,12 +179,23 @@ def test_equilibrium_scenario(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # harmonic scenario without a positive omega0 fails inside the solver
+    # the classical telegraph scheme turns unstable in this well (density
+    # falls below zero near t = 3.5), a genuine solver failure
     code, out = _run(tmp_path,
-                     "scenario = harmonic\ntime.points = 11\n")
+                     "scenario = classical-telegraph\n"
+                     "params.omega0 = 1\n"
+                     "potential.variant = harmonic\n"
+                     "potential.omega0 = 1\n"
+                     "mu0 = 1\n"
+                     "sigma0_sq = 0.3\n"
+                     "grid.x_min = -6\n"
+                     "grid.x_max = 6\n"
+                     "grid.n = 161\n"
+                     "pde.t_final = 8\n")
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
     assert "status = numerical failure" in manifest
+    assert "scheme unstable" in manifest
 
 
 def test_config_error_exit_code(tmp_path):
@@ -178,6 +221,12 @@ def test_scales_undefined(tmp_path):
     cfg_path.write_text("scenario = vacuum-spreading\n"
                         "params.friction = 0\nparams.temperature = 0\n")
     assert main(["scales", str(cfg_path)]) == 1
+
+
+def test_harmonic_defaults_run(tmp_path):
+    code, out = _run(tmp_path, "scenario = harmonic\ntime.points = 11\n")
+    assert code == 0
+    assert "params.omega0 = 1.0" in (out / "manifest.txt").read_text()
 
 
 def test_run_scenario_direct(tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     stationary_harmonic_dispersion)
 from qbrown.dispersion import (SemiclassicalDomainWarning,
                                lambert_dispersion_scaled)
-from qbrown.numerics import coth
+from qbrown.numerics import coth, cumulative_trapezoid, solve_ode
 
 NAT = PhysicalParams.natural()
 
@@ -202,13 +203,54 @@ def test_full_heisenberg(full_surface):
     assert np.all(traj.sigma_x2 * traj.sigma_p2 >= 0.25 * (1 - 1e-12))
 
 
-def test_explicit_substitution_agrees():
+def _interp_row(nodes, rows, x):
+    i = int(np.searchsorted(nodes, x))
+    if i <= 0:
+        return rows[0]
+    if i >= nodes.size:
+        return rows[-1]
+    w = (x - nodes[i - 1]) / (nodes[i] - nodes[i - 1])
+    return (1.0 - w) * rows[i - 1] + w * rows[i]
+
+
+def _stepped_overdamped(p, t, beta, relaxation=0.7, tol=1e-8):
+    """Overdamped Picard loop, each sweep stepped by solve_ode's RK4 in log t."""
+    # the anchor grid solve_overdamped_full puts below t[0] (t[0] > 0)
+    n_pre = max(2, int(math.ceil(12 * math.log10(t[0] / (1e-8 * t[0])))))
+    ti = np.concatenate((np.geomspace(1e-8 * t[0], t[0], n_pre + 1)[:-1], t))
+    tau = np.log(ti)
+    Dj = 1.0 / (beta[1:] * p.friction)
+    S = (p.hbar * np.sqrt(ti / (p.mass * p.friction))[:, None]
+         + 2.0 * Dj * ti[:, None])
+    anchor = S[0].copy()
+    cfg = OdeSolverConfig(method="rk4", max_step=0.05)
+    for _ in range(200):
+        integrand = np.zeros((ti.size, beta.size))
+        integrand[:, 1:] = p.hbar ** 2 / (4.0 * p.mass) / S ** 2
+        logI = np.log(np.maximum(
+            cumulative_trapezoid(integrand, beta)[:, 1:], 1e-300))
+
+        def rhs(lt, y):
+            I_row = np.exp(_interp_row(tau, logI, lt))
+            return math.exp(lt) * 2.0 * Dj * (1.0 + y * I_row)
+
+        new = solve_ode(rhs, anchor, tau, cfg)
+        res = np.max(np.abs(new - S) / new)
+        S = (1.0 - relaxation) * S + relaxation * new
+        if res <= tol:
+            return S[n_pre:]
+    raise AssertionError("reference Picard loop did not converge")
+
+
+def test_full_matches_stepped_sweeps(caplog):
     sc = derived_scales(NAT)
-    t = np.geomspace(0.1 * sc.t_c, 10.0 * sc.t_c, 31)
-    beta = make_beta_grid(1.0, n=16)
-    _, tr_a = solve_overdamped_full(NAT, t, beta)
-    _, tr_b = solve_overdamped_full(NAT, t, beta, explicit_substitution=True)
-    np.testing.assert_allclose(tr_a.sigma_x2, tr_b.sigma_x2, rtol=2e-3)
+    t = np.geomspace(1e-2 * sc.t_c, 1e2 * sc.t_c, 21)
+    beta = make_beta_grid(1.0, n=8)
+    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
+        surface, _ = solve_overdamped_full(NAT, t, beta)
+    np.testing.assert_allclose(surface.values[:, 1:],
+                               _stepped_overdamped(NAT, t, beta), rtol=1e-10)
+    assert "sweeps x" in caplog.text and "RK4 steps" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +274,56 @@ def test_harmonic_relaxes_to_equilibrium():
     assert abs(tr.mu[-1]) < 1e-6
 
 
+def _stepped_harmonic(p, s0, ds0, t, beta, relaxation=0.7, tol=1e-8):
+    """Harmonic Picard loop, each sweep stepped by solve_ode's RK4."""
+    kT = 1.0 / beta[1:]
+    ncol = kT.size
+    w0sq = p.omega0 ** 2
+    cfg = OdeSolverConfig(method="rk4",
+                          max_step=min((t[-1] - t[0]) / 200.0, 0.02 / p.omega0))
+    y0 = np.concatenate((np.full(ncol, s0), np.full(ncol, ds0)))
+
+    def sweep(I_table):
+        def rhs(tt, y):
+            S, V = y[:ncol], y[ncol:]
+            spring = np.maximum(w0sq - kT * _interp_row(t, I_table, tt),
+                                1e-8 * w0sq)
+            dV = (2.0 * kT - p.friction * V) / p.mass - 2.0 * spring * S
+            return np.concatenate((V, dV))
+
+        return solve_ode(rhs, y0, t, cfg)[:, :ncol]
+
+    surface = sweep(np.zeros((t.size, ncol)))
+    for _ in range(200):
+        integrand = np.zeros((t.size, beta.size))
+        integrand[:, 1:] = p.hbar ** 2 / (4.0 * p.mass ** 2) / surface ** 2
+        new = sweep(cumulative_trapezoid(integrand, beta)[:, 1:])
+        res = np.max(np.abs(new - surface) / np.abs(new))
+        surface = (1.0 - relaxation) * surface + relaxation * new
+        if res <= tol:
+            return surface
+    raise AssertionError("reference Picard loop did not converge")
+
+
+def test_harmonic_matches_stepped_sweeps():
+    p = PhysicalParams.natural(omega0=1.0, friction=2.0)
+    t = np.linspace(0.0, 5.0, 26)
+    beta = make_beta_grid(1.0, n=8)
+    _, surface = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta,
+                                full_output=True)
+    np.testing.assert_allclose(surface.values[:, 1:],
+                               _stepped_harmonic(p, 1.3, 0.2, t, beta),
+                               rtol=1e-10)
+
+
 def test_harmonic_guards():
     with pytest.raises(ModelCompatibilityError):
         solve_harmonic(NAT, 1.0, 0.0, 0.0, 0.0, np.linspace(0, 1, 11))
     p = PhysicalParams.natural(omega0=1.0)
     with pytest.raises(ValueError):
         solve_harmonic(p, -1.0, 0.0, 0.0, 0.0, np.linspace(0, 1, 11))
+    with pytest.raises(ValueError):
+        solve_harmonic(p, 1.0, 0.0, 0.0, 0.0, [0.0])
 
 
 # ---------------------------------------------------------------------------
