@@ -7,9 +7,8 @@ and equilibrium densities from imaginary-time propagation.
 
 from .params import (DerivedScales, PhysicalParams, ScalesUndefinedError,
                      derived_scales, momentum_dispersion)
-from .numerics import (ConvergenceError, OdeSolverConfig, QuadratureRule,
-                       coth, fixed_point, integrate_beta, lambert_w_minus1,
-                       solve_ode)
+from .numerics import (ConvergenceError, OdeSolverConfig, coth, fixed_point,
+                       lambert_w_minus1, solve_ode)
 from .dispersion import (BetaGridFunction, ClosedForm, DispersionTrajectory,
                          ModelCompatibilityError, compare_models,
                          eval_closed_form, make_beta_grid,

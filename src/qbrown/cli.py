@@ -50,7 +50,6 @@ class ScenarioConfig:
     params: PhysicalParams
     options: dict
     out_dir: str = "."
-    seed: int = 0  # reserved; every method is deterministic
     raw_lines: list = field(default_factory=list)
 
 
@@ -98,6 +97,11 @@ _SCENARIO_PARAMS = {
     "harmonic": {"omega0": (1.0, _POSITIVE)},
 }
 
+_MODEL_NAMES = tuple(k.value for k in ClosedForm)
+
+# potential variants and the option each needs positive
+_VARIANT_KEYS = {"harmonic": "potential.omega0", "quartic": "potential.k4"}
+
 # (low, high) option pairs that must satisfy low < high; for
 # free-high-friction a time of 0 means automatic and is not compared
 _ORDERED_KEYS = (("grid.x_min", "grid.x_max"), ("time.start", "time.stop"))
@@ -143,7 +147,6 @@ _SCHEMAS = {
         "sigma0_sq": (float, 0.25, _POSITIVE),
         "mu0": (float, 0.0, None),
         "inertial": (bool, False, None),
-        "split_correction_flux": (bool, False, None),
         **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
     },
     "equilibrium": {
@@ -158,7 +161,11 @@ _SCHEMAS = {
                               lambda v: v == 0 or v >= 2)),
     },
     "dispersion-compare": {
-        "models": (str, "all", None),
+        "models": (str, "all",
+                   ("must be 'all' or a comma-separated list from "
+                    + ", ".join(_MODEL_NAMES),
+                    lambda v: v == "all" or all(
+                        n.strip() in _MODEL_NAMES for n in v.split(",")))),
         "sigma0": (float, 1.0, _POSITIVE),
         "time.points": (int, 60, ("must be at least 2", lambda v: v >= 2)),
     },
@@ -207,6 +214,13 @@ def _cross_key_errors(scen, options, seen):
                        f"time.spacing = log ({where('time.spacing')}) needs "
                        f"time.start > 0, got {options['time.start']!r} "
                        f"({where('time.start')})"))
+    variant = options.get("potential.variant")
+    need = _VARIANT_KEYS.get(variant)
+    if need is not None and options[need] <= 0:
+        errors.append((max(seen["potential.variant"], seen.get(need, 0)),
+                       f"potential.variant = {variant} "
+                       f"({where('potential.variant')}) needs {need} > 0, "
+                       f"got {options[need]!r} ({where(need)})"))
     return errors
 
 
@@ -255,14 +269,9 @@ def parse_config(text: str) -> ScenarioConfig:
     param_kwargs = {}
     options = {}
     out_dir = "."
-    seed = 0
     for key, (ln, raw) in entries.items():
         if key == "out":
             out_dir = raw
-        elif key == "seed":
-            v = _parse_value(raw, int, ln, key, errors)
-            if v is not None:
-                seed = v
         elif key.startswith("params."):
             name = key[len("params."):]
             if name not in _PARAM_KEYS:
@@ -313,7 +322,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(sorted(errors))
     return ScenarioConfig(scenario=scen, params=params, options=options,
-                          out_dir=out_dir, seed=seed, raw_lines=raw_lines)
+                          out_dir=out_dir, raw_lines=raw_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +353,6 @@ class Manifest:
             self.lines.append(f"params.{name} = {_fmt(getattr(p, name))}")
         for key in sorted(cfg.options):
             self.lines.append(f"{key} = {cfg.options[key]}")
-        self.lines.append(f"seed = {cfg.seed}")
         try:
             sc = derived_scales(p)
             self.section("derived scales")
@@ -424,7 +432,7 @@ def _write_trajectory(out, man, label, traj):
     man.record_file("trajectory.csv")
 
 
-def _run_free_zero_T(cfg, out, man, jobs):
+def _run_free_zero_T(cfg, out, man):
     o = cfg.options
     t = _time_grid(o)
     traj = solve_inertial_zero_T(cfg.params, o["sigma0"], o["dsigma0"],
@@ -433,7 +441,7 @@ def _run_free_zero_T(cfg, out, man, jobs):
     return 0
 
 
-def _run_free_high_friction(cfg, out, man, jobs):
+def _run_free_high_friction(cfg, out, man):
     o, p = cfg.options, cfg.params
     sc = derived_scales(p)
     start = o["time.start"] or 1e-3 * sc.t_c
@@ -457,7 +465,7 @@ def _run_free_high_friction(cfg, out, man, jobs):
     return 0
 
 
-def _run_vacuum_spreading(cfg, out, man, jobs):
+def _run_vacuum_spreading(cfg, out, man):
     o = cfg.options
     t = _time_grid(o)
     traj = solve_inertial_zero_T(cfg.params, o["sigma0"], 0.0, 0.0, 0.0, t)
@@ -470,7 +478,7 @@ def _run_vacuum_spreading(cfg, out, man, jobs):
     return 0
 
 
-def _run_harmonic(cfg, out, man, jobs):
+def _run_harmonic(cfg, out, man):
     o = cfg.options
     t = _time_grid(o)
     traj = solve_harmonic(cfg.params, o["sigma0_sq"], o["dsigma0_sq"],
@@ -479,7 +487,7 @@ def _run_harmonic(cfg, out, man, jobs):
     return 0
 
 
-def _run_pde(cfg, out, man, jobs):
+def _run_pde(cfg, out, man):
     o, p = cfg.options, cfg.params
     grid = Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
     U = _potential(o)
@@ -494,8 +502,7 @@ def _run_pde(cfg, out, man, jobs):
     rho0 = DensityField.gaussian(grid, o["mu0"], o["sigma0_sq"])
     res = evolve(rho0, model, U, p, o["pde.t_final"],
                  dt=o["pde.dt"] or None, boundary=o["pde.boundary"],
-                 n_records=o["pde.n_records"],
-                 split_correction_flux=o.get("split_correction_flux", False))
+                 n_records=o["pde.n_records"])
     write_csv(out / "trajectory.csv",
               ["t [time]", "mu [length]", "sigma_x2 [length^2]",
                "mass [1]"],
@@ -515,7 +522,7 @@ def _run_pde(cfg, out, man, jobs):
     return 0
 
 
-def _run_equilibrium(cfg, out, man, jobs):
+def _run_equilibrium(cfg, out, man):
     o, p = cfg.options, cfg.params
     grid = Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
     U = _potential(o)
@@ -568,21 +575,14 @@ _COMPARE_ALL = (ClosedForm.EINSTEIN, ClosedForm.PURE_QUANTUM,
                 ClosedForm.ELEMENTARY_LOG_APPROX)
 
 
-def _run_dispersion_compare(cfg, out, man, jobs):
+def _run_dispersion_compare(cfg, out, man):
     o, p = cfg.options, cfg.params
     sc = derived_scales(p)
     t = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, o["time.points"])
     if o["models"] == "all":
         models = list(_COMPARE_ALL)
     else:
-        by_value = {k.value: k for k in ClosedForm}
-        models = []
-        for name in o["models"].split(","):
-            name = name.strip()
-            if name not in by_value:
-                raise ValueError(f"unknown model {name!r}; choose from "
-                                 f"{', '.join(by_value)}")
-            models.append(by_value[name])
+        models = [ClosedForm(name.strip()) for name in o["models"].split(",")]
     table = compare_models(p, t, models, sigma0=o["sigma0"])
     headers = ["t [time]"] + [f"sigma_x2_{lbl} [length^2]"
                               for lbl in table.columns]
@@ -596,8 +596,8 @@ def _run_dispersion_compare(cfg, out, man, jobs):
     return 0
 
 
-def _run_acceptance(cfg, out, man, jobs):
-    results = run_all(quick=cfg.options["quick"], jobs=jobs)
+def _run_acceptance(cfg, out, man):
+    results = run_all(quick=cfg.options["quick"])
     for r in results:
         print(r.verdict_line)
         man.verdict(f"criterion_{r.number}_{r.name}", r.passed, r.details)
@@ -618,15 +618,14 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
-                 jobs: int = 1) -> int:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> int:
     """Execute one scenario; write outputs and the manifest; return exit code."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest(cfg)
     t0 = time.time()
     try:
-        code = _RUNNERS[cfg.scenario](cfg, out, man, jobs)
+        code = _RUNNERS[cfg.scenario](cfg, out, man)
     except (ConvergenceError, ScalesUndefinedError, ArithmeticError,
             ValueError, FloatingPointError) as exc:
         man.write(out, time.time() - t0, error=str(exc))
@@ -645,8 +644,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for sweep-style scenarios")
 
     p_acc = sub.add_parser("accept", help="run the acceptance suite")
     p_acc.add_argument("--quick", action="store_true",
@@ -689,7 +686,7 @@ def main(argv=None) -> int:
         print(f"quantum_overdamped = {sc.quantum_overdamped}")
         return 0
 
-    return run_scenario(cfg, out_dir=args.out, jobs=args.jobs)
+    return run_scenario(cfg, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .numerics import (ConvergenceError, OdeSolverConfig, Rk4Steps,
-                       cumulative_trapezoid, lambert_w_minus1, coth,
-                       solve_linear_rk4, solve_ode)
+                       cumulative_trapezoid, fixed_point, lambert_w_minus1,
+                       coth, solve_linear_rk4, solve_ode)
 from .params import PhysicalParams, derived_scales, momentum_dispersion
 
 _log = logging.getLogger(__name__)
@@ -266,6 +266,18 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
 # Harmonic oscillator with temperature self-consistency
 
 
+def _beta_integral(coef, S, beta_grid):
+    """int_0^beta coef / S(beta')^2 dbeta' at every node beta > 0.
+
+    S holds the columns beta > 0 along its last axis; the beta = 0
+    integrand is zero (S is infinite there).  Cumulative trapezoid on
+    beta_grid.
+    """
+    integrand = np.zeros(S.shape[:-1] + (beta_grid.size,))
+    integrand[..., 1:] = coef / S ** 2
+    return cumulative_trapezoid(integrand, beta_grid)[..., 1:]
+
+
 def _interp_weights(nodes, x):
     """Linear interpolation in nodes at x as rows lo, lo + 1 and weights.
 
@@ -341,32 +353,23 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
 
         return solve_linear_rk4(coef, y0, steps)[:, 0]
 
-    surface = sweep(np.zeros((t_grid.size, ncol)))  # classical first pass
-    residuals = []
-    for _ in range(max_iter):
-        integrand = np.zeros((t_grid.size, nb))
-        integrand[:, 1:] = quantum_coef / surface ** 2
-        I_full = cumulative_trapezoid(integrand, beta_grid)
-        new = sweep(I_full[:, 1:])
+    def picard_map(surface):
+        new = sweep(_beta_integral(quantum_coef, surface, beta_grid))
         if np.any(new <= 0):
             raise ConvergenceError("negative dispersion during harmonic "
-                                   "iteration; refine grids", residuals)
-        res = float(np.max(np.abs(new - surface) / np.abs(new)))
-        residuals.append(res)
-        surface = (1.0 - relaxation) * surface + relaxation * new
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"harmonic beta self-consistency not converged "
-            f"(last residual {residuals[-1]:.3e})", residuals)
+                                   "iteration; refine grids")
+        return new
+
+    # classical first pass as the start
+    fp = fixed_point(picard_map, sweep(np.zeros((t_grid.size, ncol))),
+                     relaxation, tol, max_iter)
     _log.debug("harmonic Picard solve: %d sweeps x %d RK4 steps, final residual "
-               "%.3e", len(residuals) + 1, steps.h.size, residuals[-1])
+               "%.3e", fp.iterations + 1, steps.h.size, fp.residuals[-1])
 
     values = np.empty((t_grid.size, nb))
     values[:, 0] = np.inf
     values[t_grid == 0, 0] = sigma0_sq
-    values[:, 1:] = surface
+    values[:, 1:] = fp.value
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
     traj = DispersionTrajectory.from_sigma(
         t_grid, grid_fn.column(beta_phys), p, "harmonic", mu=mu_sol[:, 0])
@@ -390,32 +393,22 @@ def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
     if p.omega0 <= 0:
         raise ModelCompatibilityError("requires omega0 > 0")
     nodes = make_beta_grid(beta, n=n_nodes, cutoff=1e-4)
-    kT = np.empty(nodes.size)
-    kT[0] = np.inf
-    kT[1:] = 1.0 / nodes[1:]
+    kT = 1.0 / nodes[1:]
     w0sq = p.omega0 ** 2
     coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
 
-    profile = kT[1:] / (p.mass * w0sq)  # classical start
-    residuals = []
-    for _ in range(max_iter):
-        integrand = np.zeros(nodes.size)
-        integrand[1:] = coef / profile ** 2
-        I = cumulative_trapezoid(integrand, nodes)
-        spring = np.maximum(w0sq - kT[1:] * I[1:], 1e-8 * w0sq)
-        new = kT[1:] / (p.mass * spring)
-        res = float(np.max(np.abs(new - profile) / new))
-        residuals.append(res)
-        profile = (1.0 - relaxation) * profile + relaxation * new
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"stationary harmonic profile not converged "
-            f"(last residual {residuals[-1]:.3e})", residuals)
+    def stationary_map(profile):
+        I = _beta_integral(coef, profile, nodes)
+        return kT / (p.mass * np.maximum(w0sq - kT * I, 1e-8 * w0sq))
+
+    # classical start
+    fp = fixed_point(stationary_map, kT / (p.mass * w0sq), relaxation, tol,
+                     max_iter)
+    _log.debug("stationary harmonic Picard solve: %d iterations, final "
+               "residual %.3e", fp.iterations, fp.residuals[-1])
     if full_profile:
-        return nodes[1:], profile
-    return float(profile[-1])
+        return nodes[1:], fp.value
+    return float(fp.value[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -521,30 +514,21 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
 
         return solve_linear_rk4(coef, anchor_row[None], steps)[:, 0]
 
-    residuals = []
-    for _ in range(max_iter):
-        integrand = np.zeros((ti.size, nb))
-        integrand[:, 1:] = q_coef / S ** 2
-        I_full = cumulative_trapezoid(integrand, beta_grid)
-        new = sweep(np.log(np.maximum(I_full[:, 1:], 1e-300)))
+    def picard_map(S):
+        I = _beta_integral(q_coef, S, beta_grid)
+        new = sweep(np.log(np.maximum(I, 1e-300)))
         if np.any(new <= 0):
             raise ConvergenceError("negative dispersion during Picard "
-                                   "iteration; refine grids", residuals)
-        res = float(np.max(np.abs(new - S) / new))
-        residuals.append(res)
-        S = (1.0 - relaxation) * S + relaxation * new
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"overdamped Picard iteration not converged "
-            f"(last residual {residuals[-1]:.3e})", residuals)
+                                   "iteration; refine grids")
+        return new
+
+    fp = fixed_point(picard_map, S, relaxation, tol, max_iter)
     _log.debug("overdamped Picard solve: %d sweeps x %d RK4 steps, final "
-               "residual %.3e", len(residuals), steps.h.size, residuals[-1])
+               "residual %.3e", fp.iterations, steps.h.size, fp.residuals[-1])
 
     values = np.empty((t_grid.size, nb))
     values[:, 0] = np.inf
-    values[-tp.size:, 1:] = S[-tp.size:]
+    values[-tp.size:, 1:] = fp.value[-tp.size:]
     if has_zero:
         values[0] = 0.0
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)

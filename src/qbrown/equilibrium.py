@@ -36,7 +36,6 @@ class ImaginaryTimeConfig:
     beta_final: float
     grid: Grid1D
     n_beta_steps: int = 512
-    renormalize_each_step: bool = True
     boundary: str = "box"
 
     def __post_init__(self):
@@ -76,7 +75,8 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     half-step potential.  The kernel diagonal is the thermal mixture of
     all states, its trace the partition sum over the discrete spectrum;
     this matches the eigen-expansion route on the same grid exactly up
-    to the O(dbeta^2) splitting error.
+    to the O(dbeta^2) splitting error.  The kernel is rescaled to unit
+    peak after every step, its scale carried as a logarithm.
 
     Returns (DensityField, Z).
     """
@@ -129,13 +129,12 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
         M = half_pot[:, None] * M
         M = kinetic_step(M)
         M = half_pot[:, None] * M
-        if cfg.renormalize_each_step:
-            peak = float(np.max(np.abs(M)))
-            if not math.isfinite(peak) or peak == 0.0:
-                raise ConvergenceError(
-                    f"kernel norm exploded at step {step} (dbeta = {db:.3e})")
-            M /= peak
-            log_scale += math.log(peak)
+        peak = float(np.max(np.abs(M)))
+        if not math.isfinite(peak) or peak == 0.0:
+            raise ConvergenceError(
+                f"kernel norm exploded at step {step} (dbeta = {db:.3e})")
+        M /= peak
+        log_scale += math.log(peak)
     if not np.all(np.isfinite(M)):
         raise ConvergenceError(f"kernel not finite after propagation "
                                f"(dbeta = {db:.3e})")

@@ -1,10 +1,11 @@
 """Self-contained numerical kernels.
 
-Lambert W on the lower branch, a stable coth, quadrature over inverse
-temperature, explicit Runge-Kutta integration (fixed RK4 and adaptive
-Dormand-Prince 5(4)), fixed RK4 on linear systems as affine step maps
-and a damped fixed-point iterator.  Everything here is a pure function
-over immutable inputs.
+Lambert W on the lower branch, a stable coth, cumulative trapezoid
+quadrature over inverse temperature, explicit Runge-Kutta integration
+(fixed RK4 and adaptive Dormand-Prince 5(4)), fixed RK4 on linear
+systems as affine step maps and the damped fixed-point iterator that
+drives the beta self-consistency solvers.  Everything here is a pure
+function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -97,59 +98,6 @@ def coth(x):
 
 # ---------------------------------------------------------------------------
 # Quadrature over inverse temperature
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Fixed-node quadrature on [0, beta]: trapezoid or Simpson.
-
-    Simpson requires an odd node count.
-    """
-
-    n: int = 65
-    scheme: str = "simpson"
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("quadrature needs at least 2 nodes")
-        if self.scheme not in ("trapezoid", "simpson"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "simpson" and self.n % 2 == 0:
-            raise ValueError("Simpson rule requires an odd node count")
-
-    def nodes(self, beta: float) -> np.ndarray:
-        return np.linspace(0.0, beta, self.n)
-
-    def weights(self, beta: float) -> np.ndarray:
-        h = beta / (self.n - 1)
-        if self.scheme == "trapezoid":
-            w = np.full(self.n, h)
-            w[0] = w[-1] = h / 2.0
-        else:
-            w = np.empty(self.n)
-            w[0] = w[-1] = h / 3.0
-            w[1:-1:2] = 4.0 * h / 3.0
-            w[2:-1:2] = 2.0 * h / 3.0
-        return w
-
-
-def integrate_beta(f, beta: float, rule: QuadratureRule = QuadratureRule()) -> float:
-    """Quadrature approximation of the integral of f over [0, beta].
-
-    beta = 0 returns exactly 0.  A non-finite sample aborts with the
-    offending node in the message.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta == 0.0:
-        return 0.0
-    nodes = rule.nodes(beta)
-    samples = np.array([f(b) for b in nodes], dtype=float)
-    bad = ~np.isfinite(samples)
-    if np.any(bad):
-        node = nodes[bad][0]
-        raise ArithmeticError(f"integrand not finite at beta' = {node}")
-    return float(samples @ rule.weights(beta))
 
 
 def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -404,10 +352,14 @@ class FixedPointResult:
 
 def fixed_point(map_fn, init, relaxation: float = 1.0, tol: float = 1e-10,
                 max_iter: int = 200) -> FixedPointResult:
-    """Damped iteration x <- (1-theta) x + theta map(x).
+    """Damped iteration x <- (1 - theta) x + theta map(x).
 
-    Stops when the sup-norm relative change drops below tol; raises
-    ConvergenceError carrying the residual history otherwise.
+    The residual is the elementwise relative change max |map(x) - x| /
+    |map(x)|, taken before relaxation; the loop stops at the first
+    residual <= tol.  Failure to converge raises ConvergenceError with
+    the residual history, naming map_fn by its qualified name (so a
+    solver's map reads "solver.<locals>.map"); a ConvergenceError raised
+    by map_fn itself propagates with the history up to that iteration.
     """
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
@@ -416,16 +368,19 @@ def fixed_point(map_fn, init, relaxation: float = 1.0, tol: float = 1e-10,
     x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     residuals = []
     for it in range(1, max_iter + 1):
-        fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
+        try:
+            fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
+        except ConvergenceError as exc:
+            exc.residuals = list(residuals)
+            raise
         if fx.shape != x.shape:
             raise ValueError("map must preserve the iterate shape")
-        x_new = (1.0 - relaxation) * x + relaxation * fx
-        denom = max(float(np.max(np.abs(x_new))), 1e-300)
-        res = float(np.max(np.abs(x_new - x)) / denom)
+        res = float(np.max(np.abs(fx - x) / np.maximum(np.abs(fx), 1e-300)))
         residuals.append(res)
-        x = x_new
+        x = (1.0 - relaxation) * x + relaxation * fx
         if res <= tol:
             return FixedPointResult(value=x, iterations=it, residuals=residuals)
+    name = getattr(map_fn, "__qualname__", repr(map_fn))
     raise ConvergenceError(
-        f"fixed point not converged in {max_iter} iterations "
+        f"fixed point of {name} not converged in {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})", residuals)

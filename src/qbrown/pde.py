@@ -303,8 +303,7 @@ def _flux(rho, phi, kT, h, boundary):
 
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
            p: PhysicalParams, t_final: float, dt: float | None = None,
-           boundary: str = "reflecting", n_records: int = 201,
-           split_correction_flux: bool = False) -> EvolveResult:
+           boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
     """Advance the chosen density equation to t_final.
 
     Overdamped variants step b drho/dt = div(rho dPhi/dx + k_B T drho/dx)
@@ -327,8 +326,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError("evolution requires friction b > 0")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if split_correction_flux and not model.semiclassical:
-        raise ValueError("the alternative flux assembly is semiclassical-only")
 
     grid = rho0.grid
     h = grid.h
@@ -340,13 +337,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         phi_static = effective_potential(U, p.beta, p, grid)
     else:
         phi_static = U.energy(grid, p)
-
-    split_phi = split_upp = None
-    if split_correction_flux:
-        beta = p.beta
-        split_phi = (U.energy(grid, p)
-                   + beta * p.hbar ** 2 * U.laplacian(grid, p) / (24.0 * p.mass))
-        split_upp = U.laplacian(grid, p)
 
     def phi_of(r):
         if not model.quantum:
@@ -382,17 +372,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
             r_adv = taper * r_half + (1.0 - taper) * r_up
             f = r_adv * dphi + r_half * dq * taper + kT * drho
             return _divergence(f, h, boundary)
-        if split_correction_flux:
-            f = _flux(r, split_phi, kT, h, boundary)
-            extra = r * split_upp
-            if boundary == "reflecting":
-                dextra = np.diff(extra) / h
-            else:
-                dextra = (np.roll(extra, -1) - extra) / h
-            f = f + p.beta * p.hbar ** 2 * dextra / (12.0 * p.mass)
-        else:
-            f = _flux(r, phi_static, kT, h, boundary)
-        return _divergence(f, h, boundary)
+        return _divergence(_flux(r, phi_static, kT, h, boundary), h, boundary)
 
     # time step from the stability bound
     phi0 = phi_of(rho)
@@ -461,8 +441,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     return EvolveResult(
         density=final, times=np.array(times), mu=np.array(mus),
         sigma2=np.array(sig2s), mass=np.array(masses), dt=dt, n_steps=n_steps,
-        diagnostics={"stability_scale": scale, "boundary": boundary,
-                     "split_correction_flux": split_correction_flux})
+        diagnostics={"stability_scale": scale, "boundary": boundary})
 
 
 def _quantum_potential_raw(rho_arr: np.ndarray, grid: Grid1D,

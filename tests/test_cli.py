@@ -86,6 +86,33 @@ def test_time_span_must_be_ordered(tmp_path):
     assert main(["run", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("text, line, words", [
+    ("scenario = harmonic\nseed = 3\n", 2, ("unknown key 'seed'",)),
+    ("scenario = dispersion-compare\nmodels = einstein,bogus\n", 2,
+     ("'models'", "einstein,bogus", "lambert-exact")),
+    ("scenario = semiclassical-pde\npotential.variant = harmonic\n", 2,
+     ("potential.variant = harmonic (line 2)", "potential.omega0 > 0",
+      "(default)")),
+    ("scenario = equilibrium\npotential.variant = quartic\n", 2,
+     ("potential.variant = quartic (line 2)", "potential.k4 > 0",
+      "(default)")),
+    ("scenario = equilibrium\npotential.k4 = 0\n\n"
+     "potential.variant = quartic\n", 4,
+     ("potential.variant = quartic (line 4)", "potential.k4 > 0",
+      "(line 2)")),
+])
+def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    (ln, msg), = exc.value.errors
+    assert ln == line
+    assert all(w in msg for w in words), msg
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: line {line}:" in capsys.readouterr().err
+
+
 def test_missing_and_unknown_scenario():
     with pytest.raises(ConfigError):
         parse_config("params.mass = 1\n")

@@ -12,7 +12,8 @@ from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     stationary_harmonic_dispersion)
 from qbrown.dispersion import (SemiclassicalDomainWarning,
                                lambert_dispersion_scaled)
-from qbrown.numerics import coth, cumulative_trapezoid, solve_ode
+from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
+                             solve_ode)
 
 NAT = PhysicalParams.natural()
 
@@ -263,6 +264,18 @@ def test_stationary_harmonic_matches_coth():
         exact = 0.5 * coth(bho / 2.0)
         assert stationary_harmonic_dispersion(bho, p) == pytest.approx(
             exact, rel=1e-3)
+
+
+def test_stationary_harmonic_logs_and_fails_by_name(caplog):
+    p = PhysicalParams.natural(omega0=1.0, temperature=2.0)
+    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
+        stationary_harmonic_dispersion(0.5, p)
+    assert ("stationary harmonic Picard solve: 17 iterations, final residual"
+            in caplog.text)
+    with pytest.raises(ConvergenceError) as exc:
+        stationary_harmonic_dispersion(0.5, p, max_iter=3)
+    assert "stationary_harmonic_dispersion" in str(exc.value)
+    assert len(exc.value.residuals) == 3
 
 
 def test_harmonic_relaxes_to_equilibrium():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qbrown.numerics import (ConvergenceError, OdeSolverConfig,
-                             QuadratureRule, Rk4Steps, coth,
-                             cumulative_trapezoid, fixed_point, integrate_beta,
+from qbrown.numerics import (ConvergenceError, OdeSolverConfig, Rk4Steps,
+                             coth, cumulative_trapezoid, fixed_point,
                              lambert_w_minus1, solve_linear_rk4, solve_ode)
 
 # ---------------------------------------------------------------------------
@@ -56,39 +55,11 @@ def test_coth_small_and_large():
 # quadrature
 
 
-def test_simpson_exact_for_cubics():
-    rule = QuadratureRule(n=3, scheme="simpson")
-    val = integrate_beta(lambda b: b ** 3 - 2 * b, 2.0, rule)
-    assert val == pytest.approx(4.0 - 4.0, abs=1e-14)
-
-
 def test_tanh_squared_integral():
     # int_0^2 tanh^2 = 2 - tanh(2)
-    val = integrate_beta(lambda b: math.tanh(b) ** 2, 2.0)
-    assert val == pytest.approx(2.0 - math.tanh(2.0), rel=1e-8)
-
-
-def test_simpson_convergence_order():
-    # quadrupling the node count should shrink the error ~ h^4 = 256x;
-    # accept a generous window around the asymptotic order
-    f = math.cos
-    exact = math.sin(1.0)
-    e1 = abs(integrate_beta(f, 1.0, QuadratureRule(n=9)) - exact)
-    e2 = abs(integrate_beta(f, 1.0, QuadratureRule(n=33)) - exact)
-    order = math.log(e1 / e2) / math.log(4.0)
-    assert order == pytest.approx(4.0, rel=0.2)
-
-
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(n=1)
-    with pytest.raises(ValueError):
-        QuadratureRule(n=4, scheme="simpson")
-    with pytest.raises(ValueError):
-        QuadratureRule(scheme="gauss")
-    assert integrate_beta(lambda b: 1.0, 0.0) == 0.0
-    with pytest.raises(ArithmeticError):
-        integrate_beta(lambda b: math.inf, 1.0)
+    nodes = np.linspace(0.0, 2.0, 4001)
+    val = cumulative_trapezoid(np.tanh(nodes) ** 2, nodes)[-1]
+    assert val == pytest.approx(2.0 - math.tanh(2.0), rel=1e-7)
 
 
 def test_cumulative_trapezoid_nonuniform():
@@ -256,3 +227,51 @@ def test_fixed_point_validation():
         fixed_point(lambda x: x, 1.0, tol=-1.0)
     with pytest.raises(ValueError):
         fixed_point(lambda x: np.array([1.0, 2.0]), 1.0)
+
+
+def test_fixed_point_elementwise_residual():
+    # x = 0.5 x + c with components six decades apart: the sup-norm
+    # change relative to the largest component stops after 7 iterations
+    # with the small one 0.8% short; the elementwise rule takes 27
+    c = np.array([1.0, 1e-6])
+    res = fixed_point(lambda x: 0.5 * x + c, [2.0, 0.0], tol=1e-8)
+    assert res.iterations == 27
+    assert len(res.residuals) == 27 and res.residuals[-1] <= 1e-8
+    np.testing.assert_allclose(res.value, 2.0 * c, rtol=2e-8)
+
+    x, sup_iterations = np.array([2.0, 0.0]), 0
+    while True:
+        new = 0.5 * x + c
+        sup_iterations += 1
+        done = np.max(np.abs(new - x)) / np.max(np.abs(new)) <= 1e-8
+        x = new
+        if done:
+            break
+    assert sup_iterations == 7
+    assert x[1] == pytest.approx(1.984375e-6, rel=1e-12)
+
+
+def test_fixed_point_map_failure_keeps_history():
+    calls = []
+
+    def picard_map(x):
+        calls.append(1)
+        if len(calls) > 4:
+            raise ConvergenceError("negative dispersion; refine grids")
+        return 0.5 * x
+
+    with pytest.raises(ConvergenceError, match="refine grids") as exc:
+        fixed_point(picard_map, 1.0, tol=1e-12)
+    assert len(exc.value.residuals) == 4
+
+
+def test_fixed_point_failure_names_its_caller():
+    def damped_solver():
+        def double(x):
+            return 2.0 * x + 1.0
+        return fixed_point(double, 1.0, max_iter=5)
+
+    with pytest.raises(ConvergenceError) as exc:
+        damped_solver()
+    assert "damped_solver.<locals>.double not converged in 5" in str(exc.value)
+    assert len(exc.value.residuals) == 5

@@ -202,20 +202,6 @@ def test_detailed_balance_stationarity():
     assert abs(m1.mean - m0.mean) <= 1e-3
 
 
-def test_split_correction_flux_variant():
-    p = PhysicalParams.natural(omega0=1.0, temperature=1.0)
-    g = Grid1D(-6.0, 6.0, 201)
-    U = PotentialSpec.harmonic(1.0)
-    rho0 = DensityField.gaussian(g, 0.5, 0.3)
-    a = evolve(rho0, PdeModel.SEMICLASSICAL_SMOLUCHOWSKI, U, p, 2.0)
-    b = evolve(rho0, PdeModel.SEMICLASSICAL_SMOLUCHOWSKI, U, p, 2.0,
-               split_correction_flux=True)
-    np.testing.assert_allclose(a.sigma2[-1], b.sigma2[-1], rtol=5e-3)
-    with pytest.raises(ValueError):
-        evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, U, p, 1.0,
-               split_correction_flux=True)
-
-
 def test_evolve_guards():
     g = Grid1D(-4.0, 4.0, 101)
     rho0 = DensityField.gaussian(g, 0.0, 0.5)
