@@ -9,15 +9,15 @@ one-line verdict.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dispersion import (ClosedForm, eval_closed_form, make_beta_grid,
-                         solve_harmonic, solve_inertial_zero_T,
-                         solve_overdamped_bounded, solve_overdamped_full,
-                         stationary_harmonic_dispersion)
+                         solve_inertial_zero_T, solve_overdamped_bounded,
+                         solve_overdamped_full, stationary_harmonic_dispersion)
 from .equilibrium import (ImaginaryTimeConfig, eigen_density,
                           imaginary_time_density, semiclassical_density)
 from .numerics import OdeSolverConfig, coth
@@ -50,14 +50,22 @@ def _result(number, name, passed, details, t0, **measured):
 _NATURAL = PhysicalParams.natural()
 
 
+@functools.lru_cache(maxsize=None)
 def _full_surface(quick=False):
-    """Shared self-consistent overdamped solve (criteria 1, 2, 4, 9)."""
+    """Shared self-consistent overdamped solve (criteria 1, 2, 4, 9).
+
+    Solved once per ``quick`` and cached; its arrays are read-only so that
+    no criterion can alter the copy the others read.
+    """
     p = _NATURAL
     sc = derived_scales(p)
     n = 81 if quick else 121
     t_grid = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, n)
     beta_grid = make_beta_grid(p.beta, n=32 if quick else 48, extend_factor=20.0)
     surface, traj = solve_overdamped_full(p, t_grid, beta_grid)
+    for a in (t_grid, beta_grid, surface.t_grid, surface.beta_grid,
+              surface.values, traj.times, traj.sigma_x2, traj.sigma_p2):
+        a.flags.writeable = False
     return p, sc, t_grid, surface, traj
 
 

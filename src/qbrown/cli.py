@@ -25,7 +25,7 @@ from .equilibrium import (ImaginaryTimeConfig, eigen_density,
 from .numerics import ConvergenceError
 from .params import (PhysicalParams, ScalesUndefinedError, derived_scales)
 from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec, evolve,
-                  moments, quantum_potential)
+                  quantum_potential)
 
 SCENARIOS = ("free-zero-T", "free-high-friction", "vacuum-spreading",
              "harmonic", "classical-telegraph", "quantum-zero-T-pde",

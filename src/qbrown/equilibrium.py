@@ -8,16 +8,19 @@ they can be compared pointwise far below grid error.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve
 
 from .numerics import ConvergenceError, cumulative_trapezoid
 from .params import PhysicalParams
 from .pde import (DensityField, Grid1D, PotentialSpec, effective_potential,
                   quantum_potential)
+
+_log = logging.getLogger(__name__)
 
 
 class GridMismatchError(ValueError):
@@ -28,9 +31,10 @@ class GridMismatchError(ValueError):
 class ImaginaryTimeConfig:
     """Settings for kernel propagation down to inverse temperature beta_final.
 
-    The stepping scheme (split potential / Crank-Nicolson kinetic) is
-    unconditionally stable; n_beta_steps controls the O(dbeta^2)
-    splitting error, not stability.
+    The kernel is S^N, S one Strang step (split potential / Crank-Nicolson
+    kinetic) of dbeta = beta_final / N, formed by repeated squaring in
+    about log2(N) dense n x n products.  S is unconditionally stable;
+    N = n_beta_steps sets only the O(dbeta^2) splitting error.
     """
 
     beta_final: float
@@ -71,12 +75,14 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
 
     Propagates the full thermal kernel exp(-beta H) from the identity at
     beta = 0 (infinite temperature: every state uniformly weighted) via
-    Strang splitting — half-step potential, Crank-Nicolson kinetic step,
-    half-step potential.  The kernel diagonal is the thermal mixture of
-    all states, its trace the partition sum over the discrete spectrum;
-    this matches the eigen-expansion route on the same grid exactly up
-    to the O(dbeta^2) splitting error.  The kernel is rescaled to unit
-    peak after every step, its scale carried as a logarithm.
+    Strang splitting: half-step potential, Crank-Nicolson kinetic step,
+    half-step potential.  The step is one matrix S, so the kernel S^N is
+    formed by square-and-multiply over the bits of N = n_beta_steps,
+    about log2(N) dense products, each rescaled to unit peak with its
+    scale carried as a logarithm.  The kernel diagonal is the thermal
+    mixture of all states, its trace the partition sum over the discrete
+    spectrum; this matches the eigen-expansion route on the same grid
+    exactly up to the O(dbeta^2) splitting error.
 
     Returns (DensityField, Z).
     """
@@ -86,58 +92,51 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
             f"beta_final = {cfg.beta_final}")
     grid = cfg.grid
     n = grid.n
-    h = grid.h
     db = cfg.beta_final / cfg.n_beta_steps
 
     u = U.energy(grid, p)
     half_pot = np.exp(-0.5 * db * (u - np.min(u)))
-    log_scale = -cfg.beta_final * float(np.min(u))
 
-    kin = p.hbar ** 2 / (2.0 * p.mass * h ** 2)
-    if cfg.boundary == "box":
-        # Crank-Nicolson factors for the kinetic tridiagonal
-        ab = np.zeros((3, n))
-        ab[0, 1:] = 0.5 * db * (-kin)
-        ab[1, :] = 1.0 + 0.5 * db * (2.0 * kin)
-        ab[2, :-1] = 0.5 * db * (-kin)
-        lower = np.full(n - 1, -kin)
-        diag_kin = np.full(n, 2.0 * kin)
+    # one Strang step S = P K P, P = diag(half_pot), Crank-Nicolson factor
+    # K = (I + dbeta/2 T)^-1 (I - dbeta/2 T); a periodic T adds two corners
+    half_kin = 0.5 * db * p.hbar ** 2 / (2.0 * p.mass * grid.h ** 2)
+    A = np.zeros((n, n))
+    A.flat[1::n + 1] = A.flat[n::n + 1] = -half_kin
+    if cfg.boundary == "periodic":
+        A[0, -1] = A[-1, 0] = -half_kin
+    B = -A
+    A.flat[::n + 1] = 1.0 + 2.0 * half_kin      # I + dbeta/2 T
+    B.flat[::n + 1] = 1.0 - 2.0 * half_kin      # I - dbeta/2 T
+    S = solve(A, B, overwrite_a=True, overwrite_b=True)
+    del A, B                    # only S and its powers stay alive
+    S *= np.outer(half_pot, half_pot)
 
-        def kinetic_step(M):
-            rhs = (1.0 - 0.5 * db * diag_kin)[:, None] * M
-            rhs[:-1] -= 0.5 * db * lower[:, None] * M[1:]
-            rhs[1:] -= 0.5 * db * lower[:, None] * M[:-1]
-            return solve_banded((1, 1), ab, rhs)
-    else:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-        main = np.full(n, 2.0 * kin)
-        T = sp.diags([np.full(n - 1, -kin), main, np.full(n - 1, -kin)],
-                     [-1, 0, 1], format="lil")
-        T[0, -1] = -kin
-        T[-1, 0] = -kin
-        T = T.tocsc()
-        A = (sp.identity(n, format="csc") + 0.5 * db * T)
-        B = (sp.identity(n, format="csc") - 0.5 * db * T)
-        lu = splu(A)
-
-        def kinetic_step(M):
-            return lu.solve(B @ M)
-
-    M = np.eye(n)
-    for step in range(cfg.n_beta_steps):
-        M = half_pot[:, None] * M
-        M = kinetic_step(M)
-        M = half_pot[:, None] * M
-        peak = float(np.max(np.abs(M)))
+    def unit_peak(M, power):
+        peak = max(float(M.max()), -float(M.min()))
         if not math.isfinite(peak) or peak == 0.0:
             raise ConvergenceError(
-                f"kernel norm exploded at step {step} (dbeta = {db:.3e})")
+                f"kernel norm exploded at S^{power} (dbeta = {db:.3e})")
         M /= peak
-        log_scale += math.log(peak)
+        return math.log(peak)
+
+    log_s = unit_peak(S, 1)
+    M, log_m, power = S, log_s, 1
+    for bit in bin(cfg.n_beta_steps)[3:]:
+        M = M @ M
+        power *= 2
+        log_m = 2.0 * log_m + unit_peak(M, power)
+        if bit == "1":
+            M = M @ S
+            power += 1
+            log_m += log_s + unit_peak(M, power)
     if not np.all(np.isfinite(M)):
         raise ConvergenceError(f"kernel not finite after propagation "
                                f"(dbeta = {db:.3e})")
+    log_scale = log_m - cfg.beta_final * float(np.min(u))
+    _log.debug("imaginary-time kernel: %d nodes, S^%d by %d squarings + %d "
+               "products, final log scale %.6e", n, cfg.n_beta_steps,
+               cfg.n_beta_steps.bit_length() - 1,
+               bin(cfg.n_beta_steps).count("1") - 1, log_scale)
 
     diag = np.maximum(np.diag(M), 0.0)
     Z = float(np.trace(M)) * math.exp(log_scale)

@@ -26,6 +26,15 @@ def test_criterion_1_einstein_asymptote():
     _check(acceptance.criterion_1())
 
 
+def test_shared_surface_is_solved_once_and_read_only():
+    first = acceptance._full_surface(True)
+    assert acceptance._full_surface(True) is first
+    _, _, t_grid, surface, traj = first
+    for a in (t_grid, surface.values, traj.sigma_x2):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_criterion_2_pure_quantum_diffusion():
     _check(acceptance.criterion_2())
 

@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
                     PotentialSpec, eigen_density, imaginary_time_density,
@@ -65,6 +67,62 @@ def test_eigen_density_positive_and_truncation_warning():
     assert np.all(rho.rho >= 0)
     with pytest.warns(UserWarning):
         eigen_density(U, p, 1.0, g, n_states=2)
+
+
+# ---------------------------------------------------------------------------
+# kernel by squaring against the stepped Strang loop
+
+
+def _stepped_kernel(U, p, cfg):
+    """Apply the Strang step n_beta_steps times, rescaling after each step."""
+    g = cfg.grid
+    db = cfg.beta_final / cfg.n_beta_steps
+    u = U.energy(g, p)
+    half_pot = np.exp(-0.5 * db * (u - u.min()))[:, None]
+    kin = p.hbar ** 2 / (2.0 * p.mass * g.h ** 2)
+    T = kin * (2.0 * np.eye(g.n) - np.eye(g.n, k=1) - np.eye(g.n, k=-1))
+    if cfg.boundary == "periodic":
+        T[0, -1] = T[-1, 0] = -kin
+    lu = lu_factor(np.eye(g.n) + 0.5 * db * T)
+    B = np.eye(g.n) - 0.5 * db * T
+    M = np.eye(g.n)
+    log_scale = -cfg.beta_final * u.min()
+    for _ in range(cfg.n_beta_steps):
+        M = half_pot * lu_solve(lu, B @ (half_pot * M))
+        peak = np.max(np.abs(M))
+        M /= peak
+        log_scale += math.log(peak)
+    rho = DensityField(grid=g, rho=np.maximum(np.diag(M), 0.0))
+    return rho, float(np.trace(M)) * math.exp(log_scale)
+
+
+@pytest.mark.parametrize("boundary, n_steps", [("box", 300), ("box", 16),
+                                               ("periodic", 17)])
+def test_squared_kernel_matches_stepped_loop(boundary, n_steps):
+    if boundary == "box":
+        p = PhysicalParams.natural(omega0=1.0, temperature=0.5)
+        U, g = PotentialSpec.harmonic(1.0), Grid1D(-8.0, 8.0, 121)
+    else:
+        p = PhysicalParams.natural()
+        g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32)
+        U = PotentialSpec.tabulated(np.cos(g.x))
+    cfg = ImaginaryTimeConfig(beta_final=p.beta, grid=g, n_beta_steps=n_steps,
+                              boundary=boundary)
+    rho, z = imaginary_time_density(U, p, cfg)
+    rho_ref, z_ref = _stepped_kernel(U, p, cfg)
+    assert np.max(np.abs(rho.rho - rho_ref.rho)) <= 1e-12 * np.max(rho_ref.rho)
+    assert abs(z - z_ref) <= 1e-12 * z_ref
+
+
+def test_kernel_logs_squarings(caplog):
+    p = PhysicalParams.natural(omega0=1.0, temperature=0.5)
+    cfg = ImaginaryTimeConfig(beta_final=2.0, grid=Grid1D(-8.0, 8.0, 121),
+                              n_beta_steps=300)
+    with caplog.at_level(logging.DEBUG, logger="qbrown.equilibrium"):
+        imaginary_time_density(PotentialSpec.harmonic(1.0), p, cfg)
+    # 300 = 0b100101100: 8 squarings and 3 extra products
+    assert ("imaginary-time kernel: 121 nodes, S^300 by 8 squarings + 3 "
+            "products, final log scale" in caplog.text)
 
 
 # ---------------------------------------------------------------------------
