@@ -20,7 +20,7 @@ from .dispersion import (ClosedForm, eval_closed_form, make_beta_grid,
                          solve_overdamped_full, stationary_harmonic_dispersion)
 from .equilibrium import (ImaginaryTimeConfig, eigen_density,
                           imaginary_time_density, semiclassical_density)
-from .numerics import OdeSolverConfig, coth
+from .numerics import coth
 from .params import PhysicalParams, derived_scales, momentum_dispersion
 from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec, evolve,
                   moments)
@@ -98,8 +98,7 @@ def criterion_2(quick=False) -> CriterionResult:
     t_anchor = 10.0 * tau
     s0 = (pz.hbar ** 2 * t_anchor / (pz.mass * pz.friction)) ** 0.25
     tg = np.geomspace(t_anchor, 1000.0 * tau, 100 if quick else 300)
-    tr = solve_inertial_zero_T(pz, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg,
-                               OdeSolverConfig(method="rk45"))
+    tr = solve_inertial_zero_T(pz, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg)
     pq2 = pz.hbar * np.sqrt(tg / (pz.mass * pz.friction))
     err_ode = float(np.max(np.abs(tr.sigma_x2 - pq2) / pq2))
     ok = err_cold <= 0.02 and err_ode <= 0.02
@@ -190,8 +189,7 @@ def criterion_7(quick=False) -> CriterionResult:
     t_anchor = 10.0 * tau
     s0 = (p.hbar ** 2 * t_anchor / (p.mass * p.friction)) ** 0.25
     tg = np.geomspace(t_anchor, 1000.0 * tau, 100 if quick else 300)
-    tr = solve_inertial_zero_T(p, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg,
-                               OdeSolverConfig(method="rk45"))
+    tr = solve_inertial_zero_T(p, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg)
     law = p.hbar ** 2 * tg / (p.mass * p.friction)
     err_ode = float(np.max(np.abs(tr.sigma_x2 ** 2 - law) / law))
 

@@ -326,18 +326,19 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     spring_floor = 1e-8 * w0sq
     quantum_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
 
-    # mean: damped driven oscillator, no beta dependence
-    def mu_rhs(t, y):
-        mu, v = y
-        return np.array([v, (p.force - p.friction * v) / p.mass - w0sq * mu])
+    steps = Rk4Steps.on_grid(t_grid, max_step)
 
-    mu_sol = solve_ode(mu_rhs, [mu0, dmu0], t_grid,
-                       OdeSolverConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12))
+    # mean: damped driven oscillator, no beta dependence
+    mu_A = np.array([[0.0, 1.0], [-w0sq, -p.friction / p.mass]])[:, :, None]
+    mu_g = np.array([[0.0], [p.force / p.mass]])
+    mu = solve_linear_rk4(
+        lambda i, j: (np.broadcast_to(mu_A, (j - i, 2, 2, 1)),
+                      np.broadcast_to(mu_g, (j - i, 2, 1))),
+        [[mu0], [dmu0]], steps)[:, 0, 0]
 
     ncol = nb - 1
     y0 = np.stack((np.full(ncol, sigma0_sq), np.full(ncol, dsigma0_sq)))
     # y = (S, S'): S'' = 2 k_B T / m - (b / m) S' - 2 spring(I) S
-    steps = Rk4Steps.on_grid(t_grid, max_step)
     lo, w = _interp_weights(t_grid, steps.times)
     drive = np.zeros((1, 2, ncol))
     drive[0, 1] = 2.0 * kT / p.mass
@@ -372,7 +373,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     values[:, 1:] = fp.value
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
     traj = DispersionTrajectory.from_sigma(
-        t_grid, grid_fn.column(beta_phys), p, "harmonic", mu=mu_sol[:, 0])
+        t_grid, grid_fn.column(beta_phys), p, "harmonic", mu=mu)
     return (traj, grid_fn) if full_output else traj
 
 

@@ -42,7 +42,10 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n)
 
 
-def _trapz(values: np.ndarray, h: float) -> float:
+def _trapz(values: np.ndarray, h: float, boundary: str = "reflecting") -> float:
+    """Trapezoid rule on a box; on a periodic ring every node has full weight."""
+    if boundary == "periodic":
+        return float(h * np.sum(values))
     return float(h * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
@@ -206,21 +209,31 @@ class PdeModel(Enum):
 _RHO_FLOOR_FACTOR = 1e-12
 
 
-def quantum_potential(rho: DensityField, p: PhysicalParams,
-                      return_diagnostics: bool = False):
+def quantum_potential(rho: DensityField, p: PhysicalParams) -> np.ndarray:
     """Bohm quantum potential -hbar^2 (d^2 sqrt(rho)/dx^2) / (2 m sqrt(rho)).
 
     rho is clamped from below at 1e-12 of its peak before the square
     root (0/0 tails); second-order central stencil inside, one-sided at
-    the boundaries.  With return_diagnostics, also reports the fraction
-    of floored nodes.
+    the ends.  A DensityField carries no boundary, so the ends take the
+    one-sided stencil on periodic grids too; evolve wraps them on a ring.
     """
-    q = _quantum_potential_raw(rho.rho, rho.grid, p)
-    if return_diagnostics:
-        floor = _RHO_FLOOR_FACTOR * float(np.max(rho.rho))
-        frac = float(np.mean(rho.rho < floor))
-        return q, {"floored_fraction": frac, "rho_floor": floor}
-    return q
+    return _quantum_potential_raw(rho.rho, rho.grid.h, p, "reflecting")
+
+
+def _quantum_potential_raw(rho_arr: np.ndarray, h: float, p: PhysicalParams,
+                           boundary: str) -> np.ndarray:
+    """quantum_potential on a bare array; a periodic ring wraps the ends."""
+    floor = _RHO_FLOOR_FACTOR * float(np.max(rho_arr))
+    a = np.sqrt(np.maximum(rho_arr, floor))
+    d2 = np.empty_like(a)
+    d2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h ** 2
+    if boundary == "periodic":
+        d2[0] = (a[1] - 2.0 * a[0] + a[-1]) / h ** 2
+        d2[-1] = (a[0] - 2.0 * a[-1] + a[-2]) / h ** 2
+    else:
+        d2[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h ** 2
+        d2[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h ** 2
+    return -p.hbar ** 2 * d2 / (2.0 * p.mass * a)
 
 
 def effective_potential(U: PotentialSpec, beta: float, p: PhysicalParams,
@@ -287,18 +300,32 @@ def _divergence(flux_half, h, boundary):
     return out
 
 
-def _flux(rho, phi, kT, h, boundary):
-    """Half-node flux rho * dphi/dx + kT * drho/dx (down-gradient positive)."""
-    if boundary == "reflecting":
-        r_half = 0.5 * (rho[1:] + rho[:-1])
-        dphi = np.diff(phi) / h
-        drho = np.diff(rho) / h
-    else:
-        rn = np.roll(rho, -1)
-        r_half = 0.5 * (rho + rn)
-        dphi = (np.roll(phi, -1) - phi) / h
-        drho = (rn - rho) / h
-    return r_half * dphi + kT * drho
+def _ring(a, boundary):
+    """Node values whose faces lie between a[:-1] and a[1:]: a periodic
+    ring appends its wrap node."""
+    return a if boundary == "reflecting" else np.append(a, a[0])
+
+
+def _flux(rho, dphi, kT, h, boundary, q=None):
+    """Half-node flux rho dPhi/dx + kT drho/dx (down-gradient positive).
+
+    dphi is the static potential's gradient at the faces.  A Bohm
+    potential q adds rho dq/dx where the density carries mass; below 1e-6
+    of the peak its floored tails produce spurious spikes, so the term is
+    tapered off there and the drift upwinded (donor cell), since the
+    centered scheme would seed wiggles around the Q-floor kink.
+    """
+    r = _ring(rho, boundary)
+    r_half = 0.5 * (r[1:] + r[:-1])
+    drho = np.diff(r) / h
+    if q is None:
+        return r_half * dphi + kT * drho
+    cutoff = 1e-6 * float(np.max(rho))
+    taper = np.clip(r_half / (10.0 * cutoff) - 0.1, 0.0, 1.0)
+    r_up = np.where(dphi < 0.0, r[:-1], r[1:])
+    r_adv = taper * r_half + (1.0 - taper) * r_up
+    dq = np.diff(_ring(q, boundary)) / h
+    return r_adv * dphi + r_half * dq * taper + kT * drho
 
 
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
@@ -306,14 +333,18 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
            boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
     """Advance the chosen density equation to t_final.
 
-    Overdamped variants step b drho/dt = div(rho dPhi/dx + k_B T drho/dx)
-    with explicit Euler; inertial variants integrate the second-order-in-
-    time form as a (rho, drho/dt) system with semi-implicit damping and
-    drho/dt(0) = 0.  Phi is U (classical), the semiclassical effective
-    potential, or U plus the Bohm potential recomputed every step
-    (zero-temperature quantum, nonlinear).  Mass is conserved by
-    construction and checked against 1e-8 drift; negative densities
-    beyond a floor tolerance abort with step diagnostics.
+    Every model steps b drho/dt = d/dx(rho dPhi/dx + k_B T drho/dx
+    + rho dQ/dx): Phi is U or the semiclassical effective potential, Q
+    the Bohm potential of the zero-T quantum models (recomputed every
+    step, nonlinear), else 0.  Overdamped variants use explicit Euler;
+    inertial variants integrate the second-order-in-time form as a
+    (rho, drho/dt) system with semi-implicit damping and drho/dt(0) = 0.
+    The flux conserves the trapezoid mass on a reflecting box and
+    h * sum(rho) on a periodic ring; the mass check, records and moments
+    use that quadrature.  Mass drift beyond 1e-8 and negative densities
+    beyond a floor tolerance abort with step diagnostics.  Moments are
+    recorded at steps round(j n_steps / (n_records - 1)), ending at
+    t_final.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -326,6 +357,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError("evolution requires friction b > 0")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    if n_records < 2:
+        raise ValueError("n_records must be at least 2")
 
     grid = rho0.grid
     h = grid.h
@@ -337,50 +370,20 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         phi_static = effective_potential(U, p.beta, p, grid)
     else:
         phi_static = U.energy(grid, p)
-
-    def phi_of(r):
-        if not model.quantum:
-            return phi_static
-        return phi_static + _quantum_potential_raw(r, grid, p)
+    dphi = np.diff(_ring(phi_static, boundary)) / h
 
     def rate(r):
         """div(flux)(r): the right-hand side before division by b."""
-        if model.quantum:
-            # advect the Bohm-potential gradient only where the density
-            # carries mass: its floored tails produce spurious spikes
-            q = _quantum_potential_raw(r, grid, p)
-            cutoff = 1e-6 * float(np.max(r))
-            if boundary == "reflecting":
-                r_half = 0.5 * (r[1:] + r[:-1])
-                dphi = np.diff(phi_static) / h
-                dq = np.diff(q) / h
-                drho = np.diff(r) / h
-            else:
-                rn = np.roll(r, -1)
-                r_half = 0.5 * (r + rn)
-                dphi = (np.roll(phi_static, -1) - phi_static) / h
-                dq = (np.roll(q, -1) - q) / h
-                drho = (rn - r) / h
-            taper = np.clip(r_half / (10.0 * cutoff) - 0.1, 0.0, 1.0)
-            # centered fluxes in the mass-carrying region; donor-cell
-            # upwinding plus smoothing in the floored tails, where the
-            # centered scheme would seed wiggles around the Q-floor kink
-            if boundary == "reflecting":
-                r_up = np.where(dphi < 0.0, r[:-1], r[1:])
-            else:
-                r_up = np.where(dphi < 0.0, r, np.roll(r, -1))
-            r_adv = taper * r_half + (1.0 - taper) * r_up
-            f = r_adv * dphi + r_half * dq * taper + kT * drho
-            return _divergence(f, h, boundary)
-        return _divergence(_flux(r, phi_static, kT, h, boundary), h, boundary)
+        q = _quantum_potential_raw(r, h, p, boundary) if model.quantum else None
+        return _divergence(_flux(r, dphi, kT, h, boundary, q), h, boundary)
 
     # time step from the stability bound
-    phi0 = phi_of(rho)
     if model.quantum:
+        phi0 = phi_static + _quantum_potential_raw(rho, h, p, boundary)
         core = rho >= 1e-6 * float(np.max(rho))
         scale = max(float(np.ptp(phi0[core])), 1e-300)
     else:
-        scale = max(kT, float(np.ptp(phi0)), 1e-300)
+        scale = max(kT, float(np.ptp(phi_static)), 1e-300)
     if model.inertial:
         dt_bound = 0.25 * h * math.sqrt(p.mass / scale)
         if model.quantum:
@@ -399,18 +402,19 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
 
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps
-    record_every = max(1, n_steps // max(1, n_records - 1))
+    record_steps = set(np.rint(np.arange(n_records) * n_steps
+                               / (n_records - 1)).astype(int).tolist())
 
-    mass0 = _trapz(rho, h)
+    mass0 = _trapz(rho, h, boundary)
     g = np.zeros_like(rho)  # drho/dt, inertial variants only
     times, mus, sig2s, masses = [], [], [], []
 
     x = grid.x
 
     def record(t, r):
-        norm = _trapz(r, h)
-        mean = _trapz(x * r, h) / norm
-        second = _trapz(x ** 2 * r, h) / norm
+        norm = _trapz(r, h, boundary)
+        mean = _trapz(x * r, h, boundary) / norm
+        second = _trapz(x ** 2 * r, h, boundary) / norm
         times.append(t)
         mus.append(mean)
         sig2s.append(second - mean ** 2)
@@ -425,7 +429,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         else:
             rho = rho + dt * rate(rho) / p.friction
         if step % 200 == 0 or step == n_steps:
-            mass = _trapz(rho, h)
+            mass = _trapz(rho, h, boundary)
             if abs(mass - mass0) > 1e-8:
                 raise ConvergenceError(
                     f"mass drift {mass - mass0:.3e} at step {step} "
@@ -434,24 +438,16 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                 raise ConvergenceError(
                     f"density fell to {np.min(rho):.3e} at step {step}; "
                     f"scheme unstable at dt = {dt:.3e}")
-        if step % record_every == 0 or step == n_steps:
+        if step in record_steps:
             record(step * dt, rho)
 
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))
+    diagnostics = {"stability_scale": scale, "boundary": boundary,
+                   "min_density": float(np.min(rho))}
+    if model.quantum:
+        floor = _RHO_FLOOR_FACTOR * float(np.max(final.rho))
+        diagnostics["floored_fraction"] = float(np.mean(final.rho < floor))
     return EvolveResult(
         density=final, times=np.array(times), mu=np.array(mus),
         sigma2=np.array(sig2s), mass=np.array(masses), dt=dt, n_steps=n_steps,
-        diagnostics={"stability_scale": scale, "boundary": boundary})
-
-
-def _quantum_potential_raw(rho_arr: np.ndarray, grid: Grid1D,
-                           p: PhysicalParams) -> np.ndarray:
-    """quantum_potential on a bare array (hot path of the nonlinear model)."""
-    h = grid.h
-    floor = _RHO_FLOOR_FACTOR * float(np.max(rho_arr))
-    a = np.sqrt(np.maximum(rho_arr, floor))
-    d2 = np.empty_like(a)
-    d2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h ** 2
-    d2[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h ** 2
-    d2[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h ** 2
-    return -p.hbar ** 2 * d2 / (2.0 * p.mass * a)
+        diagnostics=diagnostics)

@@ -189,6 +189,16 @@ def test_pde_scenario_writes_density(tmp_path):
     assert "density_final.csv" in manifest
 
 
+def test_periodic_pde_scenario_conserves_mass(tmp_path):
+    code, out = _run(tmp_path,
+                     "scenario = semiclassical-pde\n"
+                     "mu0 = 7.5\n"
+                     "pde.boundary = periodic\n"
+                     "pde.t_final = 1.0\n")
+    assert code == 0
+    assert "mass_conserved [PASS]" in (out / "manifest.txt").read_text()
+
+
 def test_equilibrium_scenario(tmp_path):
     code, out = _run(tmp_path,
                      "scenario = equilibrium\n"

@@ -284,7 +284,9 @@ def test_harmonic_relaxes_to_equilibrium():
     tr = solve_harmonic(p, 1.3, 0.0, 1.0, 0.0, t)
     exact = 0.5 * coth(0.5)
     assert tr.sigma_x2[-1] == pytest.approx(exact, rel=2e-3)
-    assert abs(tr.mu[-1]) < 1e-6
+    # b = 2 m omega0: the critically damped mean from mu0 = 1 at rest
+    np.testing.assert_allclose(tr.mu, (1.0 + t) * np.exp(-t), rtol=0,
+                               atol=1e-8)
 
 
 def _stepped_harmonic(p, s0, ds0, t, beta, relaxation=0.7, tol=1e-8):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbrown import (DensityField, Grid1D, PdeModel, PhysicalParams,
-                    PotentialSpec, derived_scales, effective_potential,
-                    evolve, moments, quantum_potential)
+from qbrown import (ConvergenceError, DensityField, Grid1D, PdeModel,
+                    PhysicalParams, PotentialSpec, derived_scales,
+                    effective_potential, evolve, moments, quantum_potential)
 
 NAT = PhysicalParams.natural()
 
@@ -106,13 +108,6 @@ def test_quantum_potential_of_gaussian():
     np.testing.assert_allclose(q[core], exact[core], atol=2e-4)
 
 
-def test_quantum_potential_diagnostics():
-    g = Grid1D(-20.0, 20.0, 801)
-    q, diag = quantum_potential(DensityField.gaussian(g, 0.0, 0.25), NAT,
-                                return_diagnostics=True)
-    assert 0.0 < diag["floored_fraction"] < 1.0
-
-
 def test_effective_potential_harmonic():
     g = Grid1D(-2.0, 2.0, 41)
     p = PhysicalParams.natural(omega0=1.0)
@@ -176,13 +171,97 @@ def test_quantum_zero_T_quartic_root_law():
     np.testing.assert_allclose(meas, law[m], rtol=1e-2)
 
 
-def test_periodic_uniform_is_stationary():
+def _params_for(model):
+    """NAT, at T = 0 for the quantum models; b = 100 keeps the quantum
+    Smoluchowski h^4 step bound to a few hundred steps on these grids."""
+    if not model.quantum:
+        return NAT
+    return PhysicalParams.natural(temperature=0.0,
+                                  friction=1.0 if model.inertial else 100.0)
+
+
+@pytest.mark.parametrize("model", PdeModel, ids=lambda m: m.value)
+def test_periodic_uniform_is_stationary(model):
     g = Grid1D(0.0, 2.0 * math.pi, 65)
-    res = evolve(DensityField.uniform(g), PdeModel.CLASSICAL_SMOLUCHOWSKI,
-                 PotentialSpec.free(), NAT, 1.0, boundary="periodic",
-                 n_records=5)
+    res = evolve(DensityField.uniform(g), model, PotentialSpec.free(),
+                 _params_for(model), 1.0, boundary="periodic", n_records=5)
     np.testing.assert_allclose(res.density.rho, 1.0 / (2.0 * math.pi),
                                atol=1e-13)
+
+
+@pytest.mark.parametrize("model", PdeModel, ids=lambda m: m.value)
+def test_periodic_ring_conserves_mass_across_the_seam(model):
+    # a ring of 64 nodes: node 63 neighbours node 0, so every node
+    # carries full weight in the conserved mass
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64)
+    rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
+    res = evolve(rho0, model, PotentialSpec.free(), _params_for(model), 1.0,
+                 boundary="periodic", n_records=5)
+    assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-14
+    assert res.diagnostics["min_density"] >= 0.0
+
+
+@pytest.mark.parametrize("n_records", [21, 101])
+def test_records_n_rows_ending_at_t_final(n_records):
+    g = Grid1D(-4.0, 4.0, 41)
+    res = evolve(DensityField.gaussian(g, 0.0, 0.5),
+                 PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(), NAT,
+                 1.0, n_records=n_records)
+    assert res.n_steps == 63
+    assert res.times.size == min(n_records, res.n_steps + 1)
+    steps = np.rint(np.arange(res.times.size) * res.n_steps
+                    / (res.times.size - 1))
+    np.testing.assert_array_equal(res.times, steps * res.dt)
+    assert res.times[-1] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_quantum_evolve_reports_floored_fraction():
+    g = Grid1D(-20.0, 20.0, 801)
+    p = PhysicalParams.natural(temperature=0.0)
+    res = evolve(DensityField.gaussian(g, 0.0, 0.25),
+                 PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.free(), p,
+                 0.01, n_records=3)
+    assert 0.0 < res.diagnostics["floored_fraction"] < 1.0
+
+
+_PROPERTY_GRID = Grid1D(0.0, 2.0 * math.pi * 47 / 48, 48)
+
+
+@settings(max_examples=30, deadline=None)
+@given(amp=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       phase=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3,
+                      max_size=3),
+       mu=st.floats(2.0, 4.3), sigma2=st.floats(0.5, 2.0),
+       model=st.sampled_from([PdeModel.CLASSICAL_SMOLUCHOWSKI,
+                              PdeModel.SEMICLASSICAL_SMOLUCHOWSKI]),
+       boundary=st.sampled_from(["reflecting", "periodic"]))
+def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
+                                              boundary):
+    # the telegraph models are left out: they lose positivity in wells
+    # (ROADMAP item 6), as does the quantum Smoluchowski model (below)
+    x = _PROPERTY_GRID.x
+    u = sum(a * np.cos(k * x + ph)
+            for k, (a, ph) in enumerate(zip(amp, phase), start=1))
+    p = PhysicalParams.natural(friction=20.0)
+    res = evolve(DensityField.gaussian(_PROPERTY_GRID, mu, sigma2), model,
+                 PotentialSpec.tabulated(u), p, 0.5, boundary=boundary,
+                 n_records=5)
+    assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
+    assert res.diagnostics["min_density"] >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 3: the explicit quantum "
+                          "Smoluchowski step turns unstable at its own "
+                          "h^4 step bound")
+def test_quantum_smoluchowski_stays_positive_at_its_step_bound():
+    g = Grid1D(-4.0, 4.0, 48)
+    p = PhysicalParams.natural(friction=20.0, temperature=0.0)
+    res = evolve(DensityField.gaussian(g, 0.5, 0.5),
+                 PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI, PotentialSpec.free(),
+                 p, 0.5, n_records=5)
+    assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
+    assert res.diagnostics["min_density"] >= 0.0
 
 
 def test_detailed_balance_stationarity():
