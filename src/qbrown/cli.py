@@ -8,6 +8,7 @@ manifest.  Exit codes: 0 success, 1 numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from .dispersion import (ClosedForm, compare_models, eval_closed_form,
                          solve_harmonic, solve_inertial_zero_T,
                          solve_overdamped_bounded, solve_overdamped_full)
 from .equilibrium import (ImaginaryTimeConfig, eigen_density,
-                          imaginary_time_density, quantum_entropy,
-                          semiclassical_density)
+                          imaginary_time_density, min_beta_steps,
+                          quantum_entropy, semiclassical_density)
 from .numerics import ConvergenceError
 from .params import (PhysicalParams, ScalesUndefinedError, derived_scales)
 from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec, evolve,
@@ -224,6 +225,43 @@ def _cross_key_errors(scen, options, seen):
     return errors
 
 
+def _beta_steps(o, beta):
+    """(beta', steps) of each imaginary-time propagation of an equilibrium
+    run: the target beta, then the entropy sweep's nodes, if any."""
+    n, n_ent = o["eq.n_beta_steps"], o["eq.entropy_nodes"]
+    betas = np.linspace(0.0, beta, n_ent)[1:] if n_ent else []
+    return [(beta, n)] + [(b, max(16, int(n * b / beta))) for b in betas]
+
+
+def _beta_step_errors(options, params, seen):
+    """An error, citing the keys' lines, when a Crank-Nicolson beta step of
+    the run is too coarse for the grid (equilibrium.min_beta_steps)."""
+    h = ((options["grid.x_max"] - options["grid.x_min"])
+         / (options["grid.n"] - 1))
+    beta = params.beta
+
+    def too_coarse(o):
+        return [b for b, steps in _beta_steps(o, beta)
+                if steps < min_beta_steps(params, h, b)]
+
+    bad = too_coarse(options)
+    if not bad:
+        return []
+    need = max(math.ceil(min_beta_steps(params, h, b) * beta / b)
+               for b in bad)
+    while too_coarse({**options, "eq.n_beta_steps": need}):
+        need += 1
+    keys = ("eq.n_beta_steps", "eq.entropy_nodes", "grid.x_min",
+            "grid.x_max", "grid.n", "params.temperature")
+    where = (f"line {seen['eq.n_beta_steps']}" if "eq.n_beta_steps" in seen
+             else "default")
+    return [(max(seen.get(k, 0) for k in keys),
+             f"eq.n_beta_steps = {options['eq.n_beta_steps']} ({where}) is "
+             f"too coarse for grid.h = {h:.4g} at beta = {bad[0]:.6g}: the "
+             f"Crank-Nicolson factor of the top grid mode turns negative "
+             f"and stays above 1e-12; use eq.n_beta_steps >= {need}")]
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config.
 
@@ -318,6 +356,9 @@ def parse_config(text: str) -> ScenarioConfig:
         ln = seen.get(f"params.{bad}", 0) if bad else 0
         errors.append((ln, str(exc)))
         params = None
+
+    if scen == "equilibrium" and not errors and params.temperature > 0:
+        errors.extend(_beta_step_errors(options, params, seen))
 
     if errors:
         raise ConfigError(sorted(errors))
@@ -516,6 +557,11 @@ def _run_pde(cfg, out, man):
     man.add(f"model = {model.value}")
     man.add(f"dt = {_fmt(res.dt)}")
     man.add(f"n_steps = {res.n_steps}")
+    d = res.diagnostics
+    man.add(f"dt_min = {_fmt(d['dt_min'])}")
+    man.add(f"dt_max = {_fmt(d['dt_max'])}")
+    man.add(f"rejected_steps = {d['rejected_steps']}")
+    man.add(f"newton_iterations = {d['newton_iterations']}")
     drift = float(np.max(np.abs(res.mass - res.mass[0])))
     man.verdict("mass_conserved", drift * 1000.0 / res.n_steps <= 1e-10,
                 f"drift per 1e3 steps {drift * 1000.0 / res.n_steps:.3e}")
@@ -542,12 +588,11 @@ def _run_equilibrium(cfg, out, man):
     if n_ent:
         betas = np.linspace(0.0, beta, n_ent)
         fields = [DensityField.uniform(grid)]
-        for b in betas[1:]:
+        for b, steps in _beta_steps(o, beta)[1:]:
             pb = PhysicalParams(hbar=p.hbar, k_B=p.k_B, mass=p.mass,
                                 friction=p.friction,
                                 temperature=1.0 / (p.k_B * b),
                                 omega0=p.omega0, force=p.force)
-            steps = max(16, int(o["eq.n_beta_steps"] * b / beta))
             f, _ = imaginary_time_density(U, pb, ImaginaryTimeConfig(
                 beta_final=b, grid=grid, n_beta_steps=steps,
                 boundary=o["eq.boundary"]))

@@ -69,6 +69,32 @@ def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
     return diag, off
 
 
+def min_beta_steps(p: PhysicalParams, h: float, beta_final: float) -> int:
+    """Smallest number of Crank-Nicolson beta steps the grid allows.
+
+    The kinetic factor of the top grid mode, r = (1 - x/2)/(1 + x/2) with
+    x = dbeta 2 hbar^2/(m h^2) and dbeta = beta_final / N, is negative
+    for x > 2 and then damped only as |r|^N; N passes when x <= 2 or
+    |r|^N <= 1e-12.  |r|^N falls as N grows, so the first passing N is
+    found by bisection.
+    """
+    lam = beta_final * 2.0 * p.hbar ** 2 / (p.mass * h ** 2)
+
+    def passes(n):
+        x = lam / n
+        return (x <= 2.0
+                or n * math.log((x - 2.0) / (x + 2.0)) <= math.log(1e-12))
+
+    lo, hi = 0, max(1, math.ceil(lam / 2.0))       # passes(hi) holds
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
                            cfg: ImaginaryTimeConfig):
     """Equilibrium density and partition value by kernel propagation.
@@ -82,7 +108,9 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     scale carried as a logarithm.  The kernel diagonal is the thermal
     mixture of all states, its trace the partition sum over the discrete
     spectrum; this matches the eigen-expansion route on the same grid
-    exactly up to the O(dbeta^2) splitting error.
+    exactly up to the O(dbeta^2) splitting error.  A diagonal that comes
+    out negative with n_beta_steps below min_beta_steps raises ValueError
+    naming the smallest step count that passes.
 
     Returns (DensityField, Z).
     """
@@ -138,7 +166,17 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
                cfg.n_beta_steps.bit_length() - 1,
                bin(cfg.n_beta_steps).count("1") - 1, log_scale)
 
-    diag = np.maximum(np.diag(M), 0.0)
+    diag = np.diag(M)
+    n_min = min_beta_steps(p, grid.h, cfg.beta_final)
+    if cfg.n_beta_steps < n_min and float(np.min(diag)) < 0.0:
+        x = db * 2.0 * p.hbar ** 2 / (p.mass * grid.h ** 2)
+        damping = abs((x - 2.0) / (x + 2.0)) ** cfg.n_beta_steps
+        raise ValueError(
+            f"n_beta_steps = {cfg.n_beta_steps} leaves a negative kernel: "
+            f"dbeta = {db:.3e} gives x = dbeta 2 hbar^2/(m h^2) = {x:.3g} "
+            f"> 2, so the Crank-Nicolson factor of the top grid mode is "
+            f"damped only to {damping:.2e}; use n_beta_steps >= {n_min}")
+    diag = np.maximum(diag, 0.0)
     Z = float(np.trace(M)) * math.exp(log_scale)
     rho = DensityField(grid=grid, rho=diag)
     return rho, Z

@@ -3,20 +3,25 @@
 Telegraph (inertial) and Smoluchowski (overdamped) equations in one
 dimension, in classical, semiclassical and zero-temperature quantum
 variants, with conservative flux assembly, the Bohm quantum potential
-and moment extraction.
+and moment extraction.  The zero-temperature quantum Smoluchowski
+equation is stepped implicitly in ln rho; the other five explicitly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
 from .numerics import ConvergenceError
 from .params import PhysicalParams
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -283,20 +288,26 @@ class EvolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _divergence(flux_half, h, boundary):
+def _divergence(flux_half, h, boundary, flux_in=None):
     """Conservative divergence: cell updates from half-node fluxes.
 
     Reflecting boundaries use half-size end cells so that the trapezoid
     mass is conserved exactly; periodic wraps the last edge around.
+    flux_in is the flux through each face as the cell to its right sees
+    it, where a flux is scaled per cell; it defaults to flux_half.
+    Stacked fluxes are differenced along their last axis.
     """
-    n = flux_half.size + 1 if boundary == "reflecting" else flux_half.size
-    out = np.empty(n)
+    if flux_in is None:
+        flux_in = flux_half
+    nf = flux_half.shape[-1]
+    n = nf + 1 if boundary == "reflecting" else nf
+    out = np.empty(flux_half.shape[:-1] + (n,))
     if boundary == "reflecting":
-        out[1:-1] = (flux_half[1:] - flux_half[:-1]) / h
-        out[0] = flux_half[0] / (0.5 * h)
-        out[-1] = -flux_half[-1] / (0.5 * h)
+        out[..., 1:-1] = (flux_half[..., 1:] - flux_in[..., :-1]) / h
+        out[..., 0] = flux_half[..., 0] / (0.5 * h)
+        out[..., -1] = -flux_in[..., -1] / (0.5 * h)
     else:
-        out[:] = (flux_half - np.roll(flux_half, 1)) / h
+        out[...] = (flux_half - np.roll(flux_in, 1, axis=-1)) / h
     return out
 
 
@@ -313,7 +324,8 @@ def _flux(rho, dphi, kT, h, boundary, q=None):
     potential q adds rho dq/dx where the density carries mass; below 1e-6
     of the peak its floored tails produce spurious spikes, so the term is
     tapered off there and the drift upwinded (donor cell), since the
-    centered scheme would seed wiggles around the Q-floor kink.
+    centered scheme would seed wiggles around the Q-floor kink.  Only the
+    explicit quantum telegraph model passes q.
     """
     r = _ring(rho, boundary)
     r_half = 0.5 * (r[1:] + r[:-1])
@@ -328,23 +340,257 @@ def _flux(rho, dphi, kT, h, boundary, q=None):
     return r_adv * dphi + r_half * dq * taper + kT * drho
 
 
+class _LogDensityRate:
+    """The T = 0 quantum Smoluchowski divergence in y = ln rho.
+
+    At T = 0, rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2), so the face
+    flux is G = rho_half dPhi/dx - c (w_+ - w)/h with c = hbar^2/4m and
+    w = rho * (second difference of y), mirror ghosts at reflecting
+    walls.  rate(y) is div G / rho at the nodes: dividing row i by rho_i
+    leaves only the neighbour ratios exp(y_j - y_i), so tails where rho
+    underflows stay finite.  rate_and_jacobian(y) adds d rate_i / d y_(i+d)
+    for d = -2..2; solve() solves with such diagonals as one band, the
+    ring ordered 0, n-1, 1, n-2, ... so that its corners fall inside it.
+    """
+
+    def __init__(self, dphi, c, h, boundary, n):
+        self.dphi, self.c, self.h, self.boundary = dphi, c, h, boundary
+        # second difference L_i = (c- y_(i-1) + c0 y_i + c+ y_(i+1)) / h^2
+        self._cl = np.array([np.ones(n), np.full(n, -2.0), np.ones(n)])
+        if boundary == "reflecting":
+            self._cl[:, 0] = (0.0, -2.0, 2.0)     # mirror ghost y_-1 = y_1
+            self._cl[:, -1] = (2.0, -2.0, 0.0)
+            order = np.arange(n)
+        else:
+            order = np.empty(n, dtype=int)
+            order[0::2] = np.arange((n + 1) // 2)
+            order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+        self._cl_faces = np.stack([_ring(a, boundary) for a in self._cl])
+        self._nb = (np.arange(-1, n - 1), np.arange(1, n + 1) % n)
+        self._order = order
+        self._pos = np.argsort(order)
+        rows = np.repeat(np.arange(n)[None, :], 5, axis=0)
+        cols = rows + np.arange(-2, 3)[:, None]
+        if boundary == "periodic":
+            cols %= n
+        self._keep = ((cols >= 0) & (cols < n)).ravel()
+        pr = self._pos[rows.ravel()[self._keep]]
+        pc = self._pos[cols.ravel()[self._keep]]
+        self.bands = int(np.max(np.abs(pr - pc)))
+        self._flat = (self.bands + pr - pc) * n + pc
+        self._n = n
+
+    def _faces(self, y):
+        h = self.h
+        cm, c0, cp = self._cl
+        prev, after = self._nb
+        lap = _ring((cm * y[prev] + c0 * y + cp * y[after]) / h ** 2,
+                    self.boundary)
+        e = np.exp(np.diff(_ring(y, self.boundary)))    # rho_right / rho_left
+        # the face flux over the density of its left node
+        a = (0.5 * (1.0 + e) * self.dphi
+             - self.c / h * (e * lap[1:] - lap[:-1]))
+        return lap, e, a
+
+    def rate(self, y):
+        _, e, a = self._faces(y)
+        return _divergence(a, self.h, self.boundary, a / e)
+
+    def rate_and_jacobian(self, y):
+        h = self.h
+        lap, e, a = self._faces(y)
+        s = self.c / h ** 3
+        cm, c0, cp = self._cl_faces[:, :-1]     # L of each face's left node
+        dm, d0, dp = self._cl_faces[:, 1:]      # and of its right node
+        p = e * (0.5 * self.dphi - self.c / h * lap[1:])  # da / dy_right
+        q = (p - a) / e                                   # d(a/e) / dy_right
+        zero = np.zeros_like(e)
+        # derivatives of a and a/e by y at offsets -2..2 from the left
+        # node; rate row i takes face i's a and face i-1's a/e, so the
+        # offset d of a pairs with offset d + 1 of a/e
+        da = np.array([zero, s * cm, -p + s * c0 - s * e * dm,
+                       p + s * cp - s * e * d0, -s * e * dp])
+        db = np.array([s * cm / e, -q + s * c0 / e - s * dm,
+                       q + s * cp / e - s * d0, -s * dp, zero])
+        return (_divergence(a, h, self.boundary, a / e),
+                _divergence(da, h, self.boundary, db))
+
+    def solve(self, diagonals, rhs):
+        n, b = self._n, self.bands
+        ab = np.zeros((2 * b + 1) * n)
+        ab[self._flat] = diagonals.ravel()[self._keep]
+        z = solve_banded((b, b), ab.reshape(2 * b + 1, n), rhs[self._order],
+                         overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        return z[self._pos]
+
+
+# Newton stops once max |dy| falls below this, and a step whose Newton
+# solve has not converged after _NEWTON_MAX_ITER iterations is halved
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_ITER = 8
+# local error per step: the trapezoid L1 norm of the predictor-corrector
+# difference, scaled to the BDF error constant, relative to the mass
+_LOCAL_ERROR_TOL = 1e-5
+
+
+def _newton(rate_of, y_guess, a0, history, k):
+    """Solve a0 + sum_j a_j rho_j / rho = k rate(y) for y, by Newton.
+
+    history holds (a_j, y_j) of the earlier states of the BDF formula;
+    dividing by rho = exp(y) leaves exp(y_j - y).  Returns (y, iterations)
+    or (None, iterations) when the iteration fails, leaves the floats or
+    has not converged after _NEWTON_MAX_ITER iterations.
+    """
+    y = y_guess.copy()
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        r, jac = rate_of.rate_and_jacobian(y)
+        past = sum(aj * np.exp(yj - y) for aj, yj in history)
+        jac *= -k
+        jac[2] -= past
+        try:
+            dy = rate_of.solve(jac, k * r - a0 - past)
+        except (LinAlgError, ValueError):
+            return None, it
+        if not np.all(np.isfinite(dy)):
+            return None, it
+        y += dy
+        if float(np.max(np.abs(dy))) < _NEWTON_TOL:
+            return y, it
+    return None, _NEWTON_MAX_ITER
+
+
+def _extrapolate(points, t):
+    """Value at t of the polynomial through the (t_k, v_k) points."""
+    return sum(vk * math.prod((t - tm) / (tk - tm)
+                              for tm, _ in points if tm != tk)
+               for tk, vk in points)
+
+
+def _step_log_density(rho0, rate_of, friction, t_records, dt, record):
+    """Variable-step BDF2 in y = ln rho (backward Euler first) to the
+    record times, with local error control; returns rho and counters.
+
+    The BDF formula differences rho, not y, so the trapezoid mass moves
+    only by the Newton residual.  The local error is estimated from a
+    predictor in rho: the slope at t = 0 for the first step, the Hermite
+    quadratic through it and the first step for the second, then the
+    quadratic through the last three states.  Newton starts from the
+    extrapolated y.  A step that fails is retried at half its size, one
+    over the error tolerance at the size the estimate asks for, and the
+    step after a failure does not grow.
+    """
+    def mass_of(r):
+        return _trapz(r, rate_of.h, rate_of.boundary)
+
+    y = np.log(np.maximum(rho0, np.finfo(float).tiny))
+    mass0 = mass_of(rho0)
+    drho0 = rho0 * rate_of.rate(y) / friction
+    hist = [(0.0, y, np.exp(y))]           # the last three accepted states
+    t = 0.0
+    max_growth = 2.0
+    stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0,
+             "dt_min": math.inf, "dt_max": 0.0}
+    for t_next in t_records[1:]:
+        while t < t_next:
+            span = t_next - t
+            dt = span / max(1, math.ceil(span / dt - 1e-9))  # land on t_next
+            t_new = t_next if dt == span else t + dt
+            t1, y1, r1 = hist[-1]
+            if len(hist) == 1:
+                a0, past, order = 1.0, [(-1.0, y1)], 1
+                rho_p, guess = r1 + dt * drho0, y1
+                factor = 0.5
+            else:
+                t0, y0, r0 = hist[-2]
+                w = dt / (t1 - t0)
+                a0, order = (1.0 + 2.0 * w) / (1.0 + w), 2
+                past = [(-(1.0 + w), y1), (w * w / (1.0 + w), y0)]
+                guess = _extrapolate([(tk, yk) for tk, yk, _ in hist], t_new)
+                if len(hist) == 2:
+                    nodes = (t0, t0, t1)
+                    s = (t_new - t0) / (t1 - t0)
+                    rho_p = (r0 + drho0 * (t_new - t0)
+                             + (r1 - r0 - drho0 * (t1 - t0)) * s * s)
+                else:
+                    nodes = tuple(tk for tk, _, _ in hist)
+                    rho_p = _extrapolate([(tk, rk) for tk, _, rk in hist],
+                                         t_new)
+                # BDF2 and predictor errors, both per unit third derivative
+                lte = dt ** 2 * (t_new - t0) ** 2 / (t1 - t0 + 2.0 * dt)
+                factor = lte / (lte + math.prod(t_new - tm for tm in nodes))
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                y_new, its = _newton(rate_of, guess, a0, past, dt / friction)
+            stats["newton_iterations"] += its
+            if y_new is None:
+                stats["rejected_steps"] += 1
+                max_growth = 1.0
+                dt *= 0.5
+                if dt < 1e-12 * t_records[-1]:
+                    raise ConvergenceError(
+                        f"Newton solve failed at step "
+                        f"{stats['n_steps'] + 1} (t = {t:.6g}) down to "
+                        f"dt = {dt:.3e}")
+                continue
+            rho_new = np.exp(y_new)
+            est = factor * mass_of(np.abs(rho_new - rho_p)) / mass0
+            growth = (2.0 if est == 0.0 else
+                      0.9 * (_LOCAL_ERROR_TOL / est) ** (1.0 / (order + 1)))
+            if est > _LOCAL_ERROR_TOL:
+                stats["rejected_steps"] += 1
+                max_growth = 1.0
+                dt *= max(0.2, growth)
+                continue
+            t = t_new
+            stats["n_steps"] += 1
+            stats["dt_min"] = min(stats["dt_min"], dt)
+            stats["dt_max"] = max(stats["dt_max"], dt)
+            hist = hist[-2:] + [(t, y_new, rho_new)]
+            mass = mass_of(rho_new)
+            if not abs(mass - mass0) <= 1e-8:
+                raise ConvergenceError(
+                    f"mass drift {mass - mass0:.3e} at step "
+                    f"{stats['n_steps']} (t = {t:.6g})")
+            dt *= max(0.2, min(growth, max_growth))
+            max_growth = 2.0
+        record(t, hist[-1][2])
+    return hist[-1][2], stats
+
+
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
            p: PhysicalParams, t_final: float, dt: float | None = None,
            boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
     """Advance the chosen density equation to t_final.
 
-    Every model steps b drho/dt = d/dx(rho dPhi/dx + k_B T drho/dx
+    Every model solves b drho/dt = d/dx(rho dPhi/dx + k_B T drho/dx
     + rho dQ/dx): Phi is U or the semiclassical effective potential, Q
-    the Bohm potential of the zero-T quantum models (recomputed every
-    step, nonlinear), else 0.  Overdamped variants use explicit Euler;
-    inertial variants integrate the second-order-in-time form as a
-    (rho, drho/dt) system with semi-implicit damping and drho/dt(0) = 0.
-    The flux conserves the trapezoid mass on a reflecting box and
-    h * sum(rho) on a periodic ring; the mass check, records and moments
-    use that quadrature.  Mass drift beyond 1e-8 and negative densities
-    beyond a floor tolerance abort with step diagnostics.  Moments are
-    recorded at steps round(j n_steps / (n_records - 1)), ending at
-    t_final.
+    the Bohm potential of the zero-T quantum models, else 0.  The flux
+    conserves the trapezoid mass on a reflecting box and h * sum(rho) on
+    a periodic ring; the mass check, records and moments use that
+    quadrature.
+
+    The zero-T quantum Smoluchowski model steps y = ln rho implicitly,
+    since rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2) at T = 0: variable-
+    step BDF2 (backward Euler first) with a Newton solve on a banded
+    Jacobian per step, local error control, and steps that land on the
+    record times t_final j / (n_records - 1).  rho = exp(y) stays positive
+    with no density floor; a step whose Newton solve fails is halved.
+    Here dt is the first step tried and is not bounded; n_steps counts
+    accepted steps.
+
+    The other models step explicitly with the fixed dt, which must not
+    exceed the stability bound, rounded down to divide t_final into
+    n_steps steps.  Overdamped variants use explicit Euler; inertial
+    variants integrate the second-order-in-time form as a (rho, drho/dt)
+    system with semi-implicit damping and drho/dt(0) = 0; the quantum
+    telegraph model recomputes its floored Bohm potential every step.
+    Moments are recorded at steps round(j n_steps / (n_records - 1)),
+    ending at t_final.
+
+    The default dt is min(stability bound, t_final / 10).  A non-finite
+    density, mass drift beyond 1e-8 or negative densities beyond a floor
+    tolerance abort with ConvergenceError naming the step.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -357,6 +603,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError("evolution requires friction b > 0")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    if dt is not None and not dt > 0:
+        raise ValueError("dt must be positive")
     if n_records < 2:
         raise ValueError("n_records must be at least 2")
 
@@ -364,6 +612,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     h = grid.h
     kT = p.k_B * p.temperature
     rho = rho0.rho.copy()
+    implicit = model.quantum and not model.inertial
 
     # static part of the advected potential
     if model.semiclassical:
@@ -391,22 +640,12 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
             dt_bound = min(dt_bound, 0.25 * p.mass * h ** 2 / p.hbar)
     else:
         dt_bound = 0.4 * h ** 2 * p.friction / scale
-        if model.quantum:
-            # the Bohm term linearizes to a biharmonic diffusion
-            dt_bound = min(dt_bound,
-                           0.25 * h ** 4 * p.mass * p.friction / p.hbar ** 2)
     if dt is None:
         dt = min(dt_bound, t_final / 10.0)
-    elif dt > dt_bound:
+    elif dt > dt_bound and not implicit:
         raise ValueError(f"dt = {dt} exceeds the stability bound {dt_bound:.3e}")
 
-    n_steps = max(1, int(math.ceil(t_final / dt)))
-    dt = t_final / n_steps
-    record_steps = set(np.rint(np.arange(n_records) * n_steps
-                               / (n_records - 1)).astype(int).tolist())
-
     mass0 = _trapz(rho, h, boundary)
-    g = np.zeros_like(rho)  # drho/dt, inertial variants only
     times, mus, sig2s, masses = [], [], [], []
 
     x = grid.x
@@ -421,32 +660,57 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         masses.append(norm)
 
     record(0.0, rho)
-    neg_tol = 1e-9 * float(np.max(rho))
-    for step in range(1, n_steps + 1):
-        if model.inertial:
-            g = (g + dt * rate(rho) / p.mass) / (1.0 + dt * p.friction / p.mass)
-            rho = rho + dt * g
-        else:
-            rho = rho + dt * rate(rho) / p.friction
-        if step % 200 == 0 or step == n_steps:
-            mass = _trapz(rho, h, boundary)
-            if abs(mass - mass0) > 1e-8:
-                raise ConvergenceError(
-                    f"mass drift {mass - mass0:.3e} at step {step} "
-                    f"(t = {step * dt:.6g}); reduce dt or widen the domain")
-            if float(np.min(rho)) < -neg_tol:
-                raise ConvergenceError(
-                    f"density fell to {np.min(rho):.3e} at step {step}; "
-                    f"scheme unstable at dt = {dt:.3e}")
-        if step in record_steps:
-            record(step * dt, rho)
+    if implicit:
+        rate_of = _LogDensityRate(dphi, p.hbar ** 2 / (4.0 * p.mass), h,
+                                  boundary, grid.n)
+        t_records = t_final * np.arange(n_records) / (n_records - 1)
+        rho, stats = _step_log_density(rho, rate_of, p.friction,
+                                       t_records.tolist(), dt, record)
+        n_steps = stats.pop("n_steps")
+    else:
+        n_steps = max(1, int(math.ceil(t_final / dt)))
+        dt = t_final / n_steps
+        record_steps = set(np.rint(np.arange(n_records) * n_steps
+                                   / (n_records - 1)).astype(int).tolist())
+        g = np.zeros_like(rho)  # drho/dt, inertial variants only
+        neg_tol = 1e-9 * float(np.max(rho))
+        for step in range(1, n_steps + 1):
+            if model.inertial:
+                g = ((g + dt * rate(rho) / p.mass)
+                     / (1.0 + dt * p.friction / p.mass))
+                rho = rho + dt * g
+            else:
+                rho = rho + dt * rate(rho) / p.friction
+            if step % 200 == 0 or step == n_steps:
+                if not np.all(np.isfinite(rho)):
+                    raise ConvergenceError(
+                        f"density not finite at step {step} "
+                        f"(t = {step * dt:.6g}) at dt = {dt:.3e}")
+                mass = _trapz(rho, h, boundary)
+                if not abs(mass - mass0) <= 1e-8:
+                    raise ConvergenceError(
+                        f"mass drift {mass - mass0:.3e} at step {step} "
+                        f"(t = {step * dt:.6g}); reduce dt or widen the "
+                        f"domain")
+                if float(np.min(rho)) < -neg_tol:
+                    raise ConvergenceError(
+                        f"density fell to {np.min(rho):.3e} at step {step}; "
+                        f"scheme unstable at dt = {dt:.3e}")
+            if step in record_steps:
+                record(step * dt, rho)
+        stats = {"newton_iterations": 0, "rejected_steps": 0,
+                 "dt_min": dt, "dt_max": dt}
 
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))
     diagnostics = {"stability_scale": scale, "boundary": boundary,
-                   "min_density": float(np.min(rho))}
-    if model.quantum:
+                   "min_density": float(np.min(rho)), **stats}
+    if model.quantum and model.inertial:
         floor = _RHO_FLOOR_FACTOR * float(np.max(final.rho))
         diagnostics["floored_fraction"] = float(np.mean(final.rho < floor))
+    _log.debug("evolve %s: %d steps (dt %.3e to %.3e), %d rejected, %d "
+               "Newton iterations, min density %.3e", model.value, n_steps,
+               stats["dt_min"], stats["dt_max"], stats["rejected_steps"],
+               stats["newton_iterations"], diagnostics["min_density"])
     return EvolveResult(
         density=final, times=np.array(times), mu=np.array(mus),
         sigma2=np.array(sig2s), mass=np.array(masses), dt=dt, n_steps=n_steps,

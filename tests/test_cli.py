@@ -100,6 +100,15 @@ def test_time_span_must_be_ordered(tmp_path):
      "potential.variant = quartic\n", 4,
      ("potential.variant = quartic (line 4)", "potential.k4 > 0",
       "(line 2)")),
+    # dbeta 2 hbar^2/(m h^2) = 294 leaves the top Crank-Nicolson mode at
+    # -0.99 per step; the entropy sweep's first node takes 25 steps
+    ("scenario = equilibrium\ngrid.n = 801\neq.n_beta_steps = 17\n", 3,
+     ("eq.n_beta_steps = 17 (line 3)", "grid.h = 0.02",
+      "use eq.n_beta_steps >= 186")),
+    ("scenario = equilibrium\ngrid.n = 401\neq.entropy_nodes = 5\n"
+     "eq.n_beta_steps = 100\n", 4,
+     ("eq.n_beta_steps = 100 (line 4)", "at beta = 0.25",
+      "use eq.n_beta_steps >= ")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -197,6 +206,33 @@ def test_periodic_pde_scenario_conserves_mass(tmp_path):
                      "pde.t_final = 1.0\n")
     assert code == 0
     assert "mass_conserved [PASS]" in (out / "manifest.txt").read_text()
+
+
+def test_quantum_pde_scenario_reports_its_stepper(tmp_path):
+    code, out = _run(tmp_path,
+                     "scenario = quantum-zero-T-pde\n"
+                     "params.temperature = 0\n"
+                     "grid.n = 161\n"
+                     "pde.t_final = 1.0\n")
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "mass_conserved [PASS]" in manifest
+    for key in ("dt_min", "dt_max", "rejected_steps", "newton_iterations"):
+        assert f"\n{key} = " in manifest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_density_is_a_numerical_failure(tmp_path):
+    # the explicit quantum telegraph step overflows to NaN here
+    code, out = _run(tmp_path,
+                     "scenario = quantum-zero-T-pde\n"
+                     "params.temperature = 0\n"
+                     "inertial = true\n"
+                     "grid.n = 161\n"
+                     "pde.t_final = 1.0\n")
+    assert code == 1
+    assert "not finite at step 200" in (out / "manifest.txt").read_text()
+    assert not (out / "density_final.csv").exists()
 
 
 def test_equilibrium_scenario(tmp_path):

@@ -8,7 +8,7 @@ from scipy.linalg import lu_factor, lu_solve
 from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
                     PotentialSpec, eigen_density, imaginary_time_density,
                     moments, quantum_entropy, semiclassical_density)
-from qbrown.equilibrium import GridMismatchError
+from qbrown.equilibrium import GridMismatchError, min_beta_steps
 from qbrown.numerics import coth
 
 
@@ -177,6 +177,22 @@ def test_imaginary_time_config_validation():
     cfg = ImaginaryTimeConfig(beta_final=1.0, grid=g)
     with pytest.raises(ValueError):
         imaginary_time_density(PotentialSpec.free(), p, cfg)
+
+
+def test_coarse_beta_step_is_refused():
+    # x = dbeta 2 hbar^2/(m h^2) = 48.8: the top Crank-Nicolson factor
+    # is -0.92 per step, and S^17 has a negative diagonal
+    p = PhysicalParams.natural()
+    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128)
+    U = PotentialSpec.tabulated(np.cos(g.x))
+    assert min_beta_steps(p, g.h, 1.0) == 76
+    with pytest.raises(ValueError, match=r"x = .* = 48\.8 > 2.*2\.48e-01; "
+                                         r"use n_beta_steps >= 76"):
+        imaginary_time_density(U, p, ImaginaryTimeConfig(
+            beta_final=1.0, grid=g, n_beta_steps=17, boundary="periodic"))
+    rho, _ = imaginary_time_density(U, p, ImaginaryTimeConfig(
+        beta_final=1.0, grid=g, n_beta_steps=76, boundary="periodic"))
+    assert np.min(rho.rho) > 0.0
 
 
 def test_periodic_free_particle_is_uniform():

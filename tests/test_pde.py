@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -172,12 +173,8 @@ def test_quantum_zero_T_quartic_root_law():
 
 
 def _params_for(model):
-    """NAT, at T = 0 for the quantum models; b = 100 keeps the quantum
-    Smoluchowski h^4 step bound to a few hundred steps on these grids."""
-    if not model.quantum:
-        return NAT
-    return PhysicalParams.natural(temperature=0.0,
-                                  friction=1.0 if model.inertial else 100.0)
+    """NAT, at T = 0 for the quantum models."""
+    return PhysicalParams.natural(temperature=0.0) if model.quantum else NAT
 
 
 @pytest.mark.parametrize("model", PdeModel, ids=lambda m: m.value)
@@ -233,16 +230,18 @@ _PROPERTY_GRID = Grid1D(0.0, 2.0 * math.pi * 47 / 48, 48)
                       max_size=3),
        mu=st.floats(2.0, 4.3), sigma2=st.floats(0.5, 2.0),
        model=st.sampled_from([PdeModel.CLASSICAL_SMOLUCHOWSKI,
-                              PdeModel.SEMICLASSICAL_SMOLUCHOWSKI]),
+                              PdeModel.SEMICLASSICAL_SMOLUCHOWSKI,
+                              PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI]),
        boundary=st.sampled_from(["reflecting", "periodic"]))
 def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
                                               boundary):
     # the telegraph models are left out: they lose positivity in wells
-    # (ROADMAP item 6), as does the quantum Smoluchowski model (below)
+    # (ROADMAP item 6)
     x = _PROPERTY_GRID.x
     u = sum(a * np.cos(k * x + ph)
             for k, (a, ph) in enumerate(zip(amp, phase), start=1))
-    p = PhysicalParams.natural(friction=20.0)
+    p = PhysicalParams.natural(friction=20.0,
+                               temperature=0.0 if model.quantum else 1.0)
     res = evolve(DensityField.gaussian(_PROPERTY_GRID, mu, sigma2), model,
                  PotentialSpec.tabulated(u), p, 0.5, boundary=boundary,
                  n_records=5)
@@ -250,11 +249,9 @@ def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
     assert res.diagnostics["min_density"] >= 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="ROADMAP item 3: the explicit quantum "
-                          "Smoluchowski step turns unstable at its own "
-                          "h^4 step bound")
 def test_quantum_smoluchowski_stays_positive_at_its_step_bound():
+    # on this coarse grid an explicit Euler step at the biharmonic bound
+    # dt = h^4 m b / 4 hbar^2 drives the density to -2.6e-3
     g = Grid1D(-4.0, 4.0, 48)
     p = PhysicalParams.natural(friction=20.0, temperature=0.0)
     res = evolve(DensityField.gaussian(g, 0.5, 0.5),
@@ -262,6 +259,44 @@ def test_quantum_smoluchowski_stays_positive_at_its_step_bound():
                  p, 0.5, n_records=5)
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
     assert res.diagnostics["min_density"] >= 0.0
+
+
+def test_quantum_smoluchowski_takes_steps_beyond_the_explicit_bound(caplog):
+    # dt is the implicit stepper's first step and has no bound: 100x the
+    # explicit biharmonic bound h^4 m b / 4 hbar^2 is accepted
+    g = Grid1D(-4.0, 4.0, 81)
+    p = PhysicalParams.natural(friction=20.0, temperature=0.0)
+    dt = 100.0 * g.h ** 4 * p.mass * p.friction / (4.0 * p.hbar ** 2)
+    with caplog.at_level(logging.DEBUG, logger="qbrown.pde"):
+        res = evolve(DensityField.gaussian(g, 0.0, 0.5),
+                     PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI,
+                     PotentialSpec.free(), p, 1.0, dt=dt, n_records=5)
+    d = res.diagnostics
+    assert (f"evolve quantum-zero-T-smoluchowski: {res.n_steps} steps"
+            in caplog.text)
+    assert res.dt == dt
+    assert res.n_steps >= 4 and d["dt_max"] <= 0.25 + 1e-15
+    assert d["newton_iterations"] >= res.n_steps
+    np.testing.assert_allclose(res.times, [0.0, 0.25, 0.5, 0.75, 1.0],
+                               rtol=0, atol=0)
+    for model in PdeModel:
+        if model is PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI:
+            continue
+        with pytest.raises(ValueError, match="stability bound"):
+            evolve(DensityField.gaussian(g, 0.0, 0.5), model,
+                   PotentialSpec.free(), _params_for(model), 1.0, dt=0.5)
+
+
+def test_quantum_telegraph_blow_up_is_not_a_result():
+    # the explicit quantum telegraph step overflows to NaN on this grid
+    # before step 200; the NaN density must abort, not be returned
+    g = Grid1D(-8.0, 8.0, 161)
+    p = PhysicalParams.natural(temperature=0.0)
+    with (pytest.raises(ConvergenceError, match="not finite at step 200"),
+          np.errstate(over="ignore", invalid="ignore")):
+        evolve(DensityField.gaussian(g, 0.0, 0.04),
+               PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.free(), p,
+               0.5, n_records=5)
 
 
 def test_detailed_balance_stationarity():
