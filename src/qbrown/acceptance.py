@@ -376,11 +376,6 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_13]
 
 
-def run_all(quick: bool = False, jobs: int = 1):
-    """Run every criterion, optionally in parallel, in numeric order."""
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, quick) for fn in ALL_CRITERIA]
-            return [f.result() for f in futures]
+def run_all(quick: bool = False):
+    """Run every criterion in numeric order."""
     return [fn(quick) for fn in ALL_CRITERIA]

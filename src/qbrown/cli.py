@@ -8,6 +8,8 @@ manifest.  Exit codes: 0 success, 1 numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import sys
 import time
@@ -186,19 +188,25 @@ def _parse_value(raw, typ, ln, key, errors):
         if typ is int:
             return int(raw)
         if typ is float:
-            return float(raw)
+            v = float(raw)
+            if not math.isfinite(v):
+                raise ValueError
+            return v
         return raw
     except ValueError:
+        finite = "finite " if typ is float else ""
         errors.append((ln, f"value {raw!r} for key '{key}' is not a valid "
-                           f"{typ.__name__}"))
+                           f"{finite}{typ.__name__}"))
         return None
+
+
+def _where(seen, key):
+    return f"line {seen[key]}" if key in seen else "default"
 
 
 def _cross_key_errors(scen, options, seen):
     """Errors of checks that span two keys, each citing both keys' lines."""
-    def where(key):
-        return f"line {seen[key]}" if key in seen else "default"
-
+    where = functools.partial(_where, seen)
     errors = []
     for lo, hi in _ORDERED_KEYS:
         if lo not in options:
@@ -235,26 +243,36 @@ def _beta_steps(o, beta):
 
 def _beta_step_errors(options, params, seen):
     """An error, citing the keys' lines, when a Crank-Nicolson beta step of
-    the run is too coarse for the grid (equilibrium.min_beta_steps)."""
-    h = ((options["grid.x_max"] - options["grid.x_min"])
-         / (options["grid.n"] - 1))
-    beta = params.beta
-
-    def too_coarse(o):
-        return [b for b, steps in _beta_steps(o, beta)
-                if steps < min_beta_steps(params, h, b)]
-
-    bad = too_coarse(options)
-    if not bad:
-        return []
-    need = max(math.ceil(min_beta_steps(params, h, b) * beta / b)
-               for b in bad)
-    while too_coarse({**options, "eq.n_beta_steps": need}):
-        need += 1
+    the run is too coarse for the grid (equilibrium.min_beta_steps) or the
+    step counts overflow a float."""
     keys = ("eq.n_beta_steps", "eq.entropy_nodes", "grid.x_min",
-            "grid.x_max", "grid.n", "params.temperature")
-    where = (f"line {seen['eq.n_beta_steps']}" if "eq.n_beta_steps" in seen
-             else "default")
+            "grid.x_max", "grid.n", "params.temperature", "params.hbar",
+            "params.k_B", "params.mass")
+    try:
+        h = ((options["grid.x_max"] - options["grid.x_min"])
+             / (options["grid.n"] - 1))
+        beta = params.beta
+
+        def too_coarse(o):
+            return [b for b, steps in _beta_steps(o, beta)
+                    if steps < min_beta_steps(params, h, b)]
+
+        bad = too_coarse(options)
+        if not bad:
+            return []
+        need = max(math.ceil(min_beta_steps(params, h, b) * beta / b)
+                   for b in bad)
+        while too_coarse({**options, "eq.n_beta_steps": need}):
+            need += 1
+    except ArithmeticError:
+        values = {**options, **{f"params.{n}": getattr(params, n)
+                                for n in _PARAM_KEYS}}
+        cited = ", ".join(f"{k} = {values[k]!r} ({_where(seen, k)})"
+                          for k in keys)
+        return [(max(seen.get(k, 0) for k in keys),
+                 f"the Crank-Nicolson beta step counts overflow a float "
+                 f"for {cited}")]
+    where = _where(seen, "eq.n_beta_steps")
     return [(max(seen.get(k, 0) for k in keys),
              f"eq.n_beta_steps = {options['eq.n_beta_steps']} ({where}) is "
              f"too coarse for grid.h = {h:.4g} at beta = {bad[0]:.6g}: the "
@@ -452,14 +470,9 @@ def _time_grid(o):
 
 
 def _potential(o) -> PotentialSpec:
-    v = o["potential.variant"]
-    if v == "free":
-        return PotentialSpec.free()
-    if v == "linear":
-        return PotentialSpec.linear(o["potential.f"])
-    if v == "harmonic":
-        return PotentialSpec.harmonic(o["potential.omega0"])
-    return PotentialSpec.quartic(o["potential.k4"])
+    """The potential.* keys; each variant reads only its own parameter."""
+    return PotentialSpec(variant=o["potential.variant"], f=o["potential.f"],
+                         omega0=o["potential.omega0"], k4=o["potential.k4"])
 
 
 def _write_trajectory(out, man, label, traj):
@@ -577,7 +590,8 @@ def _run_equilibrium(cfg, out, man):
                                  n_beta_steps=o["eq.n_beta_steps"],
                                  boundary=o["eq.boundary"])
     rho_it, z_it = imaginary_time_density(U, p, it_cfg)
-    rho_e, z_e, spec = eigen_density(U, p, beta, grid)
+    rho_e, z_e, spec = eigen_density(U, p, beta, grid,
+                                     boundary=o["eq.boundary"])
     rho_sc = semiclassical_density(U, p, beta, grid)
     q = quantum_potential(rho_it, p)
     headers = ["x [length]", "rho_imaginary_time [1/length]",
@@ -589,10 +603,7 @@ def _run_equilibrium(cfg, out, man):
         betas = np.linspace(0.0, beta, n_ent)
         fields = [DensityField.uniform(grid)]
         for b, steps in _beta_steps(o, beta)[1:]:
-            pb = PhysicalParams(hbar=p.hbar, k_B=p.k_B, mass=p.mass,
-                                friction=p.friction,
-                                temperature=1.0 / (p.k_B * b),
-                                omega0=p.omega0, force=p.force)
+            pb = dataclasses.replace(p, temperature=1.0 / (p.k_B * b))
             f, _ = imaginary_time_density(U, pb, ImaginaryTimeConfig(
                 beta_final=b, grid=grid, n_beta_steps=steps,
                 boundary=o["eq.boundary"]))
@@ -693,7 +704,6 @@ def main(argv=None) -> int:
     p_acc = sub.add_parser("accept", help="run the acceptance suite")
     p_acc.add_argument("--quick", action="store_true",
                        help="coarser grids, same checks")
-    p_acc.add_argument("--jobs", type=int, default=1)
 
     p_sca = sub.add_parser("scales", help="print the derived scales")
     p_sca.add_argument("config", help="path to a key = value config file")
@@ -701,7 +711,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "accept":
-        results = run_all(quick=args.quick, jobs=args.jobs)
+        results = run_all(quick=args.quick)
         for r in results:
             print(r.verdict_line)
         return 0 if all(r.passed for r in results) else 1

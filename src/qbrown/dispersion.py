@@ -23,6 +23,9 @@ from .params import PhysicalParams, derived_scales, momentum_dispersion
 
 _log = logging.getLogger(__name__)
 
+# Picard relaxation of the three beta self-consistency solvers
+_RELAXATION = 0.7
+
 
 class ModelCompatibilityError(ValueError):
     """A dispersion model was requested with incompatible parameters."""
@@ -164,15 +167,12 @@ class DispersionTrajectory:
 
     @classmethod
     def from_sigma(cls, times, sigma_x2, p: PhysicalParams, label: str,
-                   mu=None, classical_momentum: bool = False):
+                   mu=None):
         times = np.asarray(times, dtype=float)
         sigma_x2 = np.asarray(sigma_x2, dtype=float)
-        if classical_momentum:
-            sp2 = np.full_like(sigma_x2, p.mass * p.k_B * p.temperature)
-        else:
-            sp2 = np.where(sigma_x2 > 0,
-                           momentum_dispersion(np.maximum(sigma_x2, 1e-300), p),
-                           np.inf)
+        sp2 = np.where(sigma_x2 > 0,
+                       momentum_dispersion(np.maximum(sigma_x2, 1e-300), p),
+                       np.inf)
         return cls(times=times, sigma_x2=sigma_x2, sigma_p2=sp2, label=label,
                    mu=None if mu is None else np.asarray(mu, dtype=float))
 
@@ -291,8 +291,6 @@ def _interp_weights(nodes, x):
 
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                    mu0: float, dmu0: float, t_grid, beta_grid=None,
-                   max_step: float | None = None, relaxation: float = 0.7,
-                   tol: float = 1e-8, max_iter: int = 200,
                    full_output: bool = False):
     """Integrate the harmonic dispersion equation with its beta-integral.
 
@@ -302,7 +300,8 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     surface is iterated to self-consistency (Picard with relaxation);
     the friction coefficient stays fixed across beta nodes while k_B T
     is recomputed per node.  With the beta-integral frozen, each sweep is
-    linear in (S, S') and runs as fixed-step RK4 of at most max_step.
+    linear in (S, S') and runs as fixed-step RK4 of at most
+    min(span / 200, 0.02 / omega0).
     """
     if p.omega0 <= 0:
         raise ModelCompatibilityError("harmonic solver requires omega0 > 0")
@@ -317,8 +316,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     if beta_grid is None:
         beta_grid = make_beta_grid(beta_phys)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    if max_step is None:
-        max_step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
+    max_step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
 
     nb = beta_grid.size
     kT = 1.0 / beta_grid[1:]
@@ -363,7 +361,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
 
     # classical first pass as the start
     fp = fixed_point(picard_map, sweep(np.zeros((t_grid.size, ncol))),
-                     relaxation, tol, max_iter)
+                     _RELAXATION, 1e-8)
     _log.debug("harmonic Picard solve: %d sweeps x %d RK4 steps, final residual "
                "%.3e", fp.iterations + 1, steps.h.size, fp.residuals[-1])
 
@@ -378,9 +376,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
 
 
 def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
-                                   tol: float = 1e-10, n_nodes: int = 129,
-                                   relaxation: float = 0.7, max_iter: int = 500,
-                                   full_profile: bool = False):
+                                   max_iter: int = 500) -> float:
     """Equilibrium dispersion of the self-consistent harmonic equation.
 
     Imposes the stationary condition at every beta node simultaneously
@@ -393,7 +389,7 @@ def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
         raise ValueError("beta must be positive")
     if p.omega0 <= 0:
         raise ModelCompatibilityError("requires omega0 > 0")
-    nodes = make_beta_grid(beta, n=n_nodes, cutoff=1e-4)
+    nodes = make_beta_grid(beta, n=129, cutoff=1e-4)
     kT = 1.0 / nodes[1:]
     w0sq = p.omega0 ** 2
     coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
@@ -403,12 +399,10 @@ def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
         return kT / (p.mass * np.maximum(w0sq - kT * I, 1e-8 * w0sq))
 
     # classical start
-    fp = fixed_point(stationary_map, kT / (p.mass * w0sq), relaxation, tol,
-                     max_iter)
+    fp = fixed_point(stationary_map, kT / (p.mass * w0sq), _RELAXATION,
+                     1e-10, max_iter)
     _log.debug("stationary harmonic Picard solve: %d iterations, final "
                "residual %.3e", fp.iterations, fp.residuals[-1])
-    if full_profile:
-        return nodes[1:], fp.value
     return float(fp.value[-1])
 
 
@@ -452,9 +446,7 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float, t_grid,
     return DispersionTrajectory.from_sigma(t_grid, sigma, p, "overdamped-bounded")
 
 
-def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
-                          relaxation: float = 0.7, tol: float = 1e-8,
-                          max_iter: int = 200, anchor_factor: float = 1e-8):
+def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     """Self-consistent high-friction dispersion across inverse temperature.
 
     dS/dt = 2 D(beta) [1 + S int_0^beta hbar^2 / (4 m S(t, beta')^2) dbeta'],
@@ -464,9 +456,9 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
     beta-integral is frozen, by fixed-step RK4 in log t, and is relaxed
     until the surface stops moving.
 
-    The time grid is extended internally far below its first positive
-    node so the small-time quantum asymptote anchors the integration;
-    values are reported on the caller's grid only.
+    The time grid is extended internally down to 1e-8 of its first
+    positive node so the small-time quantum asymptote anchors the
+    integration; values are reported on the caller's grid only.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.temperature <= 0 or p.friction <= 0:
@@ -487,7 +479,7 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
     if tp.size == 0 or tp[0] <= 0:
         raise ValueError("t_grid needs at least one positive time")
     # internal anchor grid below the first reported time
-    t_anchor = tp[0] * anchor_factor
+    t_anchor = tp[0] * 1e-8
     n_pre = max(2, int(math.ceil(12 * math.log10(tp[0] / t_anchor))))
     pre = np.geomspace(t_anchor, tp[0], n_pre + 1)[:-1]
     ti = np.concatenate((pre, tp))
@@ -523,7 +515,7 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None,
                                    "iteration; refine grids")
         return new
 
-    fp = fixed_point(picard_map, S, relaxation, tol, max_iter)
+    fp = fixed_point(picard_map, S, _RELAXATION, 1e-8)
     _log.debug("overdamped Picard solve: %d sweeps x %d RK4 steps, final "
                "residual %.3e", fp.iterations, steps.h.size, fp.residuals[-1])
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve
+from scipy.linalg import eigh, eigh_tridiagonal, solve
 
 from .numerics import ConvergenceError, cumulative_trapezoid
 from .params import PhysicalParams
@@ -61,7 +61,8 @@ class SpectralDecomposition:
 
 
 def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
-    """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U, box boundaries."""
+    """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box; a
+    periodic ring also couples its two end nodes by off[0]."""
     h = grid.h
     kin = p.hbar ** 2 / (2.0 * p.mass * h ** 2)
     diag = 2.0 * kin + U.energy(grid, p)
@@ -183,13 +184,16 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
 
 
 def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
-                  grid: Grid1D, n_states: int | None = None):
+                  grid: Grid1D, n_states: int | None = None,
+                  boundary: str = "box"):
     """Equilibrium density from the spectrum of the discretized Hamiltonian.
 
     rho = sum_n exp(-beta E_n) phi_n^2 / Z with Z = sum_n exp(-beta E_n);
     states are retained until the Boltzmann tail weight falls below
     1e-12 of the ground term (a user-supplied n_states that truncates
-    earlier triggers a warning with the tail estimate).
+    earlier triggers a warning with the tail estimate).  boundary takes
+    ImaginaryTimeConfig's values: a periodic ring adds the two corner
+    entries of the kinetic stencil and is diagonalized densely.
 
     Returns (DensityField, Z, SpectralDecomposition).
     """
@@ -197,8 +201,15 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
 
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if boundary not in ("box", "periodic"):
+        raise ValueError(f"unknown boundary {boundary!r}")
     diag, off = _hamiltonian_tridiag(U, p, grid)
-    energies, vecs = eigh_tridiagonal(diag, off)
+    if boundary == "periodic":
+        H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        H[0, -1] = H[-1, 0] = off[0]
+        energies, vecs = eigh(H)
+    else:
+        energies, vecs = eigh_tridiagonal(diag, off)
 
     rel = np.exp(-beta * (energies - energies[0]))
     auto_keep = int(np.searchsorted(-rel, -1e-12))
@@ -226,11 +237,14 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     gram = v.T @ v
     if float(np.max(np.abs(gram - np.eye(n_check)))) > 1e-8:
         raise ArithmeticError("eigenfunctions lost orthonormality")
-    Hv = diag[:, None] * v
-    Hv[:-1] += off[:, None] * v[1:]
-    Hv[1:] += off[:, None] * v[:-1]
+    bond = np.append(off, off[0] if boundary == "periodic" else 0.0)
+    Hv = (diag[:, None] * v + bond[:, None] * np.roll(v, -1, axis=0)
+          + np.roll(bond, 1)[:, None] * np.roll(v, 1, axis=0))
     resid = np.linalg.norm(Hv - energies[:n_check] * v, axis=0)
-    if np.any(resid > 1e-6 * np.abs(energies[:n_check])):
+    # relative to |E|, floored at 1e-12 of a bound on ||H||: the ground
+    # energy of a free ring is 0
+    h_norm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    if np.any(resid > 1e-6 * (np.abs(energies[:n_check]) + 1e-6 * h_norm)):
         raise ArithmeticError("eigenpair residual above tolerance")
 
     spec = SpectralDecomposition(energies=energies[:keep],

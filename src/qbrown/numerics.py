@@ -161,8 +161,9 @@ def _rk4_step(rhs, t, y, h):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4_substeps(span, max_step):
-    """Equal RK4 substeps per output interval: ceil(span / max_step), at least 1."""
+def equal_substeps(span, max_step):
+    """Equal steps per output interval, ceil(span / max_step) and at least
+    1: the time grid of the fixed RK4 and the explicit density equations."""
     return np.maximum(1, np.ceil(np.asarray(span) / max_step)).astype(int)
 
 
@@ -190,7 +191,7 @@ def solve_ode(rhs, y0, t_grid, cfg: OdeSolverConfig = OdeSolverConfig()):
     if cfg.method == "rk4":
         for i in range(t_grid.size - 1):
             span = t_grid[i + 1] - t_grid[i]
-            nsub = int(_rk4_substeps(span, cfg.max_step))
+            nsub = int(equal_substeps(span, cfg.max_step))
             h = span / nsub
             t = t_grid[i]
             for _ in range(nsub):
@@ -255,7 +256,7 @@ class Rk4Steps:
         if max_step <= 0:
             raise ValueError("max_step must be positive")
         span = np.diff(t_grid)
-        nsub = _rk4_substeps(span, max_step)
+        nsub = equal_substeps(span, max_step)
         out = np.concatenate(([0], np.cumsum(nsub)))
         h = np.repeat(span / nsub, nsub)
         k = np.arange(h.size) - np.repeat(out[:-1], nsub)

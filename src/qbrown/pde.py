@@ -9,6 +9,7 @@ equation is stepped implicitly in ln rho; the other five explicitly.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .numerics import ConvergenceError
+from .numerics import ConvergenceError, equal_substeps
 from .params import PhysicalParams
 
 _log = logging.getLogger(__name__)
@@ -174,9 +175,7 @@ class PotentialSpec:
 
     def laplacian(self, grid: Grid1D, p: PhysicalParams) -> np.ndarray:
         x = grid.x
-        if self.variant == "free":
-            return np.zeros(grid.n)
-        if self.variant == "linear":
+        if self.variant in ("free", "linear"):
             return np.zeros(grid.n)
         if self.variant == "harmonic":
             return np.full(grid.n, p.mass * self.omega0 ** 2)
@@ -264,14 +263,17 @@ def moments(rho: DensityField) -> Moments:
 
     Emits a warning when the norm strays from 1 by more than 1e-6.
     """
-    x = rho.grid.x
-    h = rho.grid.h
-    norm = _trapz(rho.rho, h)
-    mean = _trapz(x * rho.rho, h) / norm
-    second = _trapz(x ** 2 * rho.rho, h) / norm
+    mean, dispersion, norm = _moments(rho.rho, rho.grid.x, rho.grid.h)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"density norm {norm} deviates from 1", stacklevel=2)
-    return Moments(mean=mean, dispersion=second - mean ** 2, norm=norm)
+    return Moments(mean=mean, dispersion=dispersion, norm=norm)
+
+
+def _moments(r, x, h, boundary="reflecting"):
+    """(mean, dispersion, norm) of the density r at nodes x."""
+    norm = _trapz(r, h, boundary)
+    mean = _trapz(x * r, h, boundary) / norm
+    return mean, _trapz(x ** 2 * r, h, boundary) / norm - mean ** 2, norm
 
 
 @dataclass
@@ -467,9 +469,10 @@ def _extrapolate(points, t):
                for tk, vk in points)
 
 
-def _step_log_density(rho0, rate_of, friction, t_records, dt, record):
-    """Variable-step BDF2 in y = ln rho (backward Euler first) to the
-    record times, with local error control; returns rho and counters.
+def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
+    """Variable-step BDF2 in y = ln rho (backward Euler first) with local
+    error control; yields rho at each record time after the first and
+    counts into stats.
 
     The BDF formula differences rho, not y, so the trapezoid mass moves
     only by the Newton residual.  The local error is estimated from a
@@ -489,8 +492,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, record):
     hist = [(0.0, y, np.exp(y))]           # the last three accepted states
     t = 0.0
     max_growth = 2.0
-    stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0,
-             "dt_min": math.inf, "dt_max": 0.0}
+    stats.update(dt_min=math.inf, dt_max=0.0)
     for t_next in t_records[1:]:
         while t < t_next:
             span = t_next - t
@@ -547,15 +549,9 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, record):
             stats["dt_min"] = min(stats["dt_min"], dt)
             stats["dt_max"] = max(stats["dt_max"], dt)
             hist = hist[-2:] + [(t, y_new, rho_new)]
-            mass = mass_of(rho_new)
-            if not abs(mass - mass0) <= 1e-8:
-                raise ConvergenceError(
-                    f"mass drift {mass - mass0:.3e} at step "
-                    f"{stats['n_steps']} (t = {t:.6g})")
             dt *= max(0.2, min(growth, max_growth))
             max_growth = 2.0
-        record(t, hist[-1][2])
-    return hist[-1][2], stats
+        yield hist[-1][2]
 
 
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
@@ -570,27 +566,30 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     a periodic ring; the mass check, records and moments use that
     quadrature.
 
+    Every model's stepper lands on the record times t_final j /
+    (n_records - 1), j = 0 .. n_records - 1, where the moments are
+    recorded and the density is checked, in this order: a non-finite
+    value, mass drift beyond 1e-8, a minimum below -1e-9 of the initial
+    peak.  Each aborts with ConvergenceError naming the quantity, the step
+    count and t; a breakdown between two records is caught at the next.
+    The default dt is min(stability bound, t_final / 10).
+
     The zero-T quantum Smoluchowski model steps y = ln rho implicitly,
     since rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2) at T = 0: variable-
     step BDF2 (backward Euler first) with a Newton solve on a banded
-    Jacobian per step, local error control, and steps that land on the
-    record times t_final j / (n_records - 1).  rho = exp(y) stays positive
-    with no density floor; a step whose Newton solve fails is halved.
-    Here dt is the first step tried and is not bounded; n_steps counts
-    accepted steps.
+    Jacobian per step and local error control.  rho = exp(y) stays
+    positive with no density floor; a step whose Newton solve fails is
+    halved.  Here dt is the first step tried and is not bounded; n_steps
+    counts accepted steps.
 
-    The other models step explicitly with the fixed dt, which must not
-    exceed the stability bound, rounded down to divide t_final into
-    n_steps steps.  Overdamped variants use explicit Euler; inertial
-    variants integrate the second-order-in-time form as a (rho, drho/dt)
-    system with semi-implicit damping and drho/dt(0) = 0; the quantum
-    telegraph model recomputes its floored Bohm potential every step.
-    Moments are recorded at steps round(j n_steps / (n_records - 1)),
-    ending at t_final.
-
-    The default dt is min(stability bound, t_final / 10).  A non-finite
-    density, mass drift beyond 1e-8 or negative densities beyond a floor
-    tolerance abort with ConvergenceError naming the step.
+    The other models step explicitly.  dt must not exceed the stability
+    bound; each record interval takes ceil(interval / dt) equal steps
+    (numerics.equal_substeps), so the dt used and returned is at most
+    the one given and n_steps is a multiple of n_records - 1.  Overdamped
+    variants use explicit Euler; inertial variants integrate the second-
+    order-in-time form as a (rho, drho/dt) system with semi-implicit
+    damping and drho/dt(0) = 0; the quantum telegraph model recomputes
+    its floored Bohm potential every step.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -645,61 +644,50 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     elif dt > dt_bound and not implicit:
         raise ValueError(f"dt = {dt} exceeds the stability bound {dt_bound:.3e}")
 
-    mass0 = _trapz(rho, h, boundary)
-    times, mus, sig2s, masses = [], [], [], []
-
-    x = grid.x
-
-    def record(t, r):
-        norm = _trapz(r, h, boundary)
-        mean = _trapz(x * r, h, boundary) / norm
-        second = _trapz(x ** 2 * r, h, boundary) / norm
-        times.append(t)
-        mus.append(mean)
-        sig2s.append(second - mean ** 2)
-        masses.append(norm)
-
-    record(0.0, rho)
+    t_records = t_final * np.arange(n_records) / (n_records - 1)
+    stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0}
     if implicit:
         rate_of = _LogDensityRate(dphi, p.hbar ** 2 / (4.0 * p.mass), h,
                                   boundary, grid.n)
-        t_records = t_final * np.arange(n_records) / (n_records - 1)
-        rho, stats = _step_log_density(rho, rate_of, p.friction,
-                                       t_records.tolist(), dt, record)
-        n_steps = stats.pop("n_steps")
+        states = _step_log_density(rho, rate_of, p.friction,
+                                   t_records.tolist(), dt, stats)
     else:
-        n_steps = max(1, int(math.ceil(t_final / dt)))
-        dt = t_final / n_steps
-        record_steps = set(np.rint(np.arange(n_records) * n_steps
-                                   / (n_records - 1)).astype(int).tolist())
-        g = np.zeros_like(rho)  # drho/dt, inertial variants only
-        neg_tol = 1e-9 * float(np.max(rho))
-        for step in range(1, n_steps + 1):
-            if model.inertial:
-                g = ((g + dt * rate(rho) / p.mass)
-                     / (1.0 + dt * p.friction / p.mass))
-                rho = rho + dt * g
-            else:
-                rho = rho + dt * rate(rho) / p.friction
-            if step % 200 == 0 or step == n_steps:
-                if not np.all(np.isfinite(rho)):
-                    raise ConvergenceError(
-                        f"density not finite at step {step} "
-                        f"(t = {step * dt:.6g}) at dt = {dt:.3e}")
-                mass = _trapz(rho, h, boundary)
-                if not abs(mass - mass0) <= 1e-8:
-                    raise ConvergenceError(
-                        f"mass drift {mass - mass0:.3e} at step {step} "
-                        f"(t = {step * dt:.6g}); reduce dt or widen the "
-                        f"domain")
-                if float(np.min(rho)) < -neg_tol:
-                    raise ConvergenceError(
-                        f"density fell to {np.min(rho):.3e} at step {step}; "
-                        f"scheme unstable at dt = {dt:.3e}")
-            if step in record_steps:
-                record(step * dt, rho)
-        stats = {"newton_iterations": 0, "rejected_steps": 0,
-                 "dt_min": dt, "dt_max": dt}
+        interval = t_final / (n_records - 1)
+        n_sub = int(equal_substeps(interval, dt))
+        dt = interval / n_sub
+        stats.update(dt_min=dt, dt_max=dt)
+
+        def explicit_states(rho):
+            g = np.zeros_like(rho)  # drho/dt, inertial variants only
+            for _ in range(n_records - 1):
+                for _ in range(n_sub):
+                    if model.inertial:
+                        g = ((g + dt * rate(rho) / p.mass)
+                             / (1.0 + dt * p.friction / p.mass))
+                        rho = rho + dt * g
+                    else:
+                        rho = rho + dt * rate(rho) / p.friction
+                stats["n_steps"] += n_sub
+                yield rho
+
+        states = explicit_states(rho)
+
+    x = grid.x
+    mass0 = _trapz(rho, h, boundary)
+    neg_tol = 1e-9 * float(np.max(rho))
+    rows = []       # (mean, dispersion, mass) at each record time
+    for t, rho in zip(t_records, itertools.chain([rho], states)):
+        where = f"at step {stats['n_steps']} (t = {t:.6g})"
+        if not np.all(np.isfinite(rho)):
+            raise ConvergenceError(f"density not finite {where}")
+        mean, dispersion, mass = _moments(rho, x, h, boundary)
+        if not abs(mass - mass0) <= 1e-8:
+            raise ConvergenceError(f"mass drift {mass - mass0:.3e} {where}")
+        if float(np.min(rho)) < -neg_tol:
+            raise ConvergenceError(f"density fell to {np.min(rho):.3e} {where}")
+        rows.append((mean, dispersion, mass))
+    mu, sigma2, masses = map(np.array, zip(*rows))
+    n_steps = stats.pop("n_steps")
 
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))
     diagnostics = {"stability_scale": scale, "boundary": boundary,
@@ -712,6 +700,5 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                stats["dt_min"], stats["dt_max"], stats["rejected_steps"],
                stats["newton_iterations"], diagnostics["min_density"])
     return EvolveResult(
-        density=final, times=np.array(times), mu=np.array(mus),
-        sigma2=np.array(sig2s), mass=np.array(masses), dt=dt, n_steps=n_steps,
-        diagnostics=diagnostics)
+        density=final, times=t_records, mu=mu, sigma2=sigma2, mass=masses,
+        dt=dt, n_steps=n_steps, diagnostics=diagnostics)

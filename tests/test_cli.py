@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbrown.cli import ConfigError, main, parse_config, run_scenario
+from qbrown.cli import (_PARAM_KEYS, _SCHEMAS, SCENARIOS, ConfigError,
+                        ScenarioConfig, main, parse_config, run_scenario)
 
 MINIMAL = "scenario = free-high-friction\n"
 
@@ -109,6 +112,20 @@ def test_time_span_must_be_ordered(tmp_path):
      "eq.n_beta_steps = 100\n", 4,
      ("eq.n_beta_steps = 100 (line 4)", "at beta = 0.25",
       "use eq.n_beta_steps >= ")),
+    # non-finite values, and beta-step counts that overflow a float
+    ("scenario = classical-telegraph\ngrid.x_min = nan\n", 2,
+     ("'grid.x_min'", "not a valid finite float")),
+    ("scenario = harmonic\ntime.stop = inf\n", 2,
+     ("'time.stop'", "not a valid finite float")),
+    ("scenario = semiclassical-pde\n\npde.t_final = inf\n", 3,
+     ("'pde.t_final'", "not a valid finite float")),
+    ("scenario = equilibrium\nparams.hbar = -inf\n", 2,
+     ("'params.hbar'", "not a valid finite float")),
+    ("scenario = equilibrium\nparams.temperature = 1e-300\n", 2,
+     ("params.temperature = 1e-300 (line 2)", "params.hbar = 1.0 (default)",
+      "grid.n = 401 (default)", "overflow")),
+    ("scenario = equilibrium\nparams.hbar = 1e200\ngrid.n = 64\n", 3,
+     ("params.hbar = 1e+200 (line 2)", "grid.n = 64 (line 3)", "overflow")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -120,6 +137,47 @@ def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     cfg_path.write_text(text)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: line {line}:" in capsys.readouterr().err
+
+
+# values of each key's type, valid or not, with extremes that overflow;
+# eq.entropy_nodes stays small because the parser runs one bisection per
+# entropy-sweep node
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-300, 5e-324, 1e200, 0.0, -1.0, 0.5, 3.0])).map(repr)
+_VALUES = {
+    float: _FLOATS,
+    int: st.one_of(st.integers(-4, 600), st.just(10 ** 400)).map(str),
+    bool: st.sampled_from(["true", "no", "maybe"]),
+    str: st.sampled_from(["log", "linear", "periodic", "box", "reflecting",
+                          "free", "linear", "harmonic", "quartic", "all",
+                          "einstein,pure-quantum", "bogus"]),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    scen = draw(st.sampled_from(SCENARIOS))
+    types = {key: typ for key, (typ, _, _) in _SCHEMAS[scen].items()}
+    types.update({f"params.{name}": float for name in _PARAM_KEYS})
+    lines = [f"scenario = {scen}"]
+    for key in draw(st.lists(st.sampled_from(sorted(types)), unique=True,
+                             max_size=6)):
+        value = draw(st.integers(0, 6).map(str)
+                     if key == "eq.entropy_nodes" else _VALUES[types[key]])
+        lines.append(f"{key} = {value}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_config_texts())
+def test_parse_config_is_total(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.errors
+    else:
+        assert isinstance(cfg, ScenarioConfig)
 
 
 def test_missing_and_unknown_scenario():
@@ -223,7 +281,8 @@ def test_quantum_pde_scenario_reports_its_stepper(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_density_is_a_numerical_failure(tmp_path):
-    # the explicit quantum telegraph step overflows to NaN here
+    # the explicit quantum telegraph step breaks down here and overflows
+    # to NaN by t = 0.5; the first record after the breakdown aborts
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
                      "params.temperature = 0\n"
@@ -231,7 +290,8 @@ def test_nan_density_is_a_numerical_failure(tmp_path):
                      "grid.n = 161\n"
                      "pde.t_final = 1.0\n")
     assert code == 1
-    assert "not finite at step 200" in (out / "manifest.txt").read_text()
+    assert ("cause = density fell to -3.237e-08 at step 92 (t = 0.23)"
+            in (out / "manifest.txt").read_text())
     assert not (out / "density_final.csv").exists()
 
 
@@ -251,9 +311,22 @@ def test_equilibrium_scenario(tmp_path):
     assert "rho_imaginary_time" in header and "rho_eigen" in header
 
 
+def test_periodic_equilibrium_compares_ring_routes(tmp_path):
+    code, out = _run(tmp_path,
+                     "scenario = equilibrium\n"
+                     "potential.variant = free\n"
+                     "grid.x_min = 0\n"
+                     "grid.x_max = 6.185840\n"
+                     "grid.n = 64\n"
+                     "eq.n_beta_steps = 64\n"
+                     "eq.boundary = periodic\n")
+    assert code == 0
+    assert "route_equivalence [PASS]" in (out / "manifest.txt").read_text()
+
+
 def test_numerical_failure_exit_code(tmp_path):
-    # the classical telegraph scheme turns unstable in this well (density
-    # falls below zero near t = 3.5), a genuine solver failure
+    # the classical telegraph density falls below zero in this well near
+    # t = 2.9, a genuine solver failure
     code, out = _run(tmp_path,
                      "scenario = classical-telegraph\n"
                      "params.omega0 = 1\n"
@@ -268,7 +341,7 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
     assert "status = numerical failure" in manifest
-    assert "scheme unstable" in manifest
+    assert "cause = density fell to -5.583e-04 at step 684 (t = 2.88)" in manifest
 
 
 def test_config_error_exit_code(tmp_path):

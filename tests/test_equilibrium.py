@@ -50,6 +50,25 @@ def test_quartic_routes_agree():
     assert abs(z_it - z_e) / z_e <= 1e-3
 
 
+def test_periodic_routes_agree():
+    # a 128-node ring: the kernel's corner entries against a dense
+    # eigen-solve of the same ring Hamiltonian
+    p = PhysicalParams.natural()
+    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128)
+    U = PotentialSpec.tabulated(np.cos(g.x))
+    cfg = ImaginaryTimeConfig(beta_final=1.0, grid=g, n_beta_steps=256,
+                              boundary="periodic")
+    rho_it, z_it = imaginary_time_density(U, p, cfg)
+    rho_e, z_e, _ = eigen_density(U, p, 1.0, g, boundary="periodic")
+    assert np.max(np.abs(rho_it.rho - rho_e.rho)) <= 1e-6
+    assert abs(z_it - z_e) / z_e <= 1e-3
+    # the box spectrum misses the ring's translation symmetry
+    rho_box, _, _ = eigen_density(U, p, 1.0, g)
+    assert np.max(np.abs(rho_it.rho - rho_box.rho)) > 1e-2
+    with pytest.raises(ValueError):
+        eigen_density(U, p, 1.0, g, boundary="reflecting")
+
+
 def test_high_temperature_is_boltzmann():
     beta = 0.01
     p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / beta)

@@ -200,16 +200,19 @@ def test_periodic_ring_conserves_mass_across_the_seam(model):
 
 @pytest.mark.parametrize("n_records", [21, 101])
 def test_records_n_rows_ending_at_t_final(n_records):
-    g = Grid1D(-4.0, 4.0, 41)
-    res = evolve(DensityField.gaussian(g, 0.0, 0.5),
-                 PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(), NAT,
-                 1.0, n_records=n_records)
-    assert res.n_steps == 63
-    assert res.times.size == min(n_records, res.n_steps + 1)
-    steps = np.rint(np.arange(res.times.size) * res.n_steps
-                    / (res.times.size - 1))
-    np.testing.assert_array_equal(res.times, steps * res.dt)
-    assert res.times[-1] == pytest.approx(1.0, rel=1e-14)
+    # on this 32-node ring the classical Smoluchowski stability bound
+    # alone gives 65 steps: fewer than the 100 record intervals
+    g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32)
+    rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
+    n = n_records
+    for model in PdeModel:
+        res = evolve(rho0, model, PotentialSpec.free(), _params_for(model),
+                     1.0, boundary="periodic", n_records=n)
+        assert res.mu.size == res.sigma2.size == res.mass.size == n, model
+        assert np.array_equal(res.times, 1.0 * np.arange(n) / (n - 1)), model
+        if model is not PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI:
+            assert res.n_steps % (n - 1) == 0, model
+            assert res.dt * res.n_steps == pytest.approx(1.0, rel=1e-14)
 
 
 def test_quantum_evolve_reports_floored_fraction():
@@ -288,15 +291,20 @@ def test_quantum_smoluchowski_takes_steps_beyond_the_explicit_bound(caplog):
 
 
 def test_quantum_telegraph_blow_up_is_not_a_result():
-    # the explicit quantum telegraph step overflows to NaN on this grid
-    # before step 200; the NaN density must abort, not be returned
+    # the explicit quantum telegraph step breaks down on this grid and
+    # overflows to NaN before step 200; the first record after the
+    # breakdown must abort, not be returned.  With one record interval the
+    # density is NaN by then, and finiteness is checked before mass.
     g = Grid1D(-8.0, 8.0, 161)
     p = PhysicalParams.natural(temperature=0.0)
-    with (pytest.raises(ConvergenceError, match="not finite at step 200"),
-          np.errstate(over="ignore", invalid="ignore")):
-        evolve(DensityField.gaussian(g, 0.0, 0.04),
-               PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.free(), p,
-               0.5, n_records=5)
+    for n_records, message in [
+            (5, r"mass drift -5\.974e-03 at step 100 \(t = 0\.25\)"),
+            (2, r"density not finite at step 200 \(t = 0\.5\)")]:
+        with (pytest.raises(ConvergenceError, match=message),
+              np.errstate(over="ignore", invalid="ignore")):
+            evolve(DensityField.gaussian(g, 0.0, 0.04),
+                   PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.free(),
+                   p, 0.5, n_records=n_records)
 
 
 def test_detailed_balance_stationarity():
