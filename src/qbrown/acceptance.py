@@ -69,6 +69,20 @@ def _full_surface(quick=False):
     return p, sc, t_grid, surface, traj
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_T_inertial(quick=False):
+    """Zero-T inertial trajectory at b = 100 from 10 to 1e3 tau_m (criteria
+    2 and 7), cached with read-only arrays like _full_surface."""
+    p = PhysicalParams.natural(friction=100.0, temperature=0.0)
+    t_anchor = 10.0 * p.tau_m
+    s0 = (p.hbar ** 2 * t_anchor / (p.mass * p.friction)) ** 0.25
+    tg = np.geomspace(t_anchor, 1000.0 * p.tau_m, 100 if quick else 300)
+    tr = solve_inertial_zero_T(p, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg)
+    for a in (tg, tr.times, tr.sigma_x2, tr.sigma_p2, tr.mu):
+        a.flags.writeable = False
+    return p, tg, tr
+
+
 def criterion_1(quick=False) -> CriterionResult:
     """Einstein-law asymptote: sigma^2 / 2Dt in [0.99, 1.02] at t = 100 t_c."""
     t0 = time.time()
@@ -93,12 +107,7 @@ def criterion_2(quick=False) -> CriterionResult:
     m = t_grid <= 0.01 * sc.t_c
     err_cold = float(np.max(np.abs(cold[m] - pq[m]) / pq[m]))
 
-    pz = PhysicalParams.natural(friction=100.0, temperature=0.0)
-    tau = pz.tau_m
-    t_anchor = 10.0 * tau
-    s0 = (pz.hbar ** 2 * t_anchor / (pz.mass * pz.friction)) ** 0.25
-    tg = np.geomspace(t_anchor, 1000.0 * tau, 100 if quick else 300)
-    tr = solve_inertial_zero_T(pz, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg)
+    pz, tg, tr = _zero_T_inertial(quick)
     pq2 = pz.hbar * np.sqrt(tg / (pz.mass * pz.friction))
     err_ode = float(np.max(np.abs(tr.sigma_x2 - pq2) / pq2))
     ok = err_cold <= 0.02 and err_ode <= 0.02
@@ -184,12 +193,8 @@ def criterion_6(quick=False) -> CriterionResult:
 def criterion_7(quick=False) -> CriterionResult:
     """Zero-T overdamped law sigma^4 = hbar^2 t / mb within 2% (ODE and PDE)."""
     t0 = time.time()
-    p = PhysicalParams.natural(friction=100.0, temperature=0.0)
+    p, tg, tr = _zero_T_inertial(quick)
     tau = p.tau_m
-    t_anchor = 10.0 * tau
-    s0 = (p.hbar ** 2 * t_anchor / (p.mass * p.friction)) ** 0.25
-    tg = np.geomspace(t_anchor, 1000.0 * tau, 100 if quick else 300)
-    tr = solve_inertial_zero_T(p, s0, 0.25 * s0 / t_anchor, 0.0, 0.0, tg)
     law = p.hbar ** 2 * tg / (p.mass * p.friction)
     err_ode = float(np.max(np.abs(tr.sigma_x2 ** 2 - law) / law))
 

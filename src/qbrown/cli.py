@@ -8,12 +8,11 @@ manifest.  Exit codes: 0 success, 1 numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,6 @@ class ScenarioConfig:
     params: PhysicalParams
     options: dict
     out_dir: str = "."
-    raw_lines: list = field(default_factory=list)
 
 
 _PARAM_KEYS = ("hbar", "k_B", "mass", "friction", "temperature",
@@ -233,37 +231,16 @@ def _cross_key_errors(scen, options, seen):
     return errors
 
 
-def _beta_steps(o, beta):
-    """(beta', steps) of each imaginary-time propagation of an equilibrium
-    run: the target beta, then the entropy sweep's nodes, if any."""
-    n, n_ent = o["eq.n_beta_steps"], o["eq.entropy_nodes"]
-    betas = np.linspace(0.0, beta, n_ent)[1:] if n_ent else []
-    return [(beta, n)] + [(b, max(16, int(n * b / beta))) for b in betas]
-
-
 def _beta_step_errors(options, params, seen):
-    """An error, citing the keys' lines, when a Crank-Nicolson beta step of
-    the run is too coarse for the grid (equilibrium.min_beta_steps) or the
-    step counts overflow a float."""
-    keys = ("eq.n_beta_steps", "eq.entropy_nodes", "grid.x_min",
-            "grid.x_max", "grid.n", "params.temperature", "params.hbar",
-            "params.k_B", "params.mass")
+    """An error, citing the keys' lines, when the Crank-Nicolson beta step
+    at the target beta is too coarse for the grid
+    (equilibrium.min_beta_steps) or its bound overflows a float."""
+    keys = ("eq.n_beta_steps", "grid.x_min", "grid.x_max", "grid.n",
+            "params.temperature", "params.hbar", "params.k_B", "params.mass")
     try:
         h = ((options["grid.x_max"] - options["grid.x_min"])
              / (options["grid.n"] - 1))
-        beta = params.beta
-
-        def too_coarse(o):
-            return [b for b, steps in _beta_steps(o, beta)
-                    if steps < min_beta_steps(params, h, b)]
-
-        bad = too_coarse(options)
-        if not bad:
-            return []
-        need = max(math.ceil(min_beta_steps(params, h, b) * beta / b)
-                   for b in bad)
-        while too_coarse({**options, "eq.n_beta_steps": need}):
-            need += 1
+        need = min_beta_steps(params, h, params.beta)
     except ArithmeticError:
         values = {**options, **{f"params.{n}": getattr(params, n)
                                 for n in _PARAM_KEYS}}
@@ -272,11 +249,13 @@ def _beta_step_errors(options, params, seen):
         return [(max(seen.get(k, 0) for k in keys),
                  f"the Crank-Nicolson beta step counts overflow a float "
                  f"for {cited}")]
+    if options["eq.n_beta_steps"] >= need:
+        return []
     where = _where(seen, "eq.n_beta_steps")
     return [(max(seen.get(k, 0) for k in keys),
              f"eq.n_beta_steps = {options['eq.n_beta_steps']} ({where}) is "
-             f"too coarse for grid.h = {h:.4g} at beta = {bad[0]:.6g}: the "
-             f"Crank-Nicolson factor of the top grid mode turns negative "
+             f"too coarse for grid.h = {h:.4g} at beta = {params.beta:.6g}: "
+             f"the Crank-Nicolson factor of the top grid mode turns negative "
              f"and stays above 1e-12; use eq.n_beta_steps >= {need}")]
 
 
@@ -290,9 +269,7 @@ def parse_config(text: str) -> ScenarioConfig:
     errors = []
     seen = {}        # key -> line number
     entries = {}     # key -> (line, raw string)
-    raw_lines = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        raw_lines.append(line)
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -381,7 +358,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(sorted(errors))
     return ScenarioConfig(scenario=scen, params=params, options=options,
-                          out_dir=out_dir, raw_lines=raw_lines)
+                          out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +530,10 @@ def _run_pde(cfg, out, man):
     else:
         model = (PdeModel.SEMICLASSICAL_TELEGRAPH if o["inertial"]
                  else PdeModel.SEMICLASSICAL_SMOLUCHOWSKI)
-    rho0 = DensityField.gaussian(grid, o["mu0"], o["sigma0_sq"])
+    d = grid.x - o["mu0"]
+    if o["pde.boundary"] == "periodic":   # minimum image on the n h ring
+        d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
+    rho0 = DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
     res = evolve(rho0, model, U, p, o["pde.t_final"],
                  dt=o["pde.dt"] or None, boundary=o["pde.boundary"],
                  n_records=o["pde.n_records"])
@@ -600,14 +580,11 @@ def _run_equilibrium(cfg, out, man):
     cols = [grid.x, rho_it.rho, rho_e.rho, rho_sc.rho, q]
     n_ent = o["eq.entropy_nodes"]
     if n_ent:
+        # the eigen route is exact for the same Hamiltonian at every node
         betas = np.linspace(0.0, beta, n_ent)
-        fields = [DensityField.uniform(grid)]
-        for b, steps in _beta_steps(o, beta)[1:]:
-            pb = dataclasses.replace(p, temperature=1.0 / (p.k_B * b))
-            f, _ = imaginary_time_density(U, pb, ImaginaryTimeConfig(
-                beta_final=b, grid=grid, n_beta_steps=steps,
-                boundary=o["eq.boundary"]))
-            fields.append(f)
+        fields = [DensityField.uniform(grid)] + [
+            eigen_density(U, p, b, grid, boundary=o["eq.boundary"])[0]
+            for b in betas[1:]]
         s_q = quantum_entropy(fields, p, beta, beta_nodes=betas)
         headers.append("S_Q [entropy]")
         cols.append(s_q)
@@ -652,11 +629,14 @@ def _run_dispersion_compare(cfg, out, man):
     return 0
 
 
-def _run_acceptance(cfg, out, man):
-    results = run_all(quick=cfg.options["quick"])
+def _accept(quick, man=None):
+    """Run the acceptance suite, print each verdict line (and record it in
+    man, if given); exit code 0 when every criterion passes."""
+    results = run_all(quick=quick)
     for r in results:
         print(r.verdict_line)
-        man.verdict(f"criterion_{r.number}_{r.name}", r.passed, r.details)
+        if man is not None:
+            man.verdict(f"criterion_{r.number}_{r.name}", r.passed, r.details)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -670,7 +650,7 @@ _RUNNERS = {
     "semiclassical-pde": _run_pde,
     "equilibrium": _run_equilibrium,
     "dispersion-compare": _run_dispersion_compare,
-    "acceptance": _run_acceptance,
+    "acceptance": lambda cfg, _, man: _accept(cfg.options["quick"], man),
 }
 
 
@@ -711,10 +691,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "accept":
-        results = run_all(quick=args.quick)
-        for r in results:
-            print(r.verdict_line)
-        return 0 if all(r.passed for r in results) else 1
+        return _accept(args.quick)
 
     try:
         text = Path(args.config).read_text()

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (ConvergenceError, OdeSolverConfig, Rk4Steps,
+from .numerics import (ConvergenceError, Rk4Steps,
                        cumulative_trapezoid, fixed_point, lambert_w_minus1,
                        coth, solve_linear_rk4, solve_ode)
 from .params import PhysicalParams, derived_scales, momentum_dispersion
@@ -230,8 +230,8 @@ def make_beta_grid(beta: float, n: int = 48, cutoff: float = 1e-3,
 
 
 def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
-                          mu0: float, dmu0: float, t_grid,
-                          cfg: OdeSolverConfig = OdeSolverConfig()) -> DispersionTrajectory:
+                          mu0: float, dmu0: float,
+                          t_grid) -> DispersionTrajectory:
     """Integrate the coupled zero-temperature mean/dispersion ODEs.
 
     m mu'' + b mu' = f and m sigma'' + b sigma' = hbar^2 / (4 m sigma^3),
@@ -257,7 +257,7 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
         return np.array([dmu, f_m - b_m * dmu,
                          dsig, h2_4m2 / sig ** 3 - b_m * dsig])
 
-    y = solve_ode(rhs, [mu0, dmu0, sigma0, dsigma0], t_grid, cfg)
+    y = solve_ode(rhs, [mu0, dmu0, sigma0, dsigma0], t_grid)
     return DispersionTrajectory.from_sigma(
         t_grid, y[:, 2] ** 2, p, "inertial-zero-T", mu=y[:, 0])
 
@@ -410,8 +410,8 @@ def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
 # Overdamped free particle
 
 
-def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float, t_grid,
-                             cfg: OdeSolverConfig = OdeSolverConfig()) -> DispersionTrajectory:
+def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
+                             t_grid) -> DispersionTrajectory:
     """Integrate dS/dt = 2D (1 + lambda_T^2 / S), the bounded overdamped law.
 
     sigma0_sq = 0 is served by anchoring at the exact Lambert value at the
@@ -438,10 +438,10 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float, t_grid,
         anchor = float(eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid[start], p))
         sigma[start] = anchor
         if start + 1 < t_grid.size:
-            sol = solve_ode(rhs, [anchor], t_grid[start:], cfg)
+            sol = solve_ode(rhs, [anchor], t_grid[start:])
             sigma[start:] = sol[:, 0]
     else:
-        sol = solve_ode(rhs, [sigma0_sq], t_grid, cfg)
+        sol = solve_ode(rhs, [sigma0_sq], t_grid)
         sigma[:] = sol[:, 0]
     return DispersionTrajectory.from_sigma(t_grid, sigma, p, "overdamped-bounded")
 

@@ -33,8 +33,8 @@ class ImaginaryTimeConfig:
 
     The kernel is S^N, S one Strang step (split potential / Crank-Nicolson
     kinetic) of dbeta = beta_final / N, formed by repeated squaring in
-    about log2(N) dense n x n products.  S is unconditionally stable;
-    N = n_beta_steps sets only the O(dbeta^2) splitting error.
+    about log2(N) dense n x n products.  N = n_beta_steps sets the
+    O(dbeta^2) splitting error and must reach min_beta_steps.
     """
 
     beta_final: float
@@ -77,9 +77,13 @@ def min_beta_steps(p: PhysicalParams, h: float, beta_final: float) -> int:
     x = dbeta 2 hbar^2/(m h^2) and dbeta = beta_final / N, is negative
     for x > 2 and then damped only as |r|^N; N passes when x <= 2 or
     |r|^N <= 1e-12.  |r|^N falls as N grows, so the first passing N is
-    found by bisection.
+    found by bisection.  A bound that is not a finite float raises
+    OverflowError.
     """
     lam = beta_final * 2.0 * p.hbar ** 2 / (p.mass * h ** 2)
+    if not math.isfinite(lam):
+        raise OverflowError(f"beta_final 2 hbar^2/(m h^2) = {lam} is not "
+                            f"finite")
 
     def passes(n):
         x = lam / n
@@ -109,9 +113,9 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     scale carried as a logarithm.  The kernel diagonal is the thermal
     mixture of all states, its trace the partition sum over the discrete
     spectrum; this matches the eigen-expansion route on the same grid
-    exactly up to the O(dbeta^2) splitting error.  A diagonal that comes
-    out negative with n_beta_steps below min_beta_steps raises ValueError
-    naming the smallest step count that passes.
+    exactly up to the O(dbeta^2) splitting error.  n_beta_steps below
+    min_beta_steps raises ValueError naming the smallest step count that
+    passes.
 
     Returns (DensityField, Z).
     """
@@ -122,6 +126,15 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     grid = cfg.grid
     n = grid.n
     db = cfg.beta_final / cfg.n_beta_steps
+    n_min = min_beta_steps(p, grid.h, cfg.beta_final)
+    if cfg.n_beta_steps < n_min:
+        x = db * 2.0 * p.hbar ** 2 / (p.mass * grid.h ** 2)
+        damping = abs((x - 2.0) / (x + 2.0)) ** cfg.n_beta_steps
+        raise ValueError(
+            f"n_beta_steps = {cfg.n_beta_steps} is too coarse: dbeta = "
+            f"{db:.3e} gives x = dbeta 2 hbar^2/(m h^2) = {x:.3g} > 2, so "
+            f"the Crank-Nicolson factor of the top grid mode is damped only "
+            f"to {damping:.2e}; use n_beta_steps >= {n_min}")
 
     u = U.energy(grid, p)
     half_pot = np.exp(-0.5 * db * (u - np.min(u)))
@@ -167,17 +180,7 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
                cfg.n_beta_steps.bit_length() - 1,
                bin(cfg.n_beta_steps).count("1") - 1, log_scale)
 
-    diag = np.diag(M)
-    n_min = min_beta_steps(p, grid.h, cfg.beta_final)
-    if cfg.n_beta_steps < n_min and float(np.min(diag)) < 0.0:
-        x = db * 2.0 * p.hbar ** 2 / (p.mass * grid.h ** 2)
-        damping = abs((x - 2.0) / (x + 2.0)) ** cfg.n_beta_steps
-        raise ValueError(
-            f"n_beta_steps = {cfg.n_beta_steps} leaves a negative kernel: "
-            f"dbeta = {db:.3e} gives x = dbeta 2 hbar^2/(m h^2) = {x:.3g} "
-            f"> 2, so the Crank-Nicolson factor of the top grid mode is "
-            f"damped only to {damping:.2e}; use n_beta_steps >= {n_min}")
-    diag = np.maximum(diag, 0.0)
+    diag = np.maximum(np.diag(M), 0.0)
     Z = float(np.trace(M)) * math.exp(log_scale)
     rho = DensityField(grid=grid, rho=diag)
     return rho, Z

@@ -33,6 +33,12 @@ def test_shared_surface_is_solved_once_and_read_only():
     for a in (t_grid, surface.values, traj.sigma_x2):
         with pytest.raises(ValueError):
             a[0] = 1.0
+    inertial = acceptance._zero_T_inertial(True)
+    assert acceptance._zero_T_inertial(True) is inertial
+    _, tg, tr = inertial
+    for a in (tg, tr.sigma_x2, tr.sigma_p2, tr.mu):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_criterion_2_pure_quantum_diffusion():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbrown import cli
 from qbrown.cli import (_PARAM_KEYS, _SCHEMAS, SCENARIOS, ConfigError,
                         ScenarioConfig, main, parse_config, run_scenario)
 
@@ -104,14 +106,14 @@ def test_time_span_must_be_ordered(tmp_path):
      ("potential.variant = quartic (line 4)", "potential.k4 > 0",
       "(line 2)")),
     # dbeta 2 hbar^2/(m h^2) = 294 leaves the top Crank-Nicolson mode at
-    # -0.99 per step; the entropy sweep's first node takes 25 steps
+    # -0.99 per step
     ("scenario = equilibrium\ngrid.n = 801\neq.n_beta_steps = 17\n", 3,
      ("eq.n_beta_steps = 17 (line 3)", "grid.h = 0.02",
       "use eq.n_beta_steps >= 186")),
-    ("scenario = equilibrium\ngrid.n = 401\neq.entropy_nodes = 5\n"
-     "eq.n_beta_steps = 100\n", 4,
-     ("eq.n_beta_steps = 100 (line 4)", "at beta = 0.25",
-      "use eq.n_beta_steps >= ")),
+    # beta overflows to inf and hbar^2 underflows to 0: the bound is nan
+    ("scenario = equilibrium\nparams.k_B = 5e-324\nparams.hbar = 1e-300\n",
+     3, ("params.k_B = 5e-324 (line 2)", "params.hbar = 1e-300 (line 3)",
+         "grid.n = 401 (default)", "overflow")),
     # non-finite values, and beta-step counts that overflow a float
     ("scenario = classical-telegraph\ngrid.x_min = nan\n", 2,
      ("'grid.x_min'", "not a valid finite float")),
@@ -122,8 +124,8 @@ def test_time_span_must_be_ordered(tmp_path):
     ("scenario = equilibrium\nparams.hbar = -inf\n", 2,
      ("'params.hbar'", "not a valid finite float")),
     ("scenario = equilibrium\nparams.temperature = 1e-300\n", 2,
-     ("params.temperature = 1e-300 (line 2)", "params.hbar = 1.0 (default)",
-      "grid.n = 401 (default)", "overflow")),
+     ("eq.n_beta_steps = 512 (default) is too coarse", "at beta = 1e+300",
+      "use eq.n_beta_steps >= 6329")),
     ("scenario = equilibrium\nparams.hbar = 1e200\ngrid.n = 64\n", 3,
      ("params.hbar = 1e+200 (line 2)", "grid.n = 64 (line 3)", "overflow")),
 ])
@@ -139,9 +141,20 @@ def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     assert f"config error: line {line}:" in capsys.readouterr().err
 
 
-# values of each key's type, valid or not, with extremes that overflow;
-# eq.entropy_nodes stays small because the parser runs one bisection per
-# entropy-sweep node
+@pytest.mark.parametrize("n_ent", [5, 10 ** 6])
+def test_entropy_sweep_adds_no_beta_step_check(monkeypatch, n_ent):
+    # the sweep's densities come from the eigen route, so only the target
+    # beta's step is checked, once, whatever the number of nodes
+    calls, real = [], cli.min_beta_steps
+    monkeypatch.setattr(cli, "min_beta_steps",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = parse_config(f"scenario = equilibrium\ngrid.n = 401\n"
+                       f"eq.entropy_nodes = {n_ent}\neq.n_beta_steps = 100\n")
+    assert cfg.options["eq.entropy_nodes"] == n_ent
+    assert len(calls) == 1
+
+
+# values of each key's type, valid or not, with extremes that overflow
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1e-300, 5e-324, 1e200, 0.0, -1.0, 0.5, 3.0])).map(repr)
@@ -163,9 +176,7 @@ def _config_texts(draw):
     lines = [f"scenario = {scen}"]
     for key in draw(st.lists(st.sampled_from(sorted(types)), unique=True,
                              max_size=6)):
-        value = draw(st.integers(0, 6).map(str)
-                     if key == "eq.entropy_nodes" else _VALUES[types[key]])
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {draw(_VALUES[types[key]])}")
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
@@ -309,6 +320,28 @@ def test_equilibrium_scenario(tmp_path):
     assert code == 0
     header = (out / "density_equilibrium.csv").read_text().splitlines()[0]
     assert "rho_imaginary_time" in header and "rho_eigen" in header
+
+
+def test_periodic_gaussian_wraps_across_the_seam(tmp_path):
+    # mu0 = 0 sits on the ring's first node; the log of an unwrapped
+    # Gaussian would jump by about 478 between the seam nodes and stall
+    # the first implicit step
+    code, out = _run(tmp_path,
+                     "scenario = quantum-zero-T-pde\n"
+                     "params.temperature = 0\n"
+                     "pde.boundary = periodic\n"
+                     "grid.x_min = 0\n"
+                     "grid.x_max = 6.185840\n"
+                     "grid.n = 121\n"
+                     "pde.t_final = 2\n")
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "mass_conserved [PASS]" in manifest
+    # the free spread stays mirror-symmetric about node 0 across the seam
+    rho = np.loadtxt(out / "density_final.csv", delimiter=",",
+                     skiprows=1)[:, 1]
+    assert np.argmax(rho) == 0
+    assert np.max(np.abs(rho[1:] - rho[:0:-1])) <= 1e-12 * rho[0]
 
 
 def test_periodic_equilibrium_compares_ring_routes(tmp_path):

@@ -115,8 +115,8 @@ def _stepped_kernel(U, p, cfg):
     return rho, float(np.trace(M)) * math.exp(log_scale)
 
 
-@pytest.mark.parametrize("boundary, n_steps", [("box", 300), ("box", 16),
-                                               ("periodic", 17)])
+@pytest.mark.parametrize("boundary, n_steps", [("box", 300), ("box", 39),
+                                               ("periodic", 18)])
 def test_squared_kernel_matches_stepped_loop(boundary, n_steps):
     if boundary == "box":
         p = PhysicalParams.natural(omega0=1.0, temperature=0.5)
@@ -212,6 +212,17 @@ def test_coarse_beta_step_is_refused():
     rho, _ = imaginary_time_density(U, p, ImaginaryTimeConfig(
         beta_final=1.0, grid=g, n_beta_steps=76, boundary="periodic"))
     assert np.min(rho.rho) > 0.0
+    # S^18 on the ring and S^16 in the harmonic box keep a positive
+    # diagonal but miss the converged density by up to 5% and 1%
+    with pytest.raises(ValueError, match=r"use n_beta_steps >= 76"):
+        imaginary_time_density(U, p, ImaginaryTimeConfig(
+            beta_final=1.0, grid=g, n_beta_steps=18, boundary="periodic"))
+    p = PhysicalParams.natural(omega0=1.0, temperature=0.5)
+    g = Grid1D(-8.0, 8.0, 121)
+    with pytest.raises(ValueError, match=r"use n_beta_steps >= 39"):
+        imaginary_time_density(PotentialSpec.harmonic(1.0), p,
+                               ImaginaryTimeConfig(beta_final=2.0, grid=g,
+                                                   n_beta_steps=16))
 
 
 def test_periodic_free_particle_is_uniform():
