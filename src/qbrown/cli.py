@@ -77,7 +77,8 @@ _GRID_KEYS = {
 }
 _PDE_KEYS = {
     "pde.t_final": (float, 10.0, _POSITIVE),
-    "pde.dt": (float, 0.0, _NONNEG),      # 0 = automatic from stability
+    # the telegraph step (checked) or the first Smoluchowski step; 0 = auto
+    "pde.dt": (float, 0.0, _NONNEG),
     "pde.n_records": (int, 101, ("must be at least 2", lambda v: v >= 2)),
     "pde.boundary": (str, "reflecting",
                      ("must be 'reflecting' or 'periodic'",

@@ -3,8 +3,8 @@
 Telegraph (inertial) and Smoluchowski (overdamped) equations in one
 dimension, in classical, semiclassical and zero-temperature quantum
 variants, with conservative flux assembly, the Bohm quantum potential
-and moment extraction.  The zero-temperature quantum Smoluchowski
-equation is stepped implicitly in ln rho; the other five explicitly.
+and moment extraction.  The three Smoluchowski equations are stepped
+implicitly in ln rho, the three telegraph equations explicitly.
 """
 
 from __future__ import annotations
@@ -342,21 +342,35 @@ def _flux(rho, dphi, kT, h, boundary, q=None):
     return r_adv * dphi + r_half * dq * taper + kT * drho
 
 
-class _LogDensityRate:
-    """The T = 0 quantum Smoluchowski divergence in y = ln rho.
+def _bernoulli(z):
+    """B(z) = z / expm1(z), B(0) = 1; z > 0 takes B(-z) e^-z to stay finite."""
+    a = -np.abs(z)
+    b = np.divide(a, np.expm1(a), out=np.ones_like(a), where=a != 0.0)
+    return np.where(z > 0.0, b * np.exp(a), b)
 
-    At T = 0, rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2), so the face
-    flux is G = rho_half dPhi/dx - c (w_+ - w)/h with c = hbar^2/4m and
-    w = rho * (second difference of y), mirror ghosts at reflecting
-    walls.  rate(y) is div G / rho at the nodes: dividing row i by rho_i
-    leaves only the neighbour ratios exp(y_j - y_i), so tails where rho
-    underflows stay finite.  rate_and_jacobian(y) adds d rate_i / d y_(i+d)
-    for d = -2..2; solve() solves with such diagonals as one band, the
-    ring ordered 0, n-1, 1, n-2, ... so that its corners fall inside it.
+
+class _LogDensityRate:
+    """The Smoluchowski divergence in y = ln rho.
+
+    The face flux is G = alpha_- rho_+ - alpha_+ rho - c (w_+ - w)/h,
+    alpha_- = alpha_+ + dPhi/dx.  For kT > 0, alpha_+ = (kT/h) B(h dPhi/dx
+    / kT), the exponentially fitted (Scharfetter-Gummel) flux: zero on the
+    discrete Boltzmann density and positive at every cell Peclet number.
+    At kT = 0, alpha_+ = -dPhi/dx / 2 (centred).  The zero-T quantum model
+    adds rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2): c = hbar^2/4m, w =
+    rho * (second difference of y), mirror ghosts at reflecting walls; c =
+    0 otherwise.  rate(y) is div G / rho at the nodes: dividing row i by
+    rho_i leaves only the neighbour ratios exp(y_j - y_i), so tails where
+    rho underflows stay finite.
+    rate_and_jacobian(y) adds d rate_i / d y_(i+d) for d = -2..2; solve()
+    solves with such diagonals as one band, the ring ordered 0, n-1, 1,
+    n-2, ... so that its corners fall inside it.
     """
 
-    def __init__(self, dphi, c, h, boundary, n):
-        self.dphi, self.c, self.h, self.boundary = dphi, c, h, boundary
+    def __init__(self, dphi, kT, c, h, boundary, n):
+        self.c, self.h, self.boundary = c, h, boundary
+        ap = kT / h * _bernoulli(h * dphi / kT) if kT > 0 else -0.5 * dphi
+        self._am, self._ap = ap + dphi, ap
         # second difference L_i = (c- y_(i-1) + c0 y_i + c+ y_(i+1)) / h^2
         self._cl = np.array([np.ones(n), np.full(n, -2.0), np.ones(n)])
         if boundary == "reflecting":
@@ -390,7 +404,7 @@ class _LogDensityRate:
                     self.boundary)
         e = np.exp(np.diff(_ring(y, self.boundary)))    # rho_right / rho_left
         # the face flux over the density of its left node
-        a = (0.5 * (1.0 + e) * self.dphi
+        a = (self._am * e - self._ap
              - self.c / h * (e * lap[1:] - lap[:-1]))
         return lap, e, a
 
@@ -404,7 +418,7 @@ class _LogDensityRate:
         s = self.c / h ** 3
         cm, c0, cp = self._cl_faces[:, :-1]     # L of each face's left node
         dm, d0, dp = self._cl_faces[:, 1:]      # and of its right node
-        p = e * (0.5 * self.dphi - self.c / h * lap[1:])  # da / dy_right
+        p = e * (self._am - self.c / h * lap[1:])         # da / dy_right
         q = (p - a) / e                                   # d(a/e) / dy_right
         zero = np.zeros_like(e)
         # derivatives of a and a/e by y at offsets -2..2 from the left
@@ -572,24 +586,23 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     value, mass drift beyond 1e-8, a minimum below -1e-9 of the initial
     peak.  Each aborts with ConvergenceError naming the quantity, the step
     count and t; a breakdown between two records is caught at the next.
-    The default dt is min(stability bound, t_final / 10).
+    The default dt is min(explicit stability bound, t_final / 10).
 
-    The zero-T quantum Smoluchowski model steps y = ln rho implicitly,
-    since rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2) at T = 0: variable-
-    step BDF2 (backward Euler first) with a Newton solve on a banded
-    Jacobian per step and local error control.  rho = exp(y) stays
-    positive with no density floor; a step whose Newton solve fails is
-    halved.  Here dt is the first step tried and is not bounded; n_steps
-    counts accepted steps.
+    The three Smoluchowski models step y = ln rho implicitly on the flux
+    of _LogDensityRate (exponentially fitted for T > 0, so the discrete
+    Boltzmann density is stationary): variable-step BDF2 (backward Euler
+    first), a Newton solve on a banded Jacobian per step, local error
+    control, and a halved step where Newton fails.  rho = exp(y) stays
+    positive with no density floor.  Here dt is the first step tried and
+    is not bounded; n_steps counts accepted steps.
 
-    The other models step explicitly.  dt must not exceed the stability
-    bound; each record interval takes ceil(interval / dt) equal steps
-    (numerics.equal_substeps), so the dt used and returned is at most
-    the one given and n_steps is a multiple of n_records - 1.  Overdamped
-    variants use explicit Euler; inertial variants integrate the second-
-    order-in-time form as a (rho, drho/dt) system with semi-implicit
-    damping and drho/dt(0) = 0; the quantum telegraph model recomputes
-    its floored Bohm potential every step.
+    The three telegraph models step explicitly: the second-order-in-time
+    form as a (rho, drho/dt) system with semi-implicit damping and
+    drho/dt(0) = 0, the quantum one recomputing its floored Bohm potential
+    every step.  dt must not exceed the stability bound; each record
+    interval takes ceil(interval / dt) equal steps
+    (numerics.equal_substeps), so the dt returned is at most the one given
+    and n_steps is a multiple of n_records - 1.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -611,7 +624,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     h = grid.h
     kT = p.k_B * p.temperature
     rho = rho0.rho.copy()
-    implicit = model.quantum and not model.inertial
 
     # static part of the advected potential
     if model.semiclassical:
@@ -625,7 +637,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         q = _quantum_potential_raw(r, h, p, boundary) if model.quantum else None
         return _divergence(_flux(r, dphi, kT, h, boundary, q), h, boundary)
 
-    # time step from the stability bound
+    # time step from the stability bound (the first step tried if implicit)
     if model.quantum:
         phi0 = phi_static + _quantum_potential_raw(rho, h, p, boundary)
         core = rho >= 1e-6 * float(np.max(rho))
@@ -641,14 +653,14 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         dt_bound = 0.4 * h ** 2 * p.friction / scale
     if dt is None:
         dt = min(dt_bound, t_final / 10.0)
-    elif dt > dt_bound and not implicit:
+    elif dt > dt_bound and model.inertial:
         raise ValueError(f"dt = {dt} exceeds the stability bound {dt_bound:.3e}")
 
     t_records = t_final * np.arange(n_records) / (n_records - 1)
     stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0}
-    if implicit:
-        rate_of = _LogDensityRate(dphi, p.hbar ** 2 / (4.0 * p.mass), h,
-                                  boundary, grid.n)
+    if not model.inertial:
+        c = p.hbar ** 2 / (4.0 * p.mass) if model.quantum else 0.0
+        rate_of = _LogDensityRate(dphi, kT, c, h, boundary, grid.n)
         states = _step_log_density(rho, rate_of, p.friction,
                                    t_records.tolist(), dt, stats)
     else:
@@ -658,15 +670,12 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         stats.update(dt_min=dt, dt_max=dt)
 
         def explicit_states(rho):
-            g = np.zeros_like(rho)  # drho/dt, inertial variants only
+            g = np.zeros_like(rho)  # drho/dt
             for _ in range(n_records - 1):
                 for _ in range(n_sub):
-                    if model.inertial:
-                        g = ((g + dt * rate(rho) / p.mass)
-                             / (1.0 + dt * p.friction / p.mass))
-                        rho = rho + dt * g
-                    else:
-                        rho = rho + dt * rate(rho) / p.friction
+                    g = ((g + dt * rate(rho) / p.mass)
+                         / (1.0 + dt * p.friction / p.mass))
+                    rho = rho + dt * g
                 stats["n_steps"] += n_sub
                 yield rho
 

@@ -277,17 +277,30 @@ def test_periodic_pde_scenario_conserves_mass(tmp_path):
     assert "mass_conserved [PASS]" in (out / "manifest.txt").read_text()
 
 
-def test_quantum_pde_scenario_reports_its_stepper(tmp_path):
-    code, out = _run(tmp_path,
-                     "scenario = quantum-zero-T-pde\n"
-                     "params.temperature = 0\n"
-                     "grid.n = 161\n"
-                     "pde.t_final = 1.0\n")
+@pytest.mark.parametrize("text, sigma2", [
+    ("scenario = quantum-zero-T-pde\n"
+     "params.temperature = 0\n"
+     "grid.n = 161\n"
+     "pde.t_final = 1.0\n", None),
+    # pde.dt is only the first step, about 460x the explicit bound
+    # 0.4 h^2 b / ptp(U_eff) = 2.18e-5; the run relaxes to the
+    # semiclassical sigma^2 = 1 / (2 beta (1/2 - beta^2/24)) = 12/11 at T = 1
+    ("scenario = semiclassical-pde\n"
+     "potential.variant = harmonic\n"
+     "potential.omega0 = 1\n"
+     "mu0 = 1\n"
+     "pde.dt = 0.01\n", 12.0 / 11.0),
+], ids=["quantum-zero-T-pde", "semiclassical-pde-harmonic"])
+def test_pde_scenario_reports_its_stepper(tmp_path, text, sigma2):
+    code, out = _run(tmp_path, text)
     assert code == 0
     manifest = (out / "manifest.txt").read_text()
     assert "mass_conserved [PASS]" in manifest
     for key in ("dt_min", "dt_max", "rejected_steps", "newton_iterations"):
         assert f"\n{key} = " in manifest
+    if sigma2 is not None:
+        final = (out / "trajectory.csv").read_text().splitlines()[-1]
+        assert abs(float(final.split(",")[2]) - sigma2) <= 1e-6
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
