@@ -61,6 +61,7 @@ _PARAM_KEYS = ("hbar", "k_B", "mass", "friction", "temperature",
 # a default of ... marks the key required
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _NONNEG = ("must be non-negative", lambda v: v >= 0)
+_ZERO = ("must be 0", lambda v: v == 0)
 
 _TIME_KEYS = {
     "time.start": (float, 0.0, _NONNEG),
@@ -97,6 +98,10 @@ _POTENTIAL_KEYS = {
 # physical parameters a scenario defaults and constrains beyond PhysicalParams
 _SCENARIO_PARAMS = {
     "harmonic": {"omega0": (1.0, _POSITIVE)},
+    "free-zero-T": {"temperature": (0.0, _ZERO)},
+    "quantum-zero-T-pde": {"temperature": (0.0, _ZERO)},
+    "vacuum-spreading": {"temperature": (0.0, _ZERO),
+                         "friction": (0.0, _ZERO)},
 }
 
 _MODEL_NAMES = tuple(k.value for k in ClosedForm)

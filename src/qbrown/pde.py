@@ -1,10 +1,9 @@
 """Finite-difference evolution of the position probability density.
 
 Telegraph (inertial) and Smoluchowski (overdamped) equations in one
-dimension, in classical, semiclassical and zero-temperature quantum
-variants, with conservative flux assembly, the Bohm quantum potential
-and moment extraction.  The three Smoluchowski equations are stepped
-implicitly in ln rho, the three telegraph equations explicitly.
+dimension, classical, semiclassical and zero-T quantum, with one
+exponentially fitted flux for T > 0, the Bohm potential and moments.
+Smoluchowski steps are implicit in ln rho, telegraph steps explicit.
 """
 
 from __future__ import annotations
@@ -319,27 +318,23 @@ def _ring(a, boundary):
     return a if boundary == "reflecting" else np.append(a, a[0])
 
 
-def _flux(rho, dphi, kT, h, boundary, q=None):
-    """Half-node flux rho dPhi/dx + kT drho/dx (down-gradient positive).
-
-    dphi is the static potential's gradient at the faces.  A Bohm
-    potential q adds rho dq/dx where the density carries mass; below 1e-6
-    of the peak its floored tails produce spurious spikes, so the term is
-    tapered off there and the drift upwinded (donor cell), since the
-    centered scheme would seed wiggles around the Q-floor kink.  Only the
-    explicit quantum telegraph model passes q.
+def _flux(rho, dphi, h, boundary, p):
+    """Half-node flux rho d(Phi + Q)/dx of the explicit quantum telegraph
+    model: static gradient dphi at the faces, Q the Bohm potential of
+    rho.  Below 1e-6 of the peak the floored tails of Q produce spurious
+    spikes, so its term is tapered off there and the drift upwinded (donor
+    cell), since the centered scheme would seed wiggles around the Q-floor
+    kink.
     """
     r = _ring(rho, boundary)
     r_half = 0.5 * (r[1:] + r[:-1])
-    drho = np.diff(r) / h
-    if q is None:
-        return r_half * dphi + kT * drho
     cutoff = 1e-6 * float(np.max(rho))
     taper = np.clip(r_half / (10.0 * cutoff) - 0.1, 0.0, 1.0)
     r_up = np.where(dphi < 0.0, r[:-1], r[1:])
     r_adv = taper * r_half + (1.0 - taper) * r_up
+    q = _quantum_potential_raw(rho, h, p, boundary)
     dq = np.diff(_ring(q, boundary)) / h
-    return r_adv * dphi + r_half * dq * taper + kT * drho
+    return r_adv * dphi + r_half * dq * taper
 
 
 def _bernoulli(z):
@@ -350,21 +345,21 @@ def _bernoulli(z):
 
 
 class _LogDensityRate:
-    """The Smoluchowski divergence in y = ln rho.
+    """The divergence of the face flux, in rho and in y = ln rho.
 
     The face flux is G = alpha_- rho_+ - alpha_+ rho - c (w_+ - w)/h,
     alpha_- = alpha_+ + dPhi/dx.  For kT > 0, alpha_+ = (kT/h) B(h dPhi/dx
     / kT), the exponentially fitted (Scharfetter-Gummel) flux: zero on the
-    discrete Boltzmann density and positive at every cell Peclet number.
-    At kT = 0, alpha_+ = -dPhi/dx / 2 (centred).  The zero-T quantum model
-    adds rho dQ/dx = -(hbar^2/4m) d/dx(rho d^2y/dx^2): c = hbar^2/4m, w =
-    rho * (second difference of y), mirror ghosts at reflecting walls; c =
-    0 otherwise.  rate(y) is div G / rho at the nodes: dividing row i by
-    rho_i leaves only the neighbour ratios exp(y_j - y_i), so tails where
-    rho underflows stay finite.
-    rate_and_jacobian(y) adds d rate_i / d y_(i+d) for d = -2..2; solve()
-    solves with such diagonals as one band, the ring ordered 0, n-1, 1,
-    n-2, ... so that its corners fall inside it.
+    discrete Boltzmann density, positive at every cell Peclet number and
+    centred where dPhi/dx = 0.  At kT = 0, alpha_+ = -dPhi/dx / 2.  The
+    zero-T quantum Smoluchowski model adds rho dQ/dx = -(hbar^2/4m)
+    d/dx(rho d^2y/dx^2): c = hbar^2/4m, w = rho * (second difference of
+    y), mirror ghosts at reflecting walls; c = 0 otherwise.
+    flux(rho) is G for c = 0 (the explicit telegraph step).
+    rate_and_jacobian(y) gives div G / rho, so tails where rho underflows
+    stay finite (row i keeps only exp(y_j - y_i)), and d rate_i / d y_(i+d)
+    for d = -2..2; solve() solves with such diagonals as one band, the
+    ring ordered 0, n-1, 1, n-2, ... so that its corners fall inside it.
     """
 
     def __init__(self, dphi, kT, c, h, boundary, n):
@@ -408,9 +403,9 @@ class _LogDensityRate:
              - self.c / h * (e * lap[1:] - lap[:-1]))
         return lap, e, a
 
-    def rate(self, y):
-        _, e, a = self._faces(y)
-        return _divergence(a, self.h, self.boundary, a / e)
+    def flux(self, rho):
+        r = _ring(rho, self.boundary)
+        return self._am * r[1:] - self._ap * r[:-1]
 
     def rate_and_jacobian(self, y):
         h = self.h
@@ -502,7 +497,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
 
     y = np.log(np.maximum(rho0, np.finfo(float).tiny))
     mass0 = mass_of(rho0)
-    drho0 = rho0 * rate_of.rate(y) / friction
+    drho0 = rho0 * rate_of.rate_and_jacobian(y)[0] / friction
     hist = [(0.0, y, np.exp(y))]           # the last three accepted states
     t = 0.0
     max_growth = 2.0
@@ -589,18 +584,18 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     The default dt is min(explicit stability bound, t_final / 10).
 
     The three Smoluchowski models step y = ln rho implicitly on the flux
-    of _LogDensityRate (exponentially fitted for T > 0, so the discrete
-    Boltzmann density is stationary): variable-step BDF2 (backward Euler
-    first), a Newton solve on a banded Jacobian per step, local error
-    control, and a halved step where Newton fails.  rho = exp(y) stays
-    positive with no density floor.  Here dt is the first step tried and
-    is not bounded; n_steps counts accepted steps.
+    of _LogDensityRate, exponentially fitted for T > 0 as in the linear
+    telegraph models, so the discrete Boltzmann density is stationary:
+    variable-step BDF2 (backward Euler first), a Newton solve on a banded
+    Jacobian per step, local error control, and a halved step where Newton
+    fails.  rho = exp(y) stays positive with no density floor.  Here dt is
+    the first step tried and is not bounded; n_steps counts accepted steps.
 
     The three telegraph models step explicitly: the second-order-in-time
     form as a (rho, drho/dt) system with semi-implicit damping and
-    drho/dt(0) = 0, the quantum one recomputing its floored Bohm potential
-    every step.  dt must not exceed the stability bound; each record
-    interval takes ceil(interval / dt) equal steps
+    drho/dt(0) = 0, the quantum one on the tapered _flux, recomputing its
+    floored Bohm potential every step.  dt must not exceed the stability
+    bound; each record interval takes ceil(interval / dt) equal steps
     (numerics.equal_substeps), so the dt returned is at most the one given
     and n_steps is a multiple of n_records - 1.
     """
@@ -631,11 +626,13 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     else:
         phi_static = U.energy(grid, p)
     dphi = np.diff(_ring(phi_static, boundary)) / h
+    c = p.hbar ** 2 / (4.0 * p.mass) if model.quantum else 0.0
+    rate_of = _LogDensityRate(dphi, kT, c, h, boundary, grid.n)
 
     def rate(r):
-        """div(flux)(r): the right-hand side before division by b."""
-        q = _quantum_potential_raw(r, h, p, boundary) if model.quantum else None
-        return _divergence(_flux(r, dphi, kT, h, boundary, q), h, boundary)
+        """div G(r): the telegraph right-hand side before division by m."""
+        G = _flux(r, dphi, h, boundary, p) if model.quantum else rate_of.flux(r)
+        return _divergence(G, h, boundary)
 
     # time step from the stability bound (the first step tried if implicit)
     if model.quantum:
@@ -659,8 +656,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     t_records = t_final * np.arange(n_records) / (n_records - 1)
     stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0}
     if not model.inertial:
-        c = p.hbar ** 2 / (4.0 * p.mass) if model.quantum else 0.0
-        rate_of = _LogDensityRate(dphi, kT, c, h, boundary, grid.n)
         states = _step_log_density(rho, rate_of, p.friction,
                                    t_records.tolist(), dt, stats)
     else:

@@ -387,7 +387,7 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
     assert "status = numerical failure" in manifest
-    assert "cause = density fell to -5.583e-04 at step 684 (t = 2.88)" in manifest
+    assert "cause = density fell to -5.267e-04 at step 684 (t = 2.88)" in manifest
 
 
 def test_config_error_exit_code(tmp_path):
@@ -419,6 +419,23 @@ def test_harmonic_defaults_run(tmp_path):
     code, out = _run(tmp_path, "scenario = harmonic\ntime.points = 11\n")
     assert code == 0
     assert "params.omega0 = 1.0" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("scenario, zeros", [
+    ("free-zero-T", ("temperature",)),
+    ("quantum-zero-T-pde", ("temperature",)),
+    ("vacuum-spreading", ("temperature", "friction")),
+], ids=lambda v: v if isinstance(v, str) else "zeros")
+def test_zero_T_scenario_defaults_run(tmp_path, scenario, zeros):
+    code, out = _run(tmp_path, f"scenario = {scenario}\n")
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text()
+    for name in zeros:
+        assert f"params.{name} = 0.0" in manifest
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"scenario = {scenario}\nparams.{name} = 1\n")
+        (ln, msg), = exc.value.errors
+        assert ln == 2 and f"params.{name}" in msg and "must be 0" in msg
 
 
 def test_run_scenario_direct(tmp_path):

@@ -315,13 +315,13 @@ def test_quantum_telegraph_blow_up_is_not_a_result():
                    p, 0.5, n_records=n_records)
 
 
-@pytest.mark.parametrize("model", [PdeModel.CLASSICAL_SMOLUCHOWSKI,
-                                   PdeModel.SEMICLASSICAL_SMOLUCHOWSKI],
+@pytest.mark.parametrize("model", [m for m in PdeModel if not m.quantum],
                          ids=lambda m: m.value)
 def test_detailed_balance_stationarity(model):
     # rho proportional to exp(-Phi / k_B T) at the nodes (Phi = U, or the
     # semiclassical effective potential) is a fixed point of the
-    # exponentially fitted flux: it must hold to round-off, not only in
+    # exponentially fitted flux that all four T > 0 models share, and a
+    # telegraph run starts at rest: it must hold to round-off, not only in
     # its moments
     from qbrown import semiclassical_density
     p = PhysicalParams.natural(omega0=1.0, temperature=1.0)
