@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 from .numerics import ConvergenceError, equal_substeps
 from .params import PhysicalParams
@@ -224,9 +225,15 @@ def quantum_potential(rho: DensityField, p: PhysicalParams) -> np.ndarray:
 
 
 def _quantum_potential_raw(rho_arr: np.ndarray, h: float, p: PhysicalParams,
-                           boundary: str) -> np.ndarray:
-    """quantum_potential on a bare array; a periodic ring wraps the ends."""
-    floor = _RHO_FLOOR_FACTOR * float(np.max(rho_arr))
+                           boundary: str, peak: float | None = None
+                           ) -> np.ndarray:
+    """quantum_potential on a bare array; a periodic ring wraps the ends.
+
+    peak is max(rho_arr), for a caller that has taken it already.
+    """
+    if peak is None:
+        peak = float(np.max(rho_arr))
+    floor = _RHO_FLOOR_FACTOR * peak
     a = np.sqrt(np.maximum(rho_arr, floor))
     d2 = np.empty_like(a)
     d2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h ** 2
@@ -328,11 +335,12 @@ def _flux(rho, dphi, h, boundary, p):
     """
     r = _ring(rho, boundary)
     r_half = 0.5 * (r[1:] + r[:-1])
-    cutoff = 1e-6 * float(np.max(rho))
+    peak = float(np.max(rho))
+    cutoff = 1e-6 * peak
     taper = np.clip(r_half / (10.0 * cutoff) - 0.1, 0.0, 1.0)
     r_up = np.where(dphi < 0.0, r[:-1], r[1:])
     r_adv = taper * r_half + (1.0 - taper) * r_up
-    q = _quantum_potential_raw(rho, h, p, boundary)
+    q = _quantum_potential_raw(rho, h, p, boundary, peak)
     dq = np.diff(_ring(q, boundary)) / h
     return r_adv * dphi + r_half * dq * taper
 
@@ -358,8 +366,14 @@ class _LogDensityRate:
     flux(rho) is G for c = 0 (the explicit telegraph step).
     rate_and_jacobian(y) gives div G / rho, so tails where rho underflows
     stay finite (row i keeps only exp(y_j - y_i)), and d rate_i / d y_(i+d)
-    for d = -2..2; solve() solves with such diagonals as one band, the
-    ring ordered 0, n-1, 1, n-2, ... so that its corners fall inside it.
+    for d = -2..2.  The products of s = c / h^3 with the second-difference
+    coefficients depend only on the grid and are made once, and the
+    derivatives go into two buffers that the instance owns.  solve()
+    solves with such diagonals as one band, the ring ordered 0, n-1, 1,
+    n-2, ... so that its corners fall inside it: the diagonals are
+    scattered straight into LAPACK gbsv's band storage, b rows for the LU
+    fill-in above the 2b + 1 rows of the band, which one gbsv call
+    factors and solves in place.
     """
 
     def __init__(self, dphi, kT, c, h, boundary, n):
@@ -376,7 +390,18 @@ class _LogDensityRate:
             order = np.empty(n, dtype=int)
             order[0::2] = np.arange((n + 1) // 2)
             order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
-        self._cl_faces = np.stack([_ring(a, boundary) for a in self._cl])
+        # L's coefficients at each face's left node (cm, c0, cp) and at its
+        # right node (dm, d0, dp), and their products with s = c / h^3
+        cl_faces = np.stack([_ring(a, boundary) for a in self._cl])
+        self._d = cl_faces[:, 1:]
+        self._s = c / h ** 3
+        self._sc, self._sd = self._s * cl_faces[:, :-1], self._s * self._d
+        # derivatives of a and a/e by y at offsets -2..2 from the left
+        # node; the rows that do not depend on y are filled here
+        self._da = np.zeros((5, cl_faces.shape[1] - 1))
+        self._db = np.zeros_like(self._da)
+        self._da[1] = self._sc[0]
+        self._db[3] = -self._sd[2]
         self._nb = (np.arange(-1, n - 1), np.arange(1, n + 1) % n)
         self._order = order
         self._pos = np.argsort(order)
@@ -387,8 +412,10 @@ class _LogDensityRate:
         self._keep = ((cols >= 0) & (cols < n)).ravel()
         pr = self._pos[rows.ravel()[self._keep]]
         pc = self._pos[cols.ravel()[self._keep]]
-        self.bands = int(np.max(np.abs(pr - pc)))
-        self._flat = (self.bands + pr - pc) * n + pc
+        self.bands = b = int(np.max(np.abs(pr - pc)))
+        # entry (pr, pc) sits at row 2b + pr - pc, column pc of the
+        # column-major (3b + 1, n) band storage
+        self._flat = pc * (3 * b + 1) + 2 * b + pr - pc
         self._n = n
 
     def _faces(self, y):
@@ -410,29 +437,33 @@ class _LogDensityRate:
     def rate_and_jacobian(self, y):
         h = self.h
         lap, e, a = self._faces(y)
-        s = self.c / h ** 3
-        cm, c0, cp = self._cl_faces[:, :-1]     # L of each face's left node
-        dm, d0, dp = self._cl_faces[:, 1:]      # and of its right node
+        dm, d0, dp = self._d
+        scm, sc0, scp = self._sc
+        sdm, sd0, _ = self._sd
+        se = self._s * e
         p = e * (self._am - self.c / h * lap[1:])         # da / dy_right
         q = (p - a) / e                                   # d(a/e) / dy_right
-        zero = np.zeros_like(e)
-        # derivatives of a and a/e by y at offsets -2..2 from the left
-        # node; rate row i takes face i's a and face i-1's a/e, so the
-        # offset d of a pairs with offset d + 1 of a/e
-        da = np.array([zero, s * cm, -p + s * c0 - s * e * dm,
-                       p + s * cp - s * e * d0, -s * e * dp])
-        db = np.array([s * cm / e, -q + s * c0 / e - s * dm,
-                       q + s * cp / e - s * d0, -s * dp, zero])
+        # rate row i takes face i's a and face i-1's a/e, so the offset d
+        # of a pairs with offset d + 1 of a/e
+        da, db = self._da, self._db
+        da[2] = -p + sc0 - se * dm
+        da[3] = p + scp - se * d0
+        np.multiply(-se, dp, out=da[4])
+        np.divide(scm, e, out=db[0])
+        db[1] = -q + sc0 / e - sdm
+        db[2] = q + scp / e - sd0
         return (_divergence(a, h, self.boundary, a / e),
                 _divergence(da, h, self.boundary, db))
 
     def solve(self, diagonals, rhs):
         n, b = self._n, self.bands
-        ab = np.zeros((2 * b + 1) * n)
+        ab = np.zeros((3 * b + 1) * n)
         ab[self._flat] = diagonals.ravel()[self._keep]
-        z = solve_banded((b, b), ab.reshape(2 * b + 1, n), rhs[self._order],
-                         overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        _, _, z, info = dgbsv(b, b, ab.reshape(n, 3 * b + 1).T,
+                              rhs[self._order], overwrite_ab=True,
+                              overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
         return z[self._pos]
 
 
@@ -461,7 +492,7 @@ def _newton(rate_of, y_guess, a0, history, k):
         jac[2] -= past
         try:
             dy = rate_of.solve(jac, k * r - a0 - past)
-        except (LinAlgError, ValueError):
+        except LinAlgError:
             return None, it
         if not np.all(np.isfinite(dy)):
             return None, it
@@ -481,7 +512,8 @@ def _extrapolate(points, t):
 def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
     """Variable-step BDF2 in y = ln rho (backward Euler first) with local
     error control; yields rho at each record time after the first and
-    counts into stats.
+    counts into stats: accepted steps, Newton iterations, rejected steps
+    and, of those, the steps rejected because Newton failed.
 
     The BDF formula differences rho, not y, so the trapezoid mass moves
     only by the Newton residual.  The local error is estimated from a
@@ -535,6 +567,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                 y_new, its = _newton(rate_of, guess, a0, past, dt / friction)
             stats["newton_iterations"] += its
             if y_new is None:
+                stats["newton_failures"] += 1
                 stats["rejected_steps"] += 1
                 max_growth = 1.0
                 dt *= 0.5
@@ -589,7 +622,9 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     variable-step BDF2 (backward Euler first), a Newton solve on a banded
     Jacobian per step, local error control, and a halved step where Newton
     fails.  rho = exp(y) stays positive with no density floor.  Here dt is
-    the first step tried and is not bounded; n_steps counts accepted steps.
+    the first step tried and is not bounded; n_steps counts accepted steps
+    and the diagnostics rejected_steps, of which newton_failures were
+    rejected because Newton failed.
 
     The three telegraph models step explicitly: the second-order-in-time
     form as a (rho, drho/dt) system with semi-implicit damping and
@@ -654,7 +689,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError(f"dt = {dt} exceeds the stability bound {dt_bound:.3e}")
 
     t_records = t_final * np.arange(n_records) / (n_records - 1)
-    stats = {"newton_iterations": 0, "rejected_steps": 0, "n_steps": 0}
+    stats = {"newton_iterations": 0, "rejected_steps": 0,
+             "newton_failures": 0, "n_steps": 0}
     if not model.inertial:
         states = _step_log_density(rho, rate_of, p.friction,
                                    t_records.tolist(), dt, stats)
@@ -666,10 +702,10 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
 
         def explicit_states(rho):
             g = np.zeros_like(rho)  # drho/dt
+            damping = 1.0 + dt * p.friction / p.mass
             for _ in range(n_records - 1):
                 for _ in range(n_sub):
-                    g = ((g + dt * rate(rho) / p.mass)
-                         / (1.0 + dt * p.friction / p.mass))
+                    g = (g + dt * rate(rho) / p.mass) / damping
                     rho = rho + dt * g
                 stats["n_steps"] += n_sub
                 yield rho
@@ -699,9 +735,10 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     if model.quantum and model.inertial:
         floor = _RHO_FLOOR_FACTOR * float(np.max(final.rho))
         diagnostics["floored_fraction"] = float(np.mean(final.rho < floor))
-    _log.debug("evolve %s: %d steps (dt %.3e to %.3e), %d rejected, %d "
-               "Newton iterations, min density %.3e", model.value, n_steps,
-               stats["dt_min"], stats["dt_max"], stats["rejected_steps"],
+    _log.debug("evolve %s: %d steps (dt %.3e to %.3e), %d rejected (%d "
+               "Newton failures), %d Newton iterations, min density %.3e",
+               model.value, n_steps, stats["dt_min"], stats["dt_max"],
+               stats["rejected_steps"], stats["newton_failures"],
                stats["newton_iterations"], diagnostics["min_density"])
     return EvolveResult(
         density=final, times=t_records, mu=mu, sigma2=sigma2, mass=masses,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qbrown import (ConvergenceError, DensityField, Grid1D, PdeModel,
                     PhysicalParams, PotentialSpec, derived_scales,
                     effective_potential, evolve, moments, quantum_potential)
+from qbrown.pde import _LogDensityRate
 
 NAT = PhysicalParams.natural()
 
@@ -296,6 +297,77 @@ def test_quantum_smoluchowski_takes_steps_beyond_the_explicit_bound(caplog):
                 evolve(*args, dt=0.5)
         else:
             assert evolve(*args, dt=0.5, n_records=5).dt == 0.5, model
+
+
+# ---------------------------------------------------------------------------
+# the Newton system of the implicit ln rho stepper
+
+
+def _log_density_rate(kT, c, boundary, n=32):
+    """_LogDensityRate on a tilted cosine potential, with a smooth ln rho."""
+    if boundary == "periodic":
+        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n)
+    else:
+        g = Grid1D(0.0, 2.0 * math.pi, n)
+    phi = np.cos(g.x) - 0.5 * np.sin(2.0 * g.x)
+    if boundary == "periodic":
+        phi = np.append(phi, phi[0])
+    rate_of = _LogDensityRate(np.diff(phi) / g.h, kT, c, g.h, boundary, n)
+    y = np.cos(g.x) + np.log1p(0.3 * np.sin(3.0 * g.x))
+    return rate_of, y
+
+
+def _dense(diagonals, boundary):
+    """The n x n matrix whose row i holds diagonals[d + 2, i] at column
+    i + d, d = -2..2; a ring wraps the columns, a box drops them."""
+    n = diagonals.shape[1]
+    a = np.zeros((n, n))
+    for d, row in zip(range(-2, 3), diagonals):
+        for i in range(n):
+            j = i + d
+            if boundary == "periodic":
+                a[i, j % n] = row[i]
+            elif 0 <= j < n:
+                a[i, j] = row[i]
+    return a
+
+
+# c = 0 with kT > 0 (the fitted flux) and c > 0 with kT = 0 (the Bohm term)
+_newton_cases = pytest.mark.parametrize("kT, c, boundary", [
+    (1.0, 0.0, "reflecting"), (1.0, 0.0, "periodic"),
+    (0.0, 0.25, "reflecting"), (0.0, 0.25, "periodic"),
+], ids=["kT-box", "kT-ring", "c-box", "c-ring"])
+
+
+@_newton_cases
+def test_log_density_jacobian_matches_central_differences(kT, c, boundary):
+    rate_of, y = _log_density_rate(kT, c, boundary)
+    jac = _dense(rate_of.rate_and_jacobian(y)[1], boundary)
+    eps = 1e-6
+    fd = np.empty_like(jac)
+    for j in range(y.size):
+        step = np.zeros_like(y)
+        step[j] = eps
+        fd[:, j] = (rate_of.rate_and_jacobian(y + step)[0]
+                    - rate_of.rate_and_jacobian(y - step)[0]) / (2.0 * eps)
+    np.testing.assert_allclose(jac, fd, rtol=0,
+                               atol=1e-6 * np.max(np.abs(jac)))
+
+
+@_newton_cases
+def test_log_density_solve_matches_a_dense_solve(kT, c, boundary):
+    # the Newton matrix 1 - k J of a backward Euler step; on a ring its
+    # corner entries couple the first and last nodes
+    rate_of, y = _log_density_rate(kT, c, boundary)
+    diagonals = -1e-2 * rate_of.rate_and_jacobian(y)[1]
+    diagonals[2] += 1.0
+    a = _dense(diagonals, boundary)
+    if boundary == "periodic":
+        assert a[0, -1] != 0.0 and a[-1, 0] != 0.0
+    rhs = np.sin(np.arange(y.size) + 0.5)
+    np.testing.assert_allclose(rate_of.solve(diagonals, rhs),
+                               np.linalg.solve(a, rhs), rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(rhs)))
 
 
 def test_quantum_telegraph_blow_up_is_not_a_result():
