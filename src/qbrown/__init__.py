@@ -7,8 +7,8 @@ and equilibrium densities from imaginary-time propagation.
 
 from .params import (DerivedScales, PhysicalParams, ScalesUndefinedError,
                      derived_scales, momentum_dispersion)
-from .numerics import (ConvergenceError, OdeSolverConfig, coth, fixed_point,
-                       lambert_w_minus1, solve_ode)
+from .numerics import (ConvergenceError, coth, fixed_point, lambert_w_minus1,
+                       solve_ode)
 from .dispersion import (BetaGridFunction, ClosedForm, DispersionTrajectory,
                          ModelCompatibilityError, compare_models,
                          eval_closed_form, make_beta_grid,
@@ -17,8 +17,8 @@ from .dispersion import (BetaGridFunction, ClosedForm, DispersionTrajectory,
                          stationary_harmonic_dispersion)
 from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec,
                   effective_potential, evolve, moments, quantum_potential)
-from .equilibrium import (ImaginaryTimeConfig, SpectralDecomposition,
-                          eigen_density, imaginary_time_density,
-                          quantum_entropy, semiclassical_density)
+from .equilibrium import (ImaginaryTimeConfig, eigen_density,
+                          imaginary_time_density, quantum_entropy,
+                          semiclassical_density)
 
 __version__ = "0.1.0"

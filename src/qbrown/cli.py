@@ -57,8 +57,7 @@ class ScenarioConfig:
 _PARAM_KEYS = ("hbar", "k_B", "mass", "friction", "temperature",
                "omega0", "force")
 
-# per-scenario option schema: key -> (type, default, validator or None);
-# a default of ... marks the key required
+# per-scenario option schema: key -> (type, default, validator or None)
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _NONNEG = ("must be non-negative", lambda v: v >= 0)
 _ZERO = ("must be 0", lambda v: v == 0)
@@ -95,13 +94,20 @@ _POTENTIAL_KEYS = {
     "potential.k4": (float, 0.0, _NONNEG),
 }
 
-# physical parameters a scenario defaults and constrains beyond PhysicalParams
+# physical parameters a scenario defaults and constrains beyond
+# PhysicalParams: the thermal scenarios need T > 0, the damped ones b > 0
+_WARM = {"temperature": (1.0, _POSITIVE)}
+_DAMPED = {"friction": (1.0, _POSITIVE)}
 _SCENARIO_PARAMS = {
-    "harmonic": {"omega0": (1.0, _POSITIVE)},
+    "harmonic": {"omega0": (1.0, _POSITIVE), **_WARM},
     "free-zero-T": {"temperature": (0.0, _ZERO)},
-    "quantum-zero-T-pde": {"temperature": (0.0, _ZERO)},
+    "quantum-zero-T-pde": {"temperature": (0.0, _ZERO), **_DAMPED},
     "vacuum-spreading": {"temperature": (0.0, _ZERO),
                          "friction": (0.0, _ZERO)},
+    "equilibrium": _WARM,
+    **{scen: {**_WARM, **_DAMPED}
+       for scen in ("free-high-friction", "dispersion-compare",
+                    "classical-telegraph", "semiclassical-pde")},
 }
 
 _MODEL_NAMES = tuple(k.value for k in ClosedForm)
@@ -269,7 +275,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config.
 
     Collects every error (unknown key, duplicate key, bad value, missing
-    required key, out-of-range value, inconsistent key pair) with its line
+    scenario key, out-of-range value, inconsistent key pair) with its line
     number and raises one ConfigError carrying the full list.
     """
     errors = []
@@ -331,12 +337,8 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             errors.append((ln, f"unknown key '{key}' for scenario '{scen}'"))
 
-    for key, (typ, default, _) in schema.items():
-        if key not in options:
-            if default is ...:
-                errors.append((0, f"missing required key '{key}'"))
-            else:
-                options[key] = default
+    for key, (_, default, _) in schema.items():
+        options.setdefault(key, default)
     if not errors:  # pairs are compared only once each key is valid alone
         errors.extend(_cross_key_errors(scen, options, seen))
 
@@ -518,8 +520,8 @@ def _run_vacuum_spreading(cfg, out, man):
 def _run_harmonic(cfg, out, man):
     o = cfg.options
     t = _time_grid(o)
-    traj = solve_harmonic(cfg.params, o["sigma0_sq"], o["dsigma0_sq"],
-                          o["mu0"], o["dmu0"], t)
+    _, traj = solve_harmonic(cfg.params, o["sigma0_sq"], o["dsigma0_sq"],
+                             o["mu0"], o["dmu0"], t)
     _write_trajectory(out, man, "harmonic", traj)
     return 0
 
@@ -577,8 +579,8 @@ def _run_equilibrium(cfg, out, man):
                                  n_beta_steps=o["eq.n_beta_steps"],
                                  boundary=o["eq.boundary"])
     rho_it, z_it = imaginary_time_density(U, p, it_cfg)
-    rho_e, z_e, spec = eigen_density(U, p, beta, grid,
-                                     boundary=o["eq.boundary"])
+    rho_e, z_e, energies = eigen_density(U, p, beta, grid,
+                                         boundary=o["eq.boundary"])
     rho_sc = semiclassical_density(U, p, beta, grid)
     q = quantum_potential(rho_it, p)
     headers = ["x [length]", "rho_imaginary_time [1/length]",
@@ -592,7 +594,7 @@ def _run_equilibrium(cfg, out, man):
         fields = [DensityField.uniform(grid)] + [
             eigen_density(U, p, b, grid, boundary=o["eq.boundary"])[0]
             for b in betas[1:]]
-        s_q = quantum_entropy(fields, p, beta, beta_nodes=betas)
+        s_q = quantum_entropy(fields, p, betas)
         headers.append("S_Q [entropy]")
         cols.append(s_q)
     write_csv(out / "density_equilibrium.csv", headers, cols)
@@ -603,7 +605,7 @@ def _run_equilibrium(cfg, out, man):
     man.add(f"max |rho_it - rho_eigen| = {dev:.6e}")
     man.add(f"Z_imaginary_time = {_fmt(z_it)}")
     man.add(f"Z_eigen = {_fmt(z_e)}")
-    man.add(f"n_states_retained = {spec.n_states}")
+    man.add(f"n_states_retained = {energies.size}")
     man.verdict("route_equivalence", dev <= 1e-6 and zdev <= 1e-3,
                 f"|drho| {dev:.3e}, Z rel dev {zdev:.3e}")
     return 0

@@ -51,11 +51,20 @@ _THERMAL_KINDS = {ClosedForm.EINSTEIN, ClosedForm.SUPERPOSITION,
                   ClosedForm.SEMICLASSICAL_LOG, ClosedForm.ELEMENTARY_LOG_APPROX}
 
 
+# s = sum_k a_k P^k, k = 1..9, near the branch point: Corless et al. (1996)
+# series of W_-1 at p = -P, highest order first for Horner
+_BRANCH_SERIES = (226287557 / 37623398400, 1963 / 204120, 680863 / 43545600,
+                  221 / 8505, 769 / 17280, 43 / 540, 11 / 72, 1 / 3, 1.0)
+
+
 def lambert_dispersion_scaled(c):
     """Solve s - ln(1 + s) = c for s >= 0 (dispersion in units of lambda_T^2).
 
     Uses the lower Lambert branch, s = -1 - W_-1(-exp(-1 - c)), switching
-    to Newton on the defining relation once exp(-1 - c) underflows.
+    to Newton on the defining relation once exp(-1 - c) underflows.  For
+    c < 1e-3, where -exp(-1 - c) rounds c away, s is the branch-point
+    series in P = sqrt(-2 expm1(-c)) through P^9 (relative error below
+    3e-15 down to the smallest subnormal c).
     """
     c = np.asarray(c, dtype=float)
     scalar = c.ndim == 0
@@ -64,10 +73,17 @@ def lambert_dispersion_scaled(c):
         raise ValueError("scaled time must be non-negative")
     s = np.zeros_like(c)
     pos = c > 0
-    small = pos & (c < 650.0)
+    tiny = pos & (c < 1e-3)
+    if np.any(tiny):
+        P = np.sqrt(-2.0 * np.expm1(-c[tiny]))
+        acc = np.zeros_like(P)
+        for a in _BRANCH_SERIES:
+            acc = (acc + a) * P
+        s[tiny] = acc
+    small = pos & ~tiny & (c < 650.0)
     if np.any(small):
         s[small] = -1.0 - lambert_w_minus1(-np.exp(-1.0 - c[small]))
-    big = pos & ~small
+    big = c >= 650.0
     if np.any(big):
         x = c[big] + np.log1p(c[big])
         for _ in range(60):
@@ -150,7 +166,6 @@ class DispersionTrajectory:
     times: np.ndarray
     sigma_x2: np.ndarray
     sigma_p2: np.ndarray
-    label: str
     mu: np.ndarray | None = None
 
     def __post_init__(self):
@@ -166,14 +181,13 @@ class DispersionTrajectory:
             raise ValueError("sigma_x2 must be positive for t > 0")
 
     @classmethod
-    def from_sigma(cls, times, sigma_x2, p: PhysicalParams, label: str,
-                   mu=None):
+    def from_sigma(cls, times, sigma_x2, p: PhysicalParams, mu=None):
         times = np.asarray(times, dtype=float)
         sigma_x2 = np.asarray(sigma_x2, dtype=float)
         sp2 = np.where(sigma_x2 > 0,
                        momentum_dispersion(np.maximum(sigma_x2, 1e-300), p),
                        np.inf)
-        return cls(times=times, sigma_x2=sigma_x2, sigma_p2=sp2, label=label,
+        return cls(times=times, sigma_x2=sigma_x2, sigma_p2=sp2,
                    mu=None if mu is None else np.asarray(mu, dtype=float))
 
 
@@ -208,11 +222,12 @@ class BetaGridFunction:
 
 
 def make_beta_grid(beta: float, n: int = 48, cutoff: float = 1e-3,
-                   extend_factor: float = 1.0, n_extend: int = 16) -> np.ndarray:
+                   extend_factor: float = 1.0) -> np.ndarray:
     """Log-spaced beta nodes: {0} U [cutoff*beta, beta], optionally extended.
 
-    The physical beta is always a node.  extend_factor > 1 appends colder
-    nodes up to extend_factor * beta (used to probe the T -> 0 column).
+    The physical beta is always a node.  extend_factor > 1 appends 16
+    colder nodes up to extend_factor * beta (used to probe the T -> 0
+    column).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -220,7 +235,7 @@ def make_beta_grid(beta: float, n: int = 48, cutoff: float = 1e-3,
     core[-1] = beta
     grid = np.concatenate(([0.0], core))
     if extend_factor > 1.0:
-        ext = np.geomspace(beta, extend_factor * beta, n_extend + 1)[1:]
+        ext = np.geomspace(beta, extend_factor * beta, 17)[1:]
         grid = np.concatenate((grid, ext))
     return grid
 
@@ -258,8 +273,8 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
                          dsig, h2_4m2 / sig ** 3 - b_m * dsig])
 
     y = solve_ode(rhs, [mu0, dmu0, sigma0, dsigma0], t_grid)
-    return DispersionTrajectory.from_sigma(
-        t_grid, y[:, 2] ** 2, p, "inertial-zero-T", mu=y[:, 0])
+    return DispersionTrajectory.from_sigma(t_grid, y[:, 2] ** 2, p,
+                                           mu=y[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +305,7 @@ def _interp_weights(nodes, x):
 
 
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
-                   mu0: float, dmu0: float, t_grid, beta_grid=None,
-                   full_output: bool = False):
+                   mu0: float, dmu0: float, t_grid, beta_grid=None):
     """Integrate the harmonic dispersion equation with its beta-integral.
 
     m S'' + b S' + 2 m (omega0^2 - k_B T int_0^beta hbar^2/(4 m^2 S^4...)
@@ -302,6 +316,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     is recomputed per node.  With the beta-integral frozen, each sweep is
     linear in (S, S') and runs as fixed-step RK4 of at most
     min(span / 200, 0.02 / omega0).
+    Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.omega0 <= 0:
         raise ModelCompatibilityError("harmonic solver requires omega0 > 0")
@@ -370,9 +385,9 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     values[t_grid == 0, 0] = sigma0_sq
     values[:, 1:] = fp.value
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
-    traj = DispersionTrajectory.from_sigma(
-        t_grid, grid_fn.column(beta_phys), p, "harmonic", mu=mu)
-    return (traj, grid_fn) if full_output else traj
+    traj = DispersionTrajectory.from_sigma(t_grid, grid_fn.column(beta_phys),
+                                           p, mu=mu)
+    return grid_fn, traj
 
 
 def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
@@ -443,7 +458,7 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
     else:
         sol = solve_ode(rhs, [sigma0_sq], t_grid)
         sigma[:] = sol[:, 0]
-    return DispersionTrajectory.from_sigma(t_grid, sigma, p, "overdamped-bounded")
+    return DispersionTrajectory.from_sigma(t_grid, sigma, p)
 
 
 def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
@@ -525,8 +540,7 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     if has_zero:
         values[0] = 0.0
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
-    traj = DispersionTrajectory.from_sigma(
-        t_grid, values[:, j_phys], p, "overdamped-full")
+    traj = DispersionTrajectory.from_sigma(t_grid, values[:, j_phys], p)
     return grid_fn, traj
 
 
@@ -536,12 +550,11 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
 
 @dataclass
 class ComparisonTable:
-    """Per-time dispersions for several models with deviation summaries."""
+    """Per-time dispersions for several models with ordering verdicts."""
 
     times: np.ndarray
     columns: dict = field(default_factory=dict)   # label -> sigma_x2 array
     errors: dict = field(default_factory=dict)    # label -> error message
-    max_rel_deviation: dict = field(default_factory=dict)  # (a, b) -> float
     verdicts: dict = field(default_factory=dict)  # name -> bool
 
 
@@ -564,15 +577,6 @@ def compare_models(p: PhysicalParams, t_grid, models, *,
                 table.columns[kind.value] = eval_closed_form(kind, t_grid, p, **kw)
         except (ModelCompatibilityError, ValueError) as exc:
             table.errors[kind.value] = str(exc)
-
-    labels = list(table.columns)
-    for i, a in enumerate(labels):
-        for b_ in labels[i + 1:]:
-            va, vb = table.columns[a], table.columns[b_]
-            mask = (va > 0) & (vb > 0)
-            if np.any(mask):
-                dev = np.abs(va[mask] - vb[mask]) / np.maximum(va[mask], vb[mask])
-                table.max_rel_deviation[(a, b_)] = float(np.max(dev))
 
     sup = table.columns.get(ClosedForm.SUPERPOSITION.value)
     lam = table.columns.get(ClosedForm.LAMBERT_EXACT.value)

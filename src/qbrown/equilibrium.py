@@ -51,18 +51,11 @@ class ImaginaryTimeConfig:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
-@dataclass
-class SpectralDecomposition:
-    """Eigenpairs of the discretized Hamiltonian, grid-orthonormal."""
-
-    energies: np.ndarray
-    eigenfunctions: np.ndarray  # (n_nodes, n_states), unit trapezoid norm
-    n_states: int
-
-
 def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
-    """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box; a
-    periodic ring also couples its two end nodes by off[0]."""
+    """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box.
+
+    The box stencil only: eigen_density couples a periodic ring's two end
+    nodes by off[0] itself."""
     h = grid.h
     kin = p.hbar ** 2 / (2.0 * p.mass * h ** 2)
     diag = 2.0 * kin + U.energy(grid, p)
@@ -187,21 +180,17 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
 
 
 def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
-                  grid: Grid1D, n_states: int | None = None,
-                  boundary: str = "box"):
+                  grid: Grid1D, boundary: str = "box"):
     """Equilibrium density from the spectrum of the discretized Hamiltonian.
 
     rho = sum_n exp(-beta E_n) phi_n^2 / Z with Z = sum_n exp(-beta E_n);
     states are retained until the Boltzmann tail weight falls below
-    1e-12 of the ground term (a user-supplied n_states that truncates
-    earlier triggers a warning with the tail estimate).  boundary takes
-    ImaginaryTimeConfig's values: a periodic ring adds the two corner
-    entries of the kinetic stencil and is diagonalized densely.
+    1e-12 of the ground term.  boundary takes ImaginaryTimeConfig's
+    values: a periodic ring adds the two corner entries of the kinetic
+    stencil and is diagonalized densely.
 
-    Returns (DensityField, Z, SpectralDecomposition).
+    Returns (DensityField, Z, the retained energies).
     """
-    import warnings
-
     if beta <= 0:
         raise ValueError("beta must be positive")
     if boundary not in ("box", "periodic"):
@@ -215,17 +204,7 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
         energies, vecs = eigh_tridiagonal(diag, off)
 
     rel = np.exp(-beta * (energies - energies[0]))
-    auto_keep = int(np.searchsorted(-rel, -1e-12))
-    auto_keep = max(1, min(auto_keep, energies.size))
-    if n_states is None:
-        keep = auto_keep
-    else:
-        keep = min(n_states, energies.size)
-        if keep < energies.size and rel[keep] >= 1e-12:
-            warnings.warn(
-                f"eigen-expansion truncated at n_states = {keep} with tail "
-                f"weight {float(np.sum(rel[keep:])):.3e} of the ground term",
-                stacklevel=2)
+    keep = max(1, min(int(np.searchsorted(-rel, -1e-12)), energies.size))
 
     h = grid.h
     phi = vecs[:, :keep] / math.sqrt(h)
@@ -249,10 +228,7 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     h_norm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
     if np.any(resid > 1e-6 * (np.abs(energies[:n_check]) + 1e-6 * h_norm)):
         raise ArithmeticError("eigenpair residual above tolerance")
-
-    spec = SpectralDecomposition(energies=energies[:keep],
-                                 eigenfunctions=phi, n_states=keep)
-    return rho, Z, spec
+    return rho, Z, energies[:keep]
 
 
 def semiclassical_density(U: PotentialSpec, p: PhysicalParams, beta: float,
@@ -270,16 +246,14 @@ def semiclassical_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     return DensityField(grid=grid, rho=rho)
 
 
-def quantum_entropy(rho_per_beta, p: PhysicalParams, beta: float,
-                    beta_nodes=None) -> np.ndarray:
+def quantum_entropy(rho_per_beta, p: PhysicalParams,
+                    beta_nodes) -> np.ndarray:
     """Quantum entropy field k_B (beta Q - int_0^beta Q dbeta') per node.
 
-    rho_per_beta is an ordered list of DensityField snapshots from
-    beta' = 0 (uniform) up to beta' = beta; beta_nodes defaults to a
-    uniform grid over [0, beta].  All fields must share one grid.
+    rho_per_beta is an ordered list of DensityField snapshots at
+    beta_nodes, from beta' = 0 (uniform) up to beta = beta_nodes[-1].
+    All fields must share one grid.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     fields = list(rho_per_beta)
     if len(fields) < 2:
         raise ValueError("need at least two beta nodes")
@@ -287,14 +261,12 @@ def quantum_entropy(rho_per_beta, p: PhysicalParams, beta: float,
     for f in fields[1:]:
         if f.grid != grid:
             raise GridMismatchError("all density fields must share one grid")
-    if beta_nodes is None:
-        beta_nodes = np.linspace(0.0, beta, len(fields))
     beta_nodes = np.asarray(beta_nodes, dtype=float)
     if beta_nodes.size != len(fields):
         raise ValueError("beta_nodes length must match the field list")
-    if beta_nodes[0] != 0.0 or not math.isclose(beta_nodes[-1], beta,
-                                                rel_tol=1e-9):
-        raise ValueError("beta_nodes must span [0, beta]")
+    if beta_nodes[0] != 0.0 or np.any(np.diff(beta_nodes) <= 0):
+        raise ValueError("beta_nodes must increase from 0")
+    beta = beta_nodes[-1]
 
     q = np.stack([quantum_potential(f, p) for f in fields], axis=-1)
     integral = cumulative_trapezoid(q, beta_nodes)[..., -1]

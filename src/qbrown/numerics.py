@@ -118,26 +118,10 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 # ODE integration
 
 
-@dataclass(frozen=True)
-class OdeSolverConfig:
-    """Runge-Kutta settings: fixed-step RK4 or adaptive Dormand-Prince 5(4)."""
-
-    method: str = "rk45"
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_step: float = math.inf
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-
-
-# Dormand-Prince 5(4) tableau
+# adaptive Dormand-Prince 5(4): tolerances, step budget and tableau
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_STEPS = 1_000_000
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
@@ -167,14 +151,18 @@ def equal_substeps(span, max_step):
     return np.maximum(1, np.ceil(np.asarray(span) / max_step)).astype(int)
 
 
-def solve_ode(rhs, y0, t_grid, cfg: OdeSolverConfig = OdeSolverConfig()):
+def solve_ode(rhs, y0, t_grid, fixed_step=None):
     """Integrate y' = rhs(t, y) and return the states at each grid time.
 
-    The adaptive method substeps internally and lands exactly on every
-    requested grid time (output clipping, no interpolation error).  NaN
-    in the right-hand side or step-count exhaustion raise ConvergenceError
-    with the time of failure.
+    fixed_step None is adaptive Dormand-Prince 5(4), which substeps
+    internally and lands exactly on every requested grid time (output
+    clipping, no interpolation error); a positive fixed_step is classical
+    RK4 in equal_substeps(span, fixed_step) equal steps per grid interval.
+    NaN in the right-hand side or step-count exhaustion raise
+    ConvergenceError with the time of failure.
     """
+    if fixed_step is not None and not fixed_step > 0:
+        raise ValueError("fixed_step must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
@@ -188,10 +176,10 @@ def solve_ode(rhs, y0, t_grid, cfg: OdeSolverConfig = OdeSolverConfig()):
 
     out = np.empty((t_grid.size, y.size))
     out[0] = y
-    if cfg.method == "rk4":
+    if fixed_step is not None:
         for i in range(t_grid.size - 1):
             span = t_grid[i + 1] - t_grid[i]
-            nsub = int(equal_substeps(span, cfg.max_step))
+            nsub = int(equal_substeps(span, fixed_step))
             h = span / nsub
             t = t_grid[i]
             for _ in range(nsub):
@@ -202,23 +190,23 @@ def solve_ode(rhs, y0, t_grid, cfg: OdeSolverConfig = OdeSolverConfig()):
 
     # adaptive Dormand-Prince
     t = t_grid[0]
-    h = min(cfg.max_step, (t_grid[-1] - t_grid[0]) / 100.0)
+    h = (t_grid[-1] - t_grid[0]) / 100.0
     steps = 0
     k = [None] * 7
     k[0] = call(t, y)
     for i in range(1, t_grid.size):
         t_target = t_grid[i]
         while t < t_target:
-            h = min(h, t_target - t, cfg.max_step)
+            h = min(h, t_target - t)
             for s in range(1, 7):
                 ys = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]))
                 k[s] = call(t + _DP_C[s] * h, ys)
             y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b)
             err_vec = h * sum((_DP_B5[j] - _DP_B4[j]) * k[j] for j in range(7))
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             steps += 1
-            if steps > cfg.max_steps:
+            if steps > _MAX_STEPS:
                 raise ConvergenceError(f"step budget exhausted at t = {t}")
             if err <= 1.0:
                 t += h
@@ -237,7 +225,7 @@ def solve_ode(rhs, y0, t_grid, cfg: OdeSolverConfig = OdeSolverConfig()):
 
 @dataclass(frozen=True)
 class Rk4Steps:
-    """The fixed steps ``solve_ode(method="rk4")`` takes on a time grid.
+    """The fixed steps ``solve_ode(fixed_step=max_step)`` takes on a grid.
 
     ``times`` interleaves step starts and midpoints: step n runs from
     times[2n] over times[2n + 1] to times[2n + 2] with size h[n].  Grid

@@ -337,11 +337,11 @@ def _flux(rho, dphi, h, boundary, p):
     r_half = 0.5 * (r[1:] + r[:-1])
     peak = float(np.max(rho))
     cutoff = 1e-6 * peak
-    taper = np.clip(r_half / (10.0 * cutoff) - 0.1, 0.0, 1.0)
+    taper = np.minimum(np.maximum(r_half / (10.0 * cutoff) - 0.1, 0.0), 1.0)
     r_up = np.where(dphi < 0.0, r[:-1], r[1:])
     r_adv = taper * r_half + (1.0 - taper) * r_up
-    q = _quantum_potential_raw(rho, h, p, boundary, peak)
-    dq = np.diff(_ring(q, boundary)) / h
+    q = _ring(_quantum_potential_raw(rho, h, p, boundary, peak), boundary)
+    dq = (q[1:] - q[:-1]) / h
     return r_adv * dphi + r_half * dq * taper
 
 
@@ -424,7 +424,8 @@ class _LogDensityRate:
         prev, after = self._nb
         lap = _ring((cm * y[prev] + c0 * y + cp * y[after]) / h ** 2,
                     self.boundary)
-        e = np.exp(np.diff(_ring(y, self.boundary)))    # rho_right / rho_left
+        yr = _ring(y, self.boundary)
+        e = np.exp(yr[1:] - yr[:-1])            # rho_right / rho_left
         # the face flux over the density of its left node
         a = (self._am * e - self._ap
              - self.c / h * (e * lap[1:] - lap[:-1]))

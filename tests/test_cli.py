@@ -445,6 +445,23 @@ def test_zero_T_scenario_defaults_run(tmp_path, scenario, zeros):
         assert ln == 2 and f"params.{name}" in msg and "must be 0" in msg
 
 
+@pytest.mark.parametrize("scenario, name", [
+    (scen, "temperature") for scen in (
+        "equilibrium", "free-high-friction", "dispersion-compare", "harmonic",
+        "classical-telegraph", "semiclassical-pde")] + [
+    (scen, "friction") for scen in (
+        "free-high-friction", "dispersion-compare", "classical-telegraph",
+        "semiclassical-pde", "quantum-zero-T-pde")])
+def test_scenario_needing_a_bath_exits_2_at_zero(tmp_path, capsys, scenario,
+                                                 name):
+    # without the check each fails in its solver, exit 1
+    code, _ = _run(tmp_path, f"scenario = {scenario}\nparams.{name} = 0\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: line 2:" in err
+    assert f"params.{name}" in err and "must be positive" in err
+
+
 def test_run_scenario_direct(tmp_path):
     cfg = parse_config("scenario = free-zero-T\n"
                        "params.temperature = 0\n"

@@ -1,11 +1,14 @@
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
-                    OdeSolverConfig, PhysicalParams, compare_models,
+                    PhysicalParams, compare_models,
                     derived_scales, eval_closed_form, make_beta_grid,
                     solve_harmonic, solve_inertial_zero_T,
                     solve_overdamped_bounded, solve_overdamped_full,
@@ -14,6 +17,7 @@ from qbrown.dispersion import (SemiclassicalDomainWarning,
                                lambert_dispersion_scaled)
 from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
                              solve_ode)
+from qbrown.params import momentum_dispersion
 
 NAT = PhysicalParams.natural()
 
@@ -52,6 +56,38 @@ def test_lambert_closed_form_solves_implicit_relation():
     lam2 = 0.25
     np.testing.assert_allclose(s - lam2 * np.log1p(s / lam2), 2.0 * t,
                                rtol=1e-10)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@example(c=5e-324)
+@given(c=_log_uniform(1e-300, 1e6))
+def test_lambert_scaled_matches_mpmath(c):
+    # exp(-1 - c) keeps c only with more than -log10(c) digits
+    with mpmath.workdps(int(max(0.0, -math.log10(c))) + 50):
+        want = -1 - mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(c)), -1).real
+        s = lambert_dispersion_scaled(c)
+        assert s > 0
+        assert abs(s - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hbar=_log_uniform(1e-2, 1e2), mass=_log_uniform(1e-2, 1e2),
+       friction=_log_uniform(1e-2, 1e2), temperature=_log_uniform(1e-2, 1e2),
+       t_over_tc=_log_uniform(1e-20, 1e6))
+def test_closed_forms_keep_heisenberg_bound(hbar, mass, friction, temperature,
+                                            t_over_tc):
+    p = PhysicalParams(hbar=hbar, mass=mass, friction=friction,
+                       temperature=temperature)
+    t = t_over_tc * derived_scales(p).t_c
+    for kind in (ClosedForm.PURE_QUANTUM, ClosedForm.SUPERPOSITION,
+                 ClosedForm.LAMBERT_EXACT, ClosedForm.COTH_INTERPOLATION):
+        s2 = eval_closed_form(kind, t, p)
+        assert s2 * momentum_dispersion(s2, p) >= 0.25 * hbar ** 2 * (
+            1 - 1e-12), kind
 
 
 def test_vacuum_spreading_form_and_guards():
@@ -104,7 +140,8 @@ def test_make_beta_grid():
     assert g[0] == 0.0
     assert g[-1] == 2.0
     assert np.all(np.diff(g) > 0)
-    ext = make_beta_grid(2.0, n=16, extend_factor=10.0, n_extend=8)
+    ext = make_beta_grid(2.0, n=16, extend_factor=10.0)
+    assert ext.size == 1 + 16 + 16
     assert ext[-1] == pytest.approx(20.0)
     assert 2.0 in ext
     with pytest.raises(ValueError):
@@ -115,10 +152,10 @@ def test_trajectory_validation():
     t = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         DispersionTrajectory(times=t, sigma_x2=np.array([1.0]),
-                             sigma_p2=np.array([1.0, 1.0]), label="x")
+                             sigma_p2=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         DispersionTrajectory.from_sigma(np.array([0.0, 1.0]),
-                                        np.array([1.0, -1.0]), NAT, "x")
+                                        np.array([1.0, -1.0]), NAT)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +261,6 @@ def _stepped_overdamped(p, t, beta, relaxation=0.7, tol=1e-8):
     S = (p.hbar * np.sqrt(ti / (p.mass * p.friction))[:, None]
          + 2.0 * Dj * ti[:, None])
     anchor = S[0].copy()
-    cfg = OdeSolverConfig(method="rk4", max_step=0.05)
     for _ in range(200):
         integrand = np.zeros((ti.size, beta.size))
         integrand[:, 1:] = p.hbar ** 2 / (4.0 * p.mass) / S ** 2
@@ -235,7 +271,7 @@ def _stepped_overdamped(p, t, beta, relaxation=0.7, tol=1e-8):
             I_row = np.exp(_interp_row(tau, logI, lt))
             return math.exp(lt) * 2.0 * Dj * (1.0 + y * I_row)
 
-        new = solve_ode(rhs, anchor, tau, cfg)
+        new = solve_ode(rhs, anchor, tau, fixed_step=0.05)
         res = np.max(np.abs(new - S) / new)
         S = (1.0 - relaxation) * S + relaxation * new
         if res <= tol:
@@ -281,7 +317,7 @@ def test_stationary_harmonic_logs_and_fails_by_name(caplog):
 def test_harmonic_relaxes_to_equilibrium():
     p = PhysicalParams.natural(omega0=1.0, friction=2.0)
     t = np.linspace(0.0, 30.0, 301)
-    tr = solve_harmonic(p, 1.3, 0.0, 1.0, 0.0, t)
+    _, tr = solve_harmonic(p, 1.3, 0.0, 1.0, 0.0, t)
     exact = 0.5 * coth(0.5)
     assert tr.sigma_x2[-1] == pytest.approx(exact, rel=2e-3)
     # b = 2 m omega0: the critically damped mean from mu0 = 1 at rest
@@ -294,8 +330,7 @@ def _stepped_harmonic(p, s0, ds0, t, beta, relaxation=0.7, tol=1e-8):
     kT = 1.0 / beta[1:]
     ncol = kT.size
     w0sq = p.omega0 ** 2
-    cfg = OdeSolverConfig(method="rk4",
-                          max_step=min((t[-1] - t[0]) / 200.0, 0.02 / p.omega0))
+    step = min((t[-1] - t[0]) / 200.0, 0.02 / p.omega0)
     y0 = np.concatenate((np.full(ncol, s0), np.full(ncol, ds0)))
 
     def sweep(I_table):
@@ -306,7 +341,7 @@ def _stepped_harmonic(p, s0, ds0, t, beta, relaxation=0.7, tol=1e-8):
             dV = (2.0 * kT - p.friction * V) / p.mass - 2.0 * spring * S
             return np.concatenate((V, dV))
 
-        return solve_ode(rhs, y0, t, cfg)[:, :ncol]
+        return solve_ode(rhs, y0, t, fixed_step=step)[:, :ncol]
 
     surface = sweep(np.zeros((t.size, ncol)))
     for _ in range(200):
@@ -324,8 +359,7 @@ def test_harmonic_matches_stepped_sweeps():
     p = PhysicalParams.natural(omega0=1.0, friction=2.0)
     t = np.linspace(0.0, 5.0, 26)
     beta = make_beta_grid(1.0, n=8)
-    _, surface = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta,
-                                full_output=True)
+    surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta)
     np.testing.assert_allclose(surface.values[:, 1:],
                                _stepped_harmonic(p, 1.3, 0.2, t, beta),
                                rtol=1e-10)
@@ -353,4 +387,3 @@ def test_compare_models_verdicts_and_errors():
     assert "vacuum-spreading" in table.errors
     assert table.verdicts["superposition_ge_lambert"]
     assert table.verdicts["elementary_ge_semiclassical_late"]
-    assert ("einstein", "lambert-exact") in table.max_rel_deviation

@@ -30,11 +30,11 @@ def test_harmonic_routes_agree():
     U = PotentialSpec.harmonic(1.0)
     cfg = ImaginaryTimeConfig(beta_final=2.0, grid=g, n_beta_steps=256)
     rho_it, z_it = imaginary_time_density(U, p, cfg)
-    rho_e, z_e, spec = eigen_density(U, p, 2.0, g)
+    rho_e, z_e, energies = eigen_density(U, p, 2.0, g)
     assert np.max(np.abs(rho_it.rho - rho_e.rho)) <= 1e-6
     assert abs(z_it - z_e) / z_e <= 1e-3
     # discrete spectrum approximates (n + 1/2) omega0
-    np.testing.assert_allclose(spec.energies[:4], [0.5, 1.5, 2.5, 3.5],
+    np.testing.assert_allclose(energies[:4], [0.5, 1.5, 2.5, 3.5],
                                rtol=1e-3)
     assert moments(rho_it).dispersion == pytest.approx(exact, rel=1e-3)
 
@@ -79,13 +79,14 @@ def test_high_temperature_is_boltzmann():
     assert np.max(np.abs(rho_e.rho - boltz.rho)) <= 1e-4 * np.max(boltz.rho)
 
 
-def test_eigen_density_positive_and_truncation_warning():
+def test_eigen_density_positive_and_truncated():
     p, g, _ = _harmonic_setup(1.0)
     U = PotentialSpec.harmonic(1.0)
-    rho, _, spec = eigen_density(U, p, 1.0, g)
+    rho, _, energies = eigen_density(U, p, 1.0, g)
     assert np.all(rho.rho >= 0)
-    with pytest.warns(UserWarning):
-        eigen_density(U, p, 1.0, g, n_states=2)
+    # the tail rule keeps the states down to 1e-12 of the ground term
+    assert 1 < energies.size < g.n
+    assert math.exp(-(energies[-1] - energies[0])) >= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,8 @@ def test_periodic_free_particle_is_uniform():
 def test_quantum_entropy_uniform_is_zero():
     g = Grid1D(-5.0, 5.0, 101)
     fields = [DensityField.uniform(g) for _ in range(5)]
-    s = quantum_entropy(fields, PhysicalParams.natural(), 1.0)
+    s = quantum_entropy(fields, PhysicalParams.natural(),
+                        np.linspace(0.0, 1.0, 5))
     np.testing.assert_allclose(s, 0.0, atol=1e-10)
 
 
@@ -249,7 +251,7 @@ def test_quantum_entropy_grid_mismatch():
     fields = [DensityField.uniform(Grid1D(-5.0, 5.0, 101)),
               DensityField.uniform(Grid1D(-4.0, 4.0, 101))]
     with pytest.raises(GridMismatchError):
-        quantum_entropy(fields, PhysicalParams.natural(), 1.0)
+        quantum_entropy(fields, PhysicalParams.natural(), [0.0, 1.0])
 
 
 def test_quantum_entropy_vanishes_classically():
@@ -264,7 +266,7 @@ def test_quantum_entropy_vanishes_classically():
         for b in nodes[1:]:
             s2 = 0.5 * coth(b / 2.0)
             fields.append(DensityField.gaussian(g, 0.0, s2))
-        s = quantum_entropy(fields, p, beta, beta_nodes=nodes)
+        s = quantum_entropy(fields, p, nodes)
         rho = fields[-1].rho
         trapz = getattr(np, "trapezoid", None) or np.trapz
         return abs(float(trapz(s * rho, g.x)))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qbrown.numerics import (ConvergenceError, OdeSolverConfig, Rk4Steps,
-                             coth, cumulative_trapezoid, fixed_point,
+from qbrown import numerics
+from qbrown.numerics import (ConvergenceError, Rk4Steps, coth,
+                             cumulative_trapezoid, fixed_point,
                              lambert_w_minus1, solve_linear_rk4, solve_ode)
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,10 @@ def _harmonic_rhs(t, y):
     return np.array([y[1], -y[0]])
 
 
-@pytest.mark.parametrize("cfg", [
-    OdeSolverConfig(method="rk4", max_step=1e-3),
-    OdeSolverConfig(method="rk45", rel_tol=1e-12, abs_tol=1e-13),
-])
-def test_harmonic_oscillator_period(cfg):
+@pytest.mark.parametrize("fixed_step", [1e-3, None], ids=["rk4", "rk45"])
+def test_harmonic_oscillator_period(fixed_step):
     t = np.array([0.0, 2.0 * math.pi])
-    y = solve_ode(_harmonic_rhs, [1.0, 0.0], t, cfg)
+    y = solve_ode(_harmonic_rhs, [1.0, 0.0], t, fixed_step)
     np.testing.assert_allclose(y[-1], [1.0, 0.0], atol=1e-8)
 
 
@@ -99,16 +97,16 @@ def test_rk45_lands_on_grid_times():
     np.testing.assert_allclose(y[:, 0], np.exp(-t), rtol=1e-8, atol=1e-12)
 
 
-def test_ode_failure_modes():
+def test_ode_failure_modes(monkeypatch):
     with pytest.raises(ConvergenceError):
         solve_ode(lambda t, y: np.array([math.nan]), [1.0], [0.0, 1.0])
-    with pytest.raises(ConvergenceError):
-        solve_ode(lambda t, y: -1e12 * y, [1.0], [0.0, 1.0],
-                  OdeSolverConfig(max_steps=10))
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 10)
+    with pytest.raises(ConvergenceError, match="step budget"):
+        solve_ode(lambda t, y: -1e12 * y, [1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         solve_ode(lambda t, y: y, [1.0], [1.0, 0.5])
     with pytest.raises(ValueError):
-        OdeSolverConfig(method="euler")
+        solve_ode(lambda t, y: y, [1.0], [0.0, 1.0], fixed_step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +146,7 @@ def test_linear_rk4_matches_stepped_rk4(d):
         Y = y.reshape(d, ncol)
         return (np.einsum("ijc,jc->ic", A[0, :d, :d], Y) + g[0, :d]).ravel()
 
-    want = solve_ode(rhs, y0.ravel(), t_grid,
-                     OdeSolverConfig(method="rk4", max_step=max_step))
+    want = solve_ode(rhs, y0.ravel(), t_grid, fixed_step=max_step)
     assert got.shape == (t_grid.size, d, ncol)
     np.testing.assert_allclose(got.reshape(t_grid.size, -1), want,
                                rtol=1e-12, atol=1e-14)
