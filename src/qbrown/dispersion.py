@@ -16,14 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (ConvergenceError, Rk4Steps,
-                       cumulative_trapezoid, fixed_point, lambert_w_minus1,
-                       coth, solve_linear_rk4, solve_ode)
+from .numerics import (ConvergenceError, coth, cumulative_trapezoid,
+                       equal_substeps, fixed_point, lambert_w_minus1, solve_ode)
 from .params import PhysicalParams, derived_scales, momentum_dispersion
 
 _log = logging.getLogger(__name__)
 
-# Picard relaxation of the three beta self-consistency solvers
+# Picard relaxation of the stationary harmonic profile
 _RELAXATION = 0.7
 
 
@@ -282,40 +281,33 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
 
 
 def _beta_integral(coef, S, beta_grid):
-    """int_0^beta coef / S(beta')^2 dbeta' at every node beta > 0.
-
-    S holds the columns beta > 0 along its last axis; the beta = 0
-    integrand is zero (S is infinite there).  Cumulative trapezoid on
-    beta_grid.
-    """
+    """int_0^beta coef / S(beta')^2 dbeta' at every node beta > 0 by
+    cumulative trapezoid on beta_grid; S holds the columns beta > 0 along
+    its last axis (the beta = 0 integrand is zero: S is infinite there)."""
     integrand = np.zeros(S.shape[:-1] + (beta_grid.size,))
     integrand[..., 1:] = coef / S ** 2
     return cumulative_trapezoid(integrand, beta_grid)[..., 1:]
 
 
-def _interp_weights(nodes, x):
-    """Linear interpolation in nodes at x as rows lo, lo + 1 and weights.
-
-    A table f is read at x as (1 - w) f[lo] + w f[lo + 1]; outside the
-    nodes it is held at its end rows.
-    """
-    lo = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
-    w = np.clip((x - nodes[lo]) / (nodes[lo + 1] - nodes[lo]), 0.0, 1.0)
-    return lo, w[:, None]
+def _require_positive(S, t, beta_grid):
+    """Raise ConvergenceError naming t and beta where a column S <= 0."""
+    if not np.all(S > 0):
+        j = int(np.argmin(S))  # the first NaN, if any
+        raise ConvergenceError(f"sigma_x^2 reached {S[j]:.3e} at t = {t:.6g}, "
+                               f"beta = {beta_grid[j + 1]:.6g}")
 
 
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                    mu0: float, dmu0: float, t_grid, beta_grid=None):
     """Integrate the harmonic dispersion equation with its beta-integral.
 
-    m S'' + b S' + 2 m (omega0^2 - k_B T int_0^beta hbar^2/(4 m^2 S^4...)
-    with S = sigma_x^2: the spring constant is softened by the quantum
-    term, which requires the same ODE solved at every beta node.  The
-    surface is iterated to self-consistency (Picard with relaxation);
-    the friction coefficient stays fixed across beta nodes while k_B T
-    is recomputed per node.  With the beta-integral frozen, each sweep is
-    linear in (S, S') and runs as fixed-step RK4 of at most
-    min(span / 200, 0.02 / omega0).
+    S'' = 2 k_B T / m - (b / m) S' - 2 (omega0^2 - k_B T I) S for
+    S = sigma_x^2 at every beta node (k_B T = 1 / beta, b fixed), where
+    I = int_0^beta hbar^2 / (4 m^2 S(t, beta')^2) dbeta' softens the spring
+    (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
+    so (S, S') of every column and the mean are one ODE system in t,
+    marched once by RK4 of at most min(span / 200, 0.02 / omega0).  A
+    column reaching S <= 0 raises ConvergenceError naming t and beta.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.omega0 <= 0:
@@ -331,62 +323,37 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     if beta_grid is None:
         beta_grid = make_beta_grid(beta_phys)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    max_step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
+    step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
 
-    nb = beta_grid.size
+    ncol = beta_grid.size - 1
     kT = 1.0 / beta_grid[1:]
     w0sq = p.omega0 ** 2
-    spring_floor = 1e-8 * w0sq
-    quantum_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
+    q_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
+    b_m, f_m = p.friction / p.mass, p.force / p.mass
+    drive = 2.0 * kT / p.mass
 
-    steps = Rk4Steps.on_grid(t_grid, max_step)
+    # y = (mu, mu', S, S') with one S and S' per column beta > 0
+    def rhs(t, y):
+        S, V = y[2:2 + ncol], y[2 + ncol:]
+        _require_positive(S, t, beta_grid)
+        spring = np.maximum(w0sq - kT * _beta_integral(q_coef, S, beta_grid),
+                            1e-8 * w0sq)
+        return np.concatenate(((y[1], f_m - w0sq * y[0] - b_m * y[1]), V,
+                               drive - b_m * V - 2.0 * spring * S))
 
-    # mean: damped driven oscillator, no beta dependence
-    mu_A = np.array([[0.0, 1.0], [-w0sq, -p.friction / p.mass]])[:, :, None]
-    mu_g = np.array([[0.0], [p.force / p.mass]])
-    mu = solve_linear_rk4(
-        lambda i, j: (np.broadcast_to(mu_A, (j - i, 2, 2, 1)),
-                      np.broadcast_to(mu_g, (j - i, 2, 1))),
-        [[mu0], [dmu0]], steps)[:, 0, 0]
+    y0 = np.concatenate(([mu0, dmu0], np.full(ncol, sigma0_sq),
+                         np.full(ncol, dsigma0_sq)))
+    y = solve_ode(rhs, y0, t_grid, fixed_step=step)
+    _log.debug("harmonic surface march: %d RK4 steps x %d columns",
+               equal_substeps(np.diff(t_grid), step).sum(), ncol)
 
-    ncol = nb - 1
-    y0 = np.stack((np.full(ncol, sigma0_sq), np.full(ncol, dsigma0_sq)))
-    # y = (S, S'): S'' = 2 k_B T / m - (b / m) S' - 2 spring(I) S
-    lo, w = _interp_weights(t_grid, steps.times)
-    drive = np.zeros((1, 2, ncol))
-    drive[0, 1] = 2.0 * kT / p.mass
-
-    def sweep(I_table):
-        def coef(i, j):
-            I = (1.0 - w[i:j]) * I_table[lo[i:j]] + w[i:j] * I_table[lo[i:j] + 1]
-            A = np.zeros((j - i, 2, 2, ncol))
-            A[:, 0, 1] = 1.0
-            A[:, 1, 0] = -2.0 * np.maximum(w0sq - kT * I, spring_floor)
-            A[:, 1, 1] = -p.friction / p.mass
-            return A, np.broadcast_to(drive, (j - i, 2, ncol))
-
-        return solve_linear_rk4(coef, y0, steps)[:, 0]
-
-    def picard_map(surface):
-        new = sweep(_beta_integral(quantum_coef, surface, beta_grid))
-        if np.any(new <= 0):
-            raise ConvergenceError("negative dispersion during harmonic "
-                                   "iteration; refine grids")
-        return new
-
-    # classical first pass as the start
-    fp = fixed_point(picard_map, sweep(np.zeros((t_grid.size, ncol))),
-                     _RELAXATION, 1e-8)
-    _log.debug("harmonic Picard solve: %d sweeps x %d RK4 steps, final residual "
-               "%.3e", fp.iterations + 1, steps.h.size, fp.residuals[-1])
-
-    values = np.empty((t_grid.size, nb))
+    values = np.empty((t_grid.size, ncol + 1))
     values[:, 0] = np.inf
     values[t_grid == 0, 0] = sigma0_sq
-    values[:, 1:] = fp.value
+    values[:, 1:] = y[:, 2:2 + ncol]
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
     traj = DispersionTrajectory.from_sigma(t_grid, grid_fn.column(beta_phys),
-                                           p, mu=mu)
+                                           p, mu=y[:, 0])
     return grid_fn, traj
 
 
@@ -430,7 +397,8 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
     """Integrate dS/dt = 2D (1 + lambda_T^2 / S), the bounded overdamped law.
 
     sigma0_sq = 0 is served by anchoring at the exact Lambert value at the
-    first positive grid time (the ODE itself is singular at S = 0).
+    first positive grid time (the ODE itself is singular at S = 0) and
+    integrating ln S against ln t from there.
     """
     if p.temperature <= 0 or p.friction <= 0:
         raise ModelCompatibilityError("overdamped solver requires T > 0, b > 0")
@@ -440,24 +408,22 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
     sc = derived_scales(p)
     D, lam2 = sc.D, sc.lambda_T ** 2
 
-    def rhs(t, y):
-        return np.array([2.0 * D * (1.0 + lam2 / y[0])])
+    if sigma0_sq > 0.0:
+        sigma = solve_ode(lambda t, y: np.array([2.0 * D * (1.0 + lam2 / y[0])]),
+                          [sigma0_sq], t_grid)[:, 0]
+        return DispersionTrajectory.from_sigma(t_grid, sigma, p)
 
-    sigma = np.empty(t_grid.size)
-    if sigma0_sq == 0.0:
-        if t_grid[0] == 0.0:
-            sigma[0] = 0.0
-            start = 1
-        else:
-            start = 0
-        anchor = float(eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid[start], p))
-        sigma[start] = anchor
-        if start + 1 < t_grid.size:
-            sol = solve_ode(rhs, [anchor], t_grid[start:])
-            sigma[start:] = sol[:, 0]
-    else:
-        sol = solve_ode(rhs, [sigma0_sq], t_grid)
-        sigma[:] = sol[:, 0]
+    # u = ln S against tau = ln t keeps the tolerances relative where S is
+    # tiny: du/dtau = 2 D t e^-u (1 + lambda_T^2 e^-u)
+    def log_rhs(tau, u):
+        e = math.exp(-u[0])
+        return np.array([2.0 * D * math.exp(tau) * e * (1.0 + lam2 * e)])
+
+    sigma = np.zeros(t_grid.size)
+    start = 1 if t_grid[0] == 0.0 else 0
+    anchor = float(eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid[start], p))
+    sigma[start:] = np.exp(solve_ode(log_rhs, [math.log(anchor)],
+                                     np.log(t_grid[start:]))[:, 0])
     return DispersionTrajectory.from_sigma(t_grid, sigma, p)
 
 
@@ -466,10 +432,10 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
 
     dS/dt = 2 D(beta) [1 + S int_0^beta hbar^2 / (4 m S(t, beta')^2) dbeta'],
     with D and lambda_T recomputed per beta node while b stays constant.
-    Picard iteration starts from the quantum+classical superposition at
-    every node; each sweep re-solves the outer ODE, linear in S once the
-    beta-integral is frozen, by fixed-step RK4 in log t, and is relaxed
-    until the surface stops moving.
+    The integral couples only the columns of one time, so the surface is
+    one ODE system in t, marched once by RK4 of 0.05 in ln t from the
+    quantum+classical superposition.  A column reaching S <= 0 raises
+    ConvergenceError naming t and beta.
 
     The time grid is extended internally down to 1e-8 of its first
     positive node so the small-time quantum asymptote anchors the
@@ -497,46 +463,25 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     t_anchor = tp[0] * 1e-8
     n_pre = max(2, int(math.ceil(12 * math.log10(tp[0] / t_anchor))))
     pre = np.geomspace(t_anchor, tp[0], n_pre + 1)[:-1]
-    ti = np.concatenate((pre, tp))
-    tau = np.log(ti)
+    tau = np.log(np.concatenate((pre, tp)))
 
-    nb = beta_grid.size
-    ncol = nb - 1
     Dj = 1.0 / (beta_grid[1:] * p.friction)
     q_coef = p.hbar ** 2 / (4.0 * p.mass)
-    pq = p.hbar * np.sqrt(ti / (p.mass * p.friction))
+    superposition = (p.hbar * math.sqrt(t_anchor / (p.mass * p.friction))
+                     + 2.0 * Dj * t_anchor)
 
-    S = pq[:, None] + 2.0 * Dj[None, :] * ti[:, None]  # superposition start
-    anchor_row = S[0].copy()
+    def rhs(log_t, S):
+        t = math.exp(log_t)
+        _require_positive(S, t, beta_grid)
+        return 2.0 * Dj * t * (1.0 + _beta_integral(q_coef, S, beta_grid) * S)
 
-    # dS/dtau = a + a I S with a = 2 D t, log I interpolated linearly in tau
-    steps = Rk4Steps.on_grid(tau, 0.05)
-    lo, w = _interp_weights(tau, steps.times)
-    two_t = 2.0 * np.exp(steps.times)[:, None]
+    S = solve_ode(rhs, superposition, tau, fixed_step=0.05)
+    _log.debug("overdamped surface march: %d RK4 steps x %d columns",
+               equal_substeps(np.diff(tau), 0.05).sum(), Dj.size)
 
-    def sweep(logI):
-        def coef(i, j):
-            a = two_t[i:j] * Dj
-            I = np.exp((1.0 - w[i:j]) * logI[lo[i:j]] + w[i:j] * logI[lo[i:j] + 1])
-            return (a * I)[:, None, None], a[:, None]
-
-        return solve_linear_rk4(coef, anchor_row[None], steps)[:, 0]
-
-    def picard_map(S):
-        I = _beta_integral(q_coef, S, beta_grid)
-        new = sweep(np.log(np.maximum(I, 1e-300)))
-        if np.any(new <= 0):
-            raise ConvergenceError("negative dispersion during Picard "
-                                   "iteration; refine grids")
-        return new
-
-    fp = fixed_point(picard_map, S, _RELAXATION, 1e-8)
-    _log.debug("overdamped Picard solve: %d sweeps x %d RK4 steps, final "
-               "residual %.3e", fp.iterations, steps.h.size, fp.residuals[-1])
-
-    values = np.empty((t_grid.size, nb))
+    values = np.empty((t_grid.size, beta_grid.size))
     values[:, 0] = np.inf
-    values[-tp.size:, 1:] = fp.value[-tp.size:]
+    values[-tp.size:, 1:] = S[-tp.size:]
     if has_zero:
         values[0] = 0.0
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)

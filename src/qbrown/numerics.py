@@ -2,10 +2,10 @@
 
 Lambert W on the lower branch, a stable coth, cumulative trapezoid
 quadrature over inverse temperature, explicit Runge-Kutta integration
-(fixed RK4 and adaptive Dormand-Prince 5(4)), fixed RK4 on linear
-systems as affine step maps and the damped fixed-point iterator that
-drives the beta self-consistency solvers.  Everything here is a pure
-function over immutable inputs.
+(fixed RK4, which marches the self-consistent beta-surfaces, and
+adaptive Dormand-Prince 5(4)) and the damped fixed-point iterator of
+the stationary harmonic profile.  Everything here is a pure function
+over immutable inputs.
 """
 
 from __future__ import annotations
@@ -216,115 +216,6 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
                 k[0] = call(t, y)
             h *= float(np.clip(0.9 * (max(err, 1e-16)) ** (-0.2), 0.2, 5.0))
         out[i] = y
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step RK4 on linear systems
-
-
-@dataclass(frozen=True)
-class Rk4Steps:
-    """The fixed steps ``solve_ode(fixed_step=max_step)`` takes on a grid.
-
-    ``times`` interleaves step starts and midpoints: step n runs from
-    times[2n] over times[2n + 1] to times[2n + 2] with size h[n].  Grid
-    time i is reached after out[i] steps.
-    """
-
-    times: np.ndarray
-    h: np.ndarray
-    out: np.ndarray
-
-    @classmethod
-    def on_grid(cls, t_grid, max_step: float) -> "Rk4Steps":
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
-        if max_step <= 0:
-            raise ValueError("max_step must be positive")
-        span = np.diff(t_grid)
-        nsub = equal_substeps(span, max_step)
-        out = np.concatenate(([0], np.cumsum(nsub)))
-        h = np.repeat(span / nsub, nsub)
-        k = np.arange(h.size) - np.repeat(out[:-1], nsub)
-        starts = np.repeat(t_grid[:-1], nsub) + k * h
-        times = np.empty(2 * h.size + 1)
-        times[:-1:2] = starts
-        times[1::2] = starts + h / 2
-        times[-1] = t_grid[-1]
-        return cls(times=times, h=h, out=out)
-
-
-# matrix entries per chunk of solve_linear_rk4: 32 KiB of doubles keeps its
-# transient memory well under 1 MiB
-_RK4_CHUNK_ELEMS = 1 << 12
-
-
-def _rk4_maps(A, g, h):
-    """Affine maps y -> M y + c of RK4 steps on y' = A y + g.
-
-    A (2k+1, d, d, ncol) and g (2k+1, d, ncol) hold the coefficients at
-    the stage points of k consecutive steps of sizes h.
-    """
-    hm = h[:, None, None, None]
-    hv = h[:, None, None]
-    K, kap = A[:-1:2], g[:-1:2]
-    K_sum, kap_sum = K.copy(), kap.copy()
-    for lo, frac, weight in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
-        Ai, gi = A[lo::2], g[lo::2]
-        # k_i = A_i (y + frac h k_{i-1}) + g_i, affine in y
-        K = Ai + frac * hm * np.einsum("kijc,kjlc->kilc", Ai, K)
-        kap = gi + frac * hv * np.einsum("kijc,kjc->kic", Ai, kap)
-        K_sum += weight * K
-        kap_sum += weight * kap
-    K_sum *= hm / 6
-    K_sum += np.eye(A.shape[1])[:, :, None]
-    kap_sum *= hv / 6
-    return K_sum, kap_sum
-
-
-def solve_linear_rk4(coef, y0, steps: Rk4Steps):
-    """Classical RK4 on ncol independent linear systems y' = A(t) y + g(t).
-
-    y0 has shape (d, ncol).  coef(lo, hi) returns A (k, d, d, ncol) and
-    g (k, d, ncol) at the stage times steps.times[lo:hi].  Each step is
-    the affine map y <- M y + c; the maps of a chunk of steps are built at
-    once from the coefficients at their stage points and then applied in
-    order, so the result is solve_ode's RK4 on the same steps up to
-    rounding.  A non-finite coefficient or state raises ConvergenceError
-    with its time.  Returns the states at the grid times, shape
-    (n_grid, d, ncol).
-    """
-    y = np.array(y0, dtype=float)
-    d = y.shape[0]
-    out = np.empty((steps.out.size,) + y.shape)
-    out[0] = y
-    out_at = steps.out.tolist()
-    n = steps.h.size
-    chunk = max(1, _RK4_CHUNK_ELEMS // y.size // d)
-    nxt = 1
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        A, g = coef(2 * a, 2 * b + 1)
-        if not (np.isfinite(A).all() and np.isfinite(g).all()):
-            bad = ~(np.isfinite(A).all(axis=(1, 2, 3))
-                    & np.isfinite(g).all(axis=(1, 2)))
-            t = steps.times[2 * a + int(np.argmax(bad))]
-            raise ConvergenceError(f"non-finite coefficient at t = {t}")
-        M, c = _rk4_maps(A, g, steps.h[a:b])
-        for k in range(b - a):
-            if d == 1:
-                y = M[k, 0] * y + c[k]
-            else:
-                y = np.einsum("ijc,jc->ic", M[k], y) + c[k]
-            if out_at[nxt] == a + k + 1:
-                out[nxt] = y
-                nxt += 1
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
-        t = steps.times[2 * out_at[int(np.argmin(finite))]]
-        raise ConvergenceError(f"non-finite state at t = {t}")
     return out
 
 

@@ -428,6 +428,27 @@ def test_harmonic_defaults_run(tmp_path):
     assert "params.omega0 = 1.0" in (out / "manifest.txt").read_text()
 
 
+def test_harmonic_slope_through_zero_names_t(tmp_path):
+    code, out = _run(tmp_path, "scenario = harmonic\ndsigma0_sq = -50\n"
+                               "time.stop = 5\ntime.points = 51\n")
+    assert code == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert "status = numerical failure" in manifest
+    assert "cause = sigma_x^2 reached" in manifest and "at t = 0.0" in manifest
+
+
+def test_bounded_from_zero_keeps_the_lambert_law_early(tmp_path):
+    # the first times have sigma^2 ~ 1e-9, where an absolute tolerance
+    # on S alone would be a loose relative one
+    code, out = _run(tmp_path, "scenario = free-high-friction\nfull = false\n"
+                               "time.start = 1e-17\ntime.stop = 1\n")
+    assert code == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (61, 3)
+    gap = np.max(np.abs(rows[:, 1] - rows[:, 2]) / rows[:, 2])
+    assert gap <= 1e-8
+
+
 @pytest.mark.parametrize("scenario, zeros", [
     ("free-zero-T", ("temperature",)),
     ("quantum-zero-T-pde", ("temperature",)),

@@ -241,53 +241,46 @@ def test_full_heisenberg(full_surface):
     assert np.all(traj.sigma_x2 * traj.sigma_p2 >= 0.25 * (1 - 1e-12))
 
 
-def _interp_row(nodes, rows, x):
-    i = int(np.searchsorted(nodes, x))
-    if i <= 0:
-        return rows[0]
-    if i >= nodes.size:
-        return rows[-1]
-    w = (x - nodes[i - 1]) / (nodes[i] - nodes[i - 1])
-    return (1.0 - w) * rows[i - 1] + w * rows[i]
+def _surface_errors(solver_surface, march, step):
+    """Largest relative error of the solver's surface (step) and of the
+    in-test march at step / 2 and step / 4 against the march at step / 16."""
+    ref = march(step / 16)
+    errs = [np.max(np.abs(got - ref) / ref)
+            for got in (solver_surface, march(step / 2), march(step / 4))]
+    return errs, np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 
 
-def _stepped_overdamped(p, t, beta, relaxation=0.7, tol=1e-8):
-    """Overdamped Picard loop, each sweep stepped by solve_ode's RK4 in log t."""
-    # the anchor grid solve_overdamped_full puts below t[0] (t[0] > 0)
+def _march_overdamped(p, t, beta, step):
+    """The overdamped surface ODE in ln t from the superposition at
+    1e-8 t[0], on the anchor grid solve_overdamped_full puts below t[0],
+    marched by solve_ode's RK4."""
     n_pre = max(2, int(math.ceil(12 * math.log10(t[0] / (1e-8 * t[0])))))
     ti = np.concatenate((np.geomspace(1e-8 * t[0], t[0], n_pre + 1)[:-1], t))
-    tau = np.log(ti)
     Dj = 1.0 / (beta[1:] * p.friction)
-    S = (p.hbar * np.sqrt(ti / (p.mass * p.friction))[:, None]
-         + 2.0 * Dj * ti[:, None])
-    anchor = S[0].copy()
-    for _ in range(200):
-        integrand = np.zeros((ti.size, beta.size))
-        integrand[:, 1:] = p.hbar ** 2 / (4.0 * p.mass) / S ** 2
-        logI = np.log(np.maximum(
-            cumulative_trapezoid(integrand, beta)[:, 1:], 1e-300))
+    S0 = p.hbar * math.sqrt(ti[0] / (p.mass * p.friction)) + 2.0 * Dj * ti[0]
 
-        def rhs(lt, y):
-            I_row = np.exp(_interp_row(tau, logI, lt))
-            return math.exp(lt) * 2.0 * Dj * (1.0 + y * I_row)
+    def rhs(lt, S):
+        integrand = np.concatenate(
+            ([0.0], p.hbar ** 2 / (4.0 * p.mass) / S ** 2))
+        I = cumulative_trapezoid(integrand, beta)[1:]
+        return 2.0 * Dj * math.exp(lt) * (1.0 + I * S)
 
-        new = solve_ode(rhs, anchor, tau, fixed_step=0.05)
-        res = np.max(np.abs(new - S) / new)
-        S = (1.0 - relaxation) * S + relaxation * new
-        if res <= tol:
-            return S[n_pre:]
-    raise AssertionError("reference Picard loop did not converge")
+    return solve_ode(rhs, S0, np.log(ti), fixed_step=step)[n_pre:]
 
 
 def test_full_matches_stepped_sweeps(caplog):
+    """The surface is one fourth-order RK4 march of 0.05 in ln t."""
     sc = derived_scales(NAT)
     t = np.geomspace(1e-2 * sc.t_c, 1e2 * sc.t_c, 21)
     beta = make_beta_grid(1.0, n=8)
     with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
         surface, _ = solve_overdamped_full(NAT, t, beta)
-    np.testing.assert_allclose(surface.values[:, 1:],
-                               _stepped_overdamped(NAT, t, beta), rtol=1e-10)
-    assert "sweeps x" in caplog.text and "RK4 steps" in caplog.text
+    errs, orders = _surface_errors(
+        surface.values[:, 1:],
+        lambda step: _march_overdamped(NAT, t, beta, step), 0.05)
+    assert errs[0] <= 1e-7
+    assert np.all((orders > 3.5) & (orders < 4.5)), orders
+    assert "overdamped surface march: 584 RK4 steps x 8 columns" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -325,44 +318,48 @@ def test_harmonic_relaxes_to_equilibrium():
                                atol=1e-8)
 
 
-def _stepped_harmonic(p, s0, ds0, t, beta, relaxation=0.7, tol=1e-8):
-    """Harmonic Picard loop, each sweep stepped by solve_ode's RK4."""
+def _march_harmonic(p, s0, ds0, t, beta, step):
+    """The harmonic surface ODE in (S, S') per column, marched by
+    solve_ode's RK4."""
     kT = 1.0 / beta[1:]
     ncol = kT.size
     w0sq = p.omega0 ** 2
-    step = min((t[-1] - t[0]) / 200.0, 0.02 / p.omega0)
+
+    def rhs(tt, y):
+        S, V = y[:ncol], y[ncol:]
+        integrand = np.concatenate(
+            ([0.0], p.hbar ** 2 / (4.0 * p.mass ** 2) / S ** 2))
+        I = cumulative_trapezoid(integrand, beta)[1:]
+        spring = np.maximum(w0sq - kT * I, 1e-8 * w0sq)
+        dV = (2.0 * kT - p.friction * V) / p.mass - 2.0 * spring * S
+        return np.concatenate((V, dV))
+
     y0 = np.concatenate((np.full(ncol, s0), np.full(ncol, ds0)))
-
-    def sweep(I_table):
-        def rhs(tt, y):
-            S, V = y[:ncol], y[ncol:]
-            spring = np.maximum(w0sq - kT * _interp_row(t, I_table, tt),
-                                1e-8 * w0sq)
-            dV = (2.0 * kT - p.friction * V) / p.mass - 2.0 * spring * S
-            return np.concatenate((V, dV))
-
-        return solve_ode(rhs, y0, t, fixed_step=step)[:, :ncol]
-
-    surface = sweep(np.zeros((t.size, ncol)))
-    for _ in range(200):
-        integrand = np.zeros((t.size, beta.size))
-        integrand[:, 1:] = p.hbar ** 2 / (4.0 * p.mass ** 2) / surface ** 2
-        new = sweep(cumulative_trapezoid(integrand, beta)[:, 1:])
-        res = np.max(np.abs(new - surface) / np.abs(new))
-        surface = (1.0 - relaxation) * surface + relaxation * new
-        if res <= tol:
-            return surface
-    raise AssertionError("reference Picard loop did not converge")
+    return solve_ode(rhs, y0, t, fixed_step=step)[:, :ncol]
 
 
-def test_harmonic_matches_stepped_sweeps():
+def test_harmonic_matches_stepped_sweeps(caplog):
+    """The surface is one fourth-order RK4 march of min(span / 200,
+    0.02 / omega0) in t."""
     p = PhysicalParams.natural(omega0=1.0, friction=2.0)
     t = np.linspace(0.0, 5.0, 26)
     beta = make_beta_grid(1.0, n=8)
-    surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta)
-    np.testing.assert_allclose(surface.values[:, 1:],
-                               _stepped_harmonic(p, 1.3, 0.2, t, beta),
-                               rtol=1e-10)
+    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
+        surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta)
+    errs, orders = _surface_errors(
+        surface.values[:, 1:],
+        lambda step: _march_harmonic(p, 1.3, 0.2, t, beta, step),
+        min(5.0 / 200, 0.02 / p.omega0))
+    assert errs[0] <= 1e-6
+    assert np.all((orders > 3.5) & (orders < 4.5)), orders
+    assert "harmonic surface march: 262 RK4 steps x 8 columns" in caplog.text
+
+
+def test_harmonic_names_where_a_column_fails():
+    # an initial slope that drives S through 0: no grid refinement cures it
+    p = PhysicalParams.natural(omega0=1.0, friction=2.0)
+    with pytest.raises(ConvergenceError, match=r"at t = 0\.0\d*, beta = "):
+        solve_harmonic(p, 1.0, -50.0, 0.0, 0.0, np.linspace(0, 5, 51))
 
 
 def test_harmonic_guards():
