@@ -162,7 +162,7 @@ def criterion_5(quick=False) -> CriterionResult:
     for bho in (0.1, 1.0, 2.0, 10.0):
         p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / bho)
         exact = (p.hbar / (2.0 * p.mass * p.omega0)) * coth(bho / 2.0)
-        st = stationary_harmonic_dispersion(bho, p)
+        st = stationary_harmonic_dispersion(p)
         worst_st = max(worst_st, abs(st - exact) / exact)
         half_width = max(8.0 * np.sqrt(exact), 6.0)
         g = Grid1D(-half_width, half_width, 257 if quick else 385)

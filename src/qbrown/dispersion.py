@@ -16,14 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (ConvergenceError, coth, cumulative_trapezoid,
-                       equal_substeps, fixed_point, lambert_w_minus1, solve_ode)
+from .numerics import (ConvergenceError, coth, equal_substeps,
+                       lambert_w_minus1, solve_ode)
 from .params import PhysicalParams, derived_scales, momentum_dispersion
 
 _log = logging.getLogger(__name__)
-
-# Picard relaxation of the stationary harmonic profile
-_RELAXATION = 0.7
 
 
 class ModelCompatibilityError(ValueError):
@@ -220,9 +217,9 @@ class BetaGridFunction:
         return self.values[:, j]
 
 
-def make_beta_grid(beta: float, n: int = 48, cutoff: float = 1e-3,
+def make_beta_grid(beta: float, n: int = 48,
                    extend_factor: float = 1.0) -> np.ndarray:
-    """Log-spaced beta nodes: {0} U [cutoff*beta, beta], optionally extended.
+    """Log-spaced beta nodes: {0} U [1e-3 beta, beta], optionally extended.
 
     The physical beta is always a node.  extend_factor > 1 appends 16
     colder nodes up to extend_factor * beta (used to probe the T -> 0
@@ -230,7 +227,7 @@ def make_beta_grid(beta: float, n: int = 48, cutoff: float = 1e-3,
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    core = np.geomspace(cutoff * beta, beta, n)
+    core = np.geomspace(1e-3 * beta, beta, n)
     core[-1] = beta
     grid = np.concatenate(([0.0], core))
     if extend_factor > 1.0:
@@ -280,13 +277,15 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
 # Harmonic oscillator with temperature self-consistency
 
 
-def _beta_integral(coef, S, beta_grid):
+def _beta_integral(coef, S, half_widths):
     """int_0^beta coef / S(beta')^2 dbeta' at every node beta > 0 by
-    cumulative trapezoid on beta_grid; S holds the columns beta > 0 along
-    its last axis (the beta = 0 integrand is zero: S is infinite there)."""
-    integrand = np.zeros(S.shape[:-1] + (beta_grid.size,))
-    integrand[..., 1:] = coef / S ** 2
-    return cumulative_trapezoid(integrand, beta_grid)[..., 1:]
+    cumulative trapezoid with half_widths = diff(beta_grid) / 2; S holds
+    the columns beta > 0 (the beta = 0 integrand is zero: S is infinite
+    there)."""
+    f = coef / S ** 2
+    pair = f.copy()
+    pair[1:] += f[:-1]
+    return np.cumsum(half_widths * pair)
 
 
 def _require_positive(S, t, beta_grid):
@@ -331,12 +330,13 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     q_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
     b_m, f_m = p.friction / p.mass, p.force / p.mass
     drive = 2.0 * kT / p.mass
+    half_widths = 0.5 * np.diff(beta_grid)
 
     # y = (mu, mu', S, S') with one S and S' per column beta > 0
     def rhs(t, y):
         S, V = y[2:2 + ncol], y[2 + ncol:]
         _require_positive(S, t, beta_grid)
-        spring = np.maximum(w0sq - kT * _beta_integral(q_coef, S, beta_grid),
+        spring = np.maximum(w0sq - kT * _beta_integral(q_coef, S, half_widths),
                             1e-8 * w0sq)
         return np.concatenate(((y[1], f_m - w0sq * y[0] - b_m * y[1]), V,
                                drive - b_m * V - 2.0 * spring * S))
@@ -357,35 +357,30 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     return grid_fn, traj
 
 
-def stationary_harmonic_dispersion(beta: float, p: PhysicalParams,
-                                   max_iter: int = 500) -> float:
+def stationary_harmonic_dispersion(p: PhysicalParams) -> float:
     """Equilibrium dispersion of the self-consistent harmonic equation.
 
-    Imposes the stationary condition at every beta node simultaneously
-    and iterates the whole profile from the classical equipartition
-    profile.  The effective spring constant is clamped positive while
-    iterating (the classical start overestimates the quantum softening
-    at cold nodes); the converged profile is off the clamp.
+    The stationary condition S = k_B T / m (omega0^2 - k_B T I), with
+    I = int_0^beta hbar^2 / (4 m^2 S(beta')^2) dbeta', is for
+    u = beta omega0^2 - I = 1 / (m S) the Riccati equation
+    u' = omega0^2 - (hbar u / 2)^2 with u(0) = 0, solved by the coth law
+    S = (hbar / 2 m omega0) coth(hbar omega0 beta / 2).  One adaptive
+    solve_ode march from beta = 0 to the physical beta integrates
+    y = hbar u / (2 omega0), y' = (hbar omega0 / 2)(1 - y^2): y runs from 0
+    towards 1 in any units, so the tolerances stay relative (marching I
+    instead would cancel digits in beta omega0^2 - I).  A colder march
+    stops at hbar omega0 beta / 2 = 40: y is 1 to double precision from 20
+    on, and each further unit of hbar omega0 beta costs about one step,
+    since y' is stiff near y = 1.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     if p.omega0 <= 0:
         raise ModelCompatibilityError("requires omega0 > 0")
-    nodes = make_beta_grid(beta, n=129, cutoff=1e-4)
-    kT = 1.0 / nodes[1:]
-    w0sq = p.omega0 ** 2
-    coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
-
-    def stationary_map(profile):
-        I = _beta_integral(coef, profile, nodes)
-        return kT / (p.mass * np.maximum(w0sq - kT * I, 1e-8 * w0sq))
-
-    # classical start
-    fp = fixed_point(stationary_map, kT / (p.mass * w0sq), _RELAXATION,
-                     1e-10, max_iter)
-    _log.debug("stationary harmonic Picard solve: %d iterations, final "
-               "residual %.3e", fp.iterations, fp.residuals[-1])
-    return float(fp.value[-1])
+    if p.temperature <= 0:
+        raise ModelCompatibilityError("requires T > 0")
+    rate = 0.5 * p.hbar * p.omega0
+    y = solve_ode(lambda beta, y: rate * (1.0 - y * y), [0.0],
+                  [0.0, min(p.beta, 40.0 / rate)])[-1, 0]
+    return float(p.hbar / (2.0 * p.mass * p.omega0 * y))
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +464,12 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     q_coef = p.hbar ** 2 / (4.0 * p.mass)
     superposition = (p.hbar * math.sqrt(t_anchor / (p.mass * p.friction))
                      + 2.0 * Dj * t_anchor)
+    half_widths = 0.5 * np.diff(beta_grid)
 
     def rhs(log_t, S):
         t = math.exp(log_t)
         _require_positive(S, t, beta_grid)
-        return 2.0 * Dj * t * (1.0 + _beta_integral(q_coef, S, beta_grid) * S)
+        return 2.0 * Dj * t * (1.0 + _beta_integral(q_coef, S, half_widths) * S)
 
     S = solve_ode(rhs, superposition, tau, fixed_step=0.05)
     _log.debug("overdamped surface march: %d RK4 steps x %d columns",

@@ -1,17 +1,15 @@
 """Self-contained numerical kernels.
 
 Lambert W on the lower branch, a stable coth, cumulative trapezoid
-quadrature over inverse temperature, explicit Runge-Kutta integration
-(fixed RK4, which marches the self-consistent beta-surfaces, and
-adaptive Dormand-Prince 5(4)) and the damped fixed-point iterator of
-the stationary harmonic profile.  Everything here is a pure function
-over immutable inputs.
+quadrature over inverse temperature and explicit Runge-Kutta
+integration: fixed RK4, which marches the self-consistent beta-surfaces,
+and adaptive Dormand-Prince 5(4), which marches everything else.
+Everything here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +17,8 @@ _INV_E = math.exp(-1.0)
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative method failed to reach its tolerance.
-
-    Carries the residual history in ``residuals`` when available.
-    """
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = list(residuals) if residuals is not None else []
+    """A solver failed: a non-finite value, an exhausted step budget or a
+    state that left its domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +95,8 @@ def coth(x):
 def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of sampled values along the last axis.
 
-    Works on possibly non-uniform nodes; used by the self-consistent
-    solvers so that quadrature shares the solver's beta grid exactly.
+    Works on possibly non-uniform nodes; quantum_entropy integrates over
+    its beta nodes with it.
     """
     values = np.asarray(values, dtype=float)
     d = np.diff(nodes)
@@ -118,23 +110,24 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 # ODE integration
 
 
-# adaptive Dormand-Prince 5(4): tolerances, step budget and tableau
+# adaptive Dormand-Prince 5(4): tolerances, step budget and the padded
+# Butcher matrix, whose last row is the fifth-order weights (FSAL)
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_STEPS = 1_000_000
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+# fifth- minus fourth-order weights: the local error estimate
+_DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                             -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def _rk4_step(rhs, t, y, h):
@@ -170,7 +163,7 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
 
     def call(t, yv):
         f = np.atleast_1d(np.asarray(rhs(t, yv), dtype=float))
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ConvergenceError(f"non-finite right-hand side at t = {t}")
         return f
 
@@ -192,75 +185,25 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
     t = t_grid[0]
     h = (t_grid[-1] - t_grid[0]) / 100.0
     steps = 0
-    k = [None] * 7
+    k = np.empty((7, y.size))
     k[0] = call(t, y)
     for i in range(1, t_grid.size):
         t_target = t_grid[i]
         while t < t_target:
             h = min(h, t_target - t)
             for s in range(1, 7):
-                ys = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]))
+                ys = y + h * (_DP_A[s, :s] @ k[:s])
                 k[s] = call(t + _DP_C[s] * h, ys)
-            y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b)
-            err_vec = h * sum((_DP_B5[j] - _DP_B4[j]) * k[j] for j in range(7))
-            scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # the last stage's state is the fifth-order solution
+            scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(ys))
+            err = float(np.sqrt(np.mean((h * (_DP_E @ k) / scale) ** 2)))
             steps += 1
             if steps > _MAX_STEPS:
                 raise ConvergenceError(f"step budget exhausted at t = {t}")
             if err <= 1.0:
                 t += h
-                y = y5
+                y = ys
                 k[0] = k[6]  # FSAL
-            else:
-                k[0] = call(t, y)
             h *= float(np.clip(0.9 * (max(err, 1e-16)) ** (-0.2), 0.2, 5.0))
         out[i] = y
     return out
-
-
-# ---------------------------------------------------------------------------
-# Damped fixed-point iteration
-
-
-@dataclass
-class FixedPointResult:
-    value: np.ndarray
-    iterations: int
-    residuals: list = field(default_factory=list)
-
-
-def fixed_point(map_fn, init, relaxation: float = 1.0, tol: float = 1e-10,
-                max_iter: int = 200) -> FixedPointResult:
-    """Damped iteration x <- (1 - theta) x + theta map(x).
-
-    The residual is the elementwise relative change max |map(x) - x| /
-    |map(x)|, taken before relaxation; the loop stops at the first
-    residual <= tol.  Failure to converge raises ConvergenceError with
-    the residual history, naming map_fn by its qualified name (so a
-    solver's map reads "solver.<locals>.map"); a ConvergenceError raised
-    by map_fn itself propagates with the history up to that iteration.
-    """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation must lie in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    residuals = []
-    for it in range(1, max_iter + 1):
-        try:
-            fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
-        except ConvergenceError as exc:
-            exc.residuals = list(residuals)
-            raise
-        if fx.shape != x.shape:
-            raise ValueError("map must preserve the iterate shape")
-        res = float(np.max(np.abs(fx - x) / np.maximum(np.abs(fx), 1e-300)))
-        residuals.append(res)
-        x = (1.0 - relaxation) * x + relaxation * fx
-        if res <= tol:
-            return FixedPointResult(value=x, iterations=it, residuals=residuals)
-    name = getattr(map_fn, "__qualname__", repr(map_fn))
-    raise ConvergenceError(
-        f"fixed point of {name} not converged in {max_iter} iterations "
-        f"(last residual {residuals[-1]:.3e})", residuals)

@@ -13,7 +13,7 @@ from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     solve_harmonic, solve_inertial_zero_T,
                     solve_overdamped_bounded, solve_overdamped_full,
                     stationary_harmonic_dispersion)
-from qbrown.dispersion import (SemiclassicalDomainWarning,
+from qbrown.dispersion import (SemiclassicalDomainWarning, _beta_integral,
                                lambert_dispersion_scaled)
 from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
                              solve_ode)
@@ -287,24 +287,38 @@ def test_full_matches_stepped_sweeps(caplog):
 # harmonic
 
 
+def test_beta_integral_is_the_cumulative_trapezoid():
+    beta = make_beta_grid(1.0, n=8, extend_factor=20.0)
+    S = np.linspace(2.0, 0.5, beta.size - 1)
+    want = cumulative_trapezoid(np.concatenate(([0.0], 0.25 / S ** 2)), beta)
+    got = _beta_integral(0.25, S, 0.5 * np.diff(beta))
+    np.testing.assert_array_equal(got, want[1:])
+
+
 def test_stationary_harmonic_matches_coth():
-    for bho in (0.5, 2.0):
+    for bho in (0.1, 0.5, 1.0, 2.0, 10.0, 60.0, 1000.0, 1e5, 1e300):
         p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / bho)
         exact = 0.5 * coth(bho / 2.0)
-        assert stationary_harmonic_dispersion(bho, p) == pytest.approx(
-            exact, rel=1e-3)
+        assert stationary_harmonic_dispersion(p) == pytest.approx(
+            exact, rel=1e-10)
+    with pytest.raises(ModelCompatibilityError):
+        stationary_harmonic_dispersion(NAT)
+    with pytest.raises(ModelCompatibilityError):
+        stationary_harmonic_dispersion(PhysicalParams.natural(
+            omega0=1.0, temperature=0.0))
 
 
-def test_stationary_harmonic_logs_and_fails_by_name(caplog):
-    p = PhysicalParams.natural(omega0=1.0, temperature=2.0)
-    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
-        stationary_harmonic_dispersion(0.5, p)
-    assert ("stationary harmonic Picard solve: 17 iterations, final residual"
-            in caplog.text)
-    with pytest.raises(ConvergenceError) as exc:
-        stationary_harmonic_dispersion(0.5, p, max_iter=3)
-    assert "stationary_harmonic_dispersion" in str(exc.value)
-    assert len(exc.value.residuals) == 3
+@settings(max_examples=100, deadline=None)
+@given(hbar=_log_uniform(1e-35, 1e2), mass=_log_uniform(1e-31, 1e2),
+       omega0=_log_uniform(1e-3, 1e15), x=_log_uniform(1e-6, 1e12))
+def test_stationary_harmonic_is_coth_in_any_units(hbar, mass, omega0, x):
+    # T is drawn through x = hbar omega0 beta / 2, the coth argument
+    beta = 2.0 * x / (hbar * omega0)
+    p = PhysicalParams(hbar=hbar, mass=mass, omega0=omega0,
+                       temperature=1.0 / beta)
+    exact = hbar / (2.0 * mass * omega0) * float(
+        mpmath.coth(hbar * omega0 * p.beta / 2.0))
+    assert stationary_harmonic_dispersion(p) == pytest.approx(exact, rel=1e-9)
 
 
 def test_harmonic_relaxes_to_equilibrium():

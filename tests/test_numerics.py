@@ -5,7 +5,7 @@ import pytest
 
 from qbrown import numerics
 from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
-                             fixed_point, lambert_w_minus1, solve_ode)
+                             lambert_w_minus1, solve_ode)
 
 # ---------------------------------------------------------------------------
 # Lambert W, lower branch
@@ -106,81 +106,3 @@ def test_ode_failure_modes(monkeypatch):
         solve_ode(lambda t, y: y, [1.0], [1.0, 0.5])
     with pytest.raises(ValueError):
         solve_ode(lambda t, y: y, [1.0], [0.0, 1.0], fixed_step=0.0)
-
-
-# ---------------------------------------------------------------------------
-# fixed point
-
-
-def test_babylonian_sqrt2():
-    res = fixed_point(lambda x: 0.5 * (x + 2.0 / x), 1.0, tol=1e-14)
-    assert res.value[0] == pytest.approx(math.sqrt(2.0), rel=1e-13)
-    assert res.iterations < 10
-
-
-def test_dottie_number():
-    res = fixed_point(np.cos, 1.0, relaxation=1.0, tol=1e-12, max_iter=200)
-    assert res.value[0] == pytest.approx(0.7390851332151607, rel=1e-10)
-
-
-def test_fixed_point_divergence_reports_history():
-    with pytest.raises(ConvergenceError) as exc:
-        fixed_point(lambda x: 2.0 * x + 1.0, 1.0, max_iter=20)
-    assert len(exc.value.residuals) == 20
-
-
-def test_fixed_point_validation():
-    with pytest.raises(ValueError):
-        fixed_point(lambda x: x, 1.0, relaxation=0.0)
-    with pytest.raises(ValueError):
-        fixed_point(lambda x: x, 1.0, tol=-1.0)
-    with pytest.raises(ValueError):
-        fixed_point(lambda x: np.array([1.0, 2.0]), 1.0)
-
-
-def test_fixed_point_elementwise_residual():
-    # x = 0.5 x + c with components six decades apart: the sup-norm
-    # change relative to the largest component stops after 7 iterations
-    # with the small one 0.8% short; the elementwise rule takes 27
-    c = np.array([1.0, 1e-6])
-    res = fixed_point(lambda x: 0.5 * x + c, [2.0, 0.0], tol=1e-8)
-    assert res.iterations == 27
-    assert len(res.residuals) == 27 and res.residuals[-1] <= 1e-8
-    np.testing.assert_allclose(res.value, 2.0 * c, rtol=2e-8)
-
-    x, sup_iterations = np.array([2.0, 0.0]), 0
-    while True:
-        new = 0.5 * x + c
-        sup_iterations += 1
-        done = np.max(np.abs(new - x)) / np.max(np.abs(new)) <= 1e-8
-        x = new
-        if done:
-            break
-    assert sup_iterations == 7
-    assert x[1] == pytest.approx(1.984375e-6, rel=1e-12)
-
-
-def test_fixed_point_map_failure_keeps_history():
-    calls = []
-
-    def halving(x):
-        calls.append(1)
-        if len(calls) > 4:
-            raise ConvergenceError("map failed at its fifth call")
-        return 0.5 * x
-
-    with pytest.raises(ConvergenceError, match="fifth call") as exc:
-        fixed_point(halving, 1.0, tol=1e-12)
-    assert len(exc.value.residuals) == 4
-
-
-def test_fixed_point_failure_names_its_caller():
-    def damped_solver():
-        def double(x):
-            return 2.0 * x + 1.0
-        return fixed_point(double, 1.0, max_iter=5)
-
-    with pytest.raises(ConvergenceError) as exc:
-        damped_solver()
-    assert "damped_solver.<locals>.double not converged in 5" in str(exc.value)
-    assert len(exc.value.residuals) == 5
