@@ -387,6 +387,17 @@ def write_csv(path: Path, headers, columns):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _scale_lines(p: PhysicalParams) -> list:
+    """The derived-scale lines of the manifest and the scales command."""
+    try:
+        sc = derived_scales(p)
+    except ScalesUndefinedError as exc:
+        return [f"undefined: {exc}"]
+    return ([f"{name} = {_fmt(getattr(sc, name))}"
+             for name in ("lambda_T", "D", "t_c", "tau_m")]
+            + [f"quantum_overdamped = {sc.quantum_overdamped}"])
+
+
 class Manifest:
     """Accumulates the run record; writable as manifest.txt."""
 
@@ -397,15 +408,8 @@ class Manifest:
             self.lines.append(f"params.{name} = {_fmt(getattr(p, name))}")
         for key in sorted(cfg.options):
             self.lines.append(f"{key} = {cfg.options[key]}")
-        try:
-            sc = derived_scales(p)
-            self.section("derived scales")
-            for name in ("lambda_T", "D", "t_c", "tau_m"):
-                self.add(f"{name} = {_fmt(getattr(sc, name))}")
-            self.add(f"quantum_overdamped = {sc.quantum_overdamped}")
-        except ScalesUndefinedError as exc:
-            self.section("derived scales")
-            self.add(f"undefined: {exc}")
+        self.section("derived scales")
+        self.lines += _scale_lines(p)
         self.files = []
         self.verdicts = []
 
@@ -716,15 +720,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "scales":
-        p = cfg.params
-        try:
-            sc = derived_scales(p)
-        except ScalesUndefinedError as exc:
-            print(f"undefined: {exc}")
-            return 0
-        for name in ("lambda_T", "D", "t_c", "tau_m"):
-            print(f"{name} = {_fmt(getattr(sc, name))}")
-        print(f"quantum_overdamped = {sc.quantum_overdamped}")
+        print("\n".join(_scale_lines(cfg.params)))
         return 0
 
     return run_scenario(cfg, out_dir=args.out)

@@ -8,7 +8,6 @@ sigma_x^2(t) trajectories.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,11 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (ConvergenceError, coth, equal_substeps,
-                       lambert_w_minus1, solve_ode)
+from .numerics import ConvergenceError, coth, lambert_w_minus1, solve_ode
 from .params import PhysicalParams, derived_scales, momentum_dispersion
-
-_log = logging.getLogger(__name__)
 
 
 class ModelCompatibilityError(ValueError):
@@ -210,12 +206,6 @@ class BetaGridFunction:
         if np.any(~np.isfinite(body)) or np.any(body <= 0):
             raise ValueError("surface must be finite and positive for t > 0")
 
-    def column(self, beta: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.beta_grid - beta)))
-        if not math.isclose(self.beta_grid[j], beta, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(f"beta = {beta} is not a grid node")
-        return self.values[:, j]
-
 
 def make_beta_grid(beta: float, n: int = 48,
                    extend_factor: float = 1.0) -> np.ndarray:
@@ -234,6 +224,20 @@ def make_beta_grid(beta: float, n: int = 48,
         ext = np.geomspace(beta, extend_factor * beta, 17)[1:]
         grid = np.concatenate((grid, ext))
     return grid
+
+
+def _beta_nodes(beta: float, beta_grid):
+    """The beta grid a surface solver marches, make_beta_grid(beta) when
+    None, and the index of its physical column.  Refuses a grid that does
+    not increase from 0 or lacks beta before anything is marched."""
+    beta_grid = (make_beta_grid(beta) if beta_grid is None
+                 else np.asarray(beta_grid, dtype=float))
+    if beta_grid[0] != 0.0 or np.any(np.diff(beta_grid) <= 0):
+        raise ValueError("beta_grid must increase from 0")
+    j = int(np.argmin(np.abs(beta_grid - beta)))
+    if not math.isclose(beta_grid[j], beta, rel_tol=1e-9):
+        raise ValueError(f"beta = {beta} is not a node of beta_grid")
+    return beta_grid, j
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +309,8 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     I = int_0^beta hbar^2 / (4 m^2 S(t, beta')^2) dbeta' softens the spring
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
     so (S, S') of every column and the mean are one ODE system in t,
-    marched once by RK4 of at most min(span / 200, 0.02 / omega0).  A
-    column reaching S <= 0 raises ConvergenceError naming t and beta.
+    marched once by solve_ode.  A column reaching S <= 0 raises
+    ConvergenceError naming t and beta.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.omega0 <= 0:
@@ -318,11 +322,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise ValueError("t_grid needs at least two times")
-    beta_phys = p.beta
-    if beta_grid is None:
-        beta_grid = make_beta_grid(beta_phys)
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    step = min((t_grid[-1] - t_grid[0]) / 200.0, 0.02 / p.omega0)
+    beta_grid, j_phys = _beta_nodes(p.beta, beta_grid)
 
     ncol = beta_grid.size - 1
     kT = 1.0 / beta_grid[1:]
@@ -343,17 +343,15 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
 
     y0 = np.concatenate(([mu0, dmu0], np.full(ncol, sigma0_sq),
                          np.full(ncol, dsigma0_sq)))
-    y = solve_ode(rhs, y0, t_grid, fixed_step=step)
-    _log.debug("harmonic surface march: %d RK4 steps x %d columns",
-               equal_substeps(np.diff(t_grid), step).sum(), ncol)
+    y = solve_ode(rhs, y0, t_grid)
 
     values = np.empty((t_grid.size, ncol + 1))
     values[:, 0] = np.inf
     values[t_grid == 0, 0] = sigma0_sq
     values[:, 1:] = y[:, 2:2 + ncol]
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
-    traj = DispersionTrajectory.from_sigma(t_grid, grid_fn.column(beta_phys),
-                                           p, mu=y[:, 0])
+    traj = DispersionTrajectory.from_sigma(t_grid, values[:, j_phys], p,
+                                           mu=y[:, 0])
     return grid_fn, traj
 
 
@@ -428,37 +426,24 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     dS/dt = 2 D(beta) [1 + S int_0^beta hbar^2 / (4 m S(t, beta')^2) dbeta'],
     with D and lambda_T recomputed per beta node while b stays constant.
     The integral couples only the columns of one time, so the surface is
-    one ODE system in t, marched once by RK4 of 0.05 in ln t from the
-    quantum+classical superposition.  A column reaching S <= 0 raises
+    one ODE system in ln t, marched once by solve_ode from the
+    quantum+classical superposition at 1e-8 of the first positive time,
+    where the small-time quantum asymptote holds; values are reported on
+    the caller's grid only.  A column reaching S <= 0 raises
     ConvergenceError naming t and beta.
-
-    The time grid is extended internally down to 1e-8 of its first
-    positive node so the small-time quantum asymptote anchors the
-    integration; values are reported on the caller's grid only.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.temperature <= 0 or p.friction <= 0:
         raise ModelCompatibilityError("overdamped solver requires T > 0, b > 0")
     t_grid = np.asarray(t_grid, dtype=float)
-    beta_phys = p.beta
-    if beta_grid is None:
-        beta_grid = make_beta_grid(beta_phys)
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    if beta_grid[0] != 0.0:
-        raise ValueError("beta_grid must start at 0")
-    j_phys = int(np.argmin(np.abs(beta_grid - beta_phys)))
-    if not math.isclose(beta_grid[j_phys], beta_phys, rel_tol=1e-9):
-        raise ValueError("beta_grid must contain the physical beta")
+    beta_grid, j_phys = _beta_nodes(p.beta, beta_grid)
 
     has_zero = t_grid[0] == 0.0
     tp = t_grid[1:] if has_zero else t_grid
     if tp.size == 0 or tp[0] <= 0:
         raise ValueError("t_grid needs at least one positive time")
-    # internal anchor grid below the first reported time
     t_anchor = tp[0] * 1e-8
-    n_pre = max(2, int(math.ceil(12 * math.log10(tp[0] / t_anchor))))
-    pre = np.geomspace(t_anchor, tp[0], n_pre + 1)[:-1]
-    tau = np.log(np.concatenate((pre, tp)))
+    tau = np.log(np.concatenate(([t_anchor], tp)))
 
     Dj = 1.0 / (beta_grid[1:] * p.friction)
     q_coef = p.hbar ** 2 / (4.0 * p.mass)
@@ -471,13 +456,11 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
         _require_positive(S, t, beta_grid)
         return 2.0 * Dj * t * (1.0 + _beta_integral(q_coef, S, half_widths) * S)
 
-    S = solve_ode(rhs, superposition, tau, fixed_step=0.05)
-    _log.debug("overdamped surface march: %d RK4 steps x %d columns",
-               equal_substeps(np.diff(tau), 0.05).sum(), Dj.size)
+    S = solve_ode(rhs, superposition, tau)
 
     values = np.empty((t_grid.size, beta_grid.size))
     values[:, 0] = np.inf
-    values[-tp.size:, 1:] = S[-tp.size:]
+    values[-tp.size:, 1:] = S[1:]
     if has_zero:
         values[0] = 0.0
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)

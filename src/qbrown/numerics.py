@@ -1,19 +1,20 @@
 """Self-contained numerical kernels.
 
 Lambert W on the lower branch, a stable coth, cumulative trapezoid
-quadrature over inverse temperature and explicit Runge-Kutta
-integration: fixed RK4, which marches the self-consistent beta-surfaces,
-and adaptive Dormand-Prince 5(4), which marches everything else.
-Everything here is a pure function over immutable inputs.
+quadrature over inverse temperature and adaptive Dormand-Prince 5(4)
+integration, which marches every ODE of the library.  Everything here is
+a pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 
 _INV_E = math.exp(-1.0)
+_log = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
@@ -130,32 +131,24 @@ _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + h / 2 * k1)
-    k3 = rhs(t + h / 2, y + h / 2 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _norm(v, scale):
+    """The root-mean-square of v / scale: the step control's error norm."""
+    q = v / scale
+    return math.sqrt((q * q).sum() / q.size)
 
 
-def equal_substeps(span, max_step):
-    """Equal steps per output interval, ceil(span / max_step) and at least
-    1: the time grid of the fixed RK4 and the explicit density equations."""
-    return np.maximum(1, np.ceil(np.asarray(span) / max_step)).astype(int)
-
-
-def solve_ode(rhs, y0, t_grid, fixed_step=None):
+def solve_ode(rhs, y0, t_grid):
     """Integrate y' = rhs(t, y) and return the states at each grid time.
 
-    fixed_step None is adaptive Dormand-Prince 5(4), which substeps
-    internally and lands exactly on every requested grid time (output
-    clipping, no interpolation error); a positive fixed_step is classical
-    RK4 in equal_substeps(span, fixed_step) equal steps per grid interval.
+    Adaptive Dormand-Prince 5(4), which substeps internally and lands
+    exactly on every requested grid time (output clipping, no
+    interpolation error).  The first trial step is the Hairer-Norsett-
+    Wanner estimate (Solving ODEs I, sec. II.4) from y0, rhs(t0, y0) and
+    one Euler probe, in the step control's norm and capped at the span.
     NaN in the right-hand side or step-count exhaustion raise
-    ConvergenceError with the time of failure.
+    ConvergenceError with the time of failure.  Each call logs its
+    accepted and rejected steps at DEBUG on qbrown.numerics.
     """
-    if fixed_step is not None and not fixed_step > 0:
-        raise ValueError("fixed_step must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
@@ -169,24 +162,21 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
 
     out = np.empty((t_grid.size, y.size))
     out[0] = y
-    if fixed_step is not None:
-        for i in range(t_grid.size - 1):
-            span = t_grid[i + 1] - t_grid[i]
-            nsub = int(equal_substeps(span, fixed_step))
-            h = span / nsub
-            t = t_grid[i]
-            for _ in range(nsub):
-                y = _rk4_step(call, t, y, h)
-                t += h
-            out[i + 1] = y
-        return out
-
-    # adaptive Dormand-Prince
     t = t_grid[0]
-    h = (t_grid[-1] - t_grid[0]) / 100.0
-    steps = 0
+    span = t_grid[-1] - t
     k = np.empty((7, y.size))
     k[0] = call(t, y)
+    if span > 0:
+        # where y0 or f0 vanishes the fallbacks are fractions of the span:
+        # the library runs in SI and in natural units
+        scale = _ABS_TOL + _REL_TOL * np.abs(y)
+        d0, d1 = _norm(y, scale), _norm(k[0], scale)
+        h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6 * span
+        d2 = _norm(call(t + h0, y + h0 * k[0]) - k[0], scale) / h0
+        h1 = ((0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
+              else max(1e-6 * span, 1e-3 * h0))
+        h = min(100.0 * h0, h1, span)
+    steps = rejected = 0
     for i in range(1, t_grid.size):
         t_target = t_grid[i]
         while t < t_target:
@@ -196,7 +186,7 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
                 k[s] = call(t + _DP_C[s] * h, ys)
             # the last stage's state is the fifth-order solution
             scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(ys))
-            err = float(np.sqrt(np.mean((h * (_DP_E @ k) / scale) ** 2)))
+            err = _norm(h * (_DP_E @ k), scale)
             steps += 1
             if steps > _MAX_STEPS:
                 raise ConvergenceError(f"step budget exhausted at t = {t}")
@@ -204,6 +194,10 @@ def solve_ode(rhs, y0, t_grid, fixed_step=None):
                 t += h
                 y = ys
                 k[0] = k[6]  # FSAL
-            h *= float(np.clip(0.9 * (max(err, 1e-16)) ** (-0.2), 0.2, 5.0))
+            else:
+                rejected += 1
+            h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
         out[i] = y
+    _log.debug("solve_ode: %d accepted and %d rejected steps, %d components",
+               steps - rejected, rejected, y.size)
     return out

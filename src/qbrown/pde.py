@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 
-from .numerics import ConvergenceError, equal_substeps
+from .numerics import ConvergenceError
 from .params import PhysicalParams
 
 _log = logging.getLogger(__name__)
@@ -631,9 +631,9 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     form as a (rho, drho/dt) system with semi-implicit damping and
     drho/dt(0) = 0, the quantum one on the tapered _flux, recomputing its
     floored Bohm potential every step.  dt must not exceed the stability
-    bound; each record interval takes ceil(interval / dt) equal steps
-    (numerics.equal_substeps), so the dt returned is at most the one given
-    and n_steps is a multiple of n_records - 1.
+    bound; each record interval takes ceil(interval / dt) equal steps, so
+    the dt returned is at most the one given and n_steps is a multiple of
+    n_records - 1.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -697,7 +697,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                                    t_records.tolist(), dt, stats)
     else:
         interval = t_final / (n_records - 1)
-        n_sub = int(equal_substeps(interval, dt))
+        n_sub = max(1, math.ceil(interval / dt))
         dt = interval / n_sub
         stats.update(dt_min=dt, dt_max=dt)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -422,10 +423,44 @@ def test_scales_undefined(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("undefined: ")
 
 
-def test_harmonic_defaults_run(tmp_path):
-    code, out = _run(tmp_path, "scenario = harmonic\ntime.points = 11\n")
+@pytest.mark.parametrize("scenario",
+                         [s for s in SCENARIOS if s != "acceptance"])
+def test_scenario_defaults_run(tmp_path, scenario):
+    code, out = _run(tmp_path, f"scenario = {scenario}\n")
     assert code == 0
-    assert "params.omega0 = 1.0" in (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text()
+    assert "status = ok" in manifest
+    if scenario == "harmonic":
+        assert "params.omega0 = 1.0" in manifest
+    if scenario == "free-high-friction":
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header.endswith(",sigma_x2_full [length^2]")
+        assert "full_below_bounded [PASS]" in manifest
+
+
+def _failing_criteria(verdict_lines):
+    return [int(re.match(r"criterion[ _]+(\d+)", line)[1])
+            for line in verdict_lines if "[FAIL]" in line]
+
+
+def test_accept_command_fails_on_the_strict_xfails(capsys):
+    # criteria 1, 7 and 9 are the physics findings that fail by design
+    assert main(["accept", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith("criterion ") for line in lines)
+    assert _failing_criteria(lines) == [1, 7, 9]
+
+
+def test_acceptance_scenario_records_every_criterion(tmp_path, capsys):
+    cfg = parse_config("scenario = acceptance\nquick = true\n")
+    assert run_scenario(cfg, out_dir=str(tmp_path / "acc")) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 13
+    manifest = (tmp_path / "acc" / "manifest.txt").read_text().splitlines()
+    verdicts = [line for line in manifest if line.startswith("criterion_")]
+    assert len(verdicts) == 13
+    assert _failing_criteria(verdicts) == [1, 7, 9]
+    assert "status = ok" in manifest
 
 
 def test_harmonic_slope_through_zero_names_t(tmp_path):

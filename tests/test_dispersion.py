@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
-                    PhysicalParams, compare_models,
-                    derived_scales, eval_closed_form, make_beta_grid,
+                    PhysicalParams, compare_models, derived_scales,
+                    dispersion, eval_closed_form, make_beta_grid,
                     solve_harmonic, solve_inertial_zero_T,
                     solve_overdamped_bounded, solve_overdamped_full,
                     stationary_harmonic_dispersion)
 from qbrown.dispersion import (SemiclassicalDomainWarning, _beta_integral,
                                lambert_dispersion_scaled)
-from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
-                             solve_ode)
+from qbrown.numerics import ConvergenceError, coth, cumulative_trapezoid
 from qbrown.params import momentum_dispersion
 
 NAT = PhysicalParams.natural()
@@ -241,23 +241,20 @@ def test_full_heisenberg(full_surface):
     assert np.all(traj.sigma_x2 * traj.sigma_p2 >= 0.25 * (1 - 1e-12))
 
 
-def _surface_errors(solver_surface, march, step):
-    """Largest relative error of the solver's surface (step) and of the
-    in-test march at step / 2 and step / 4 against the march at step / 16."""
-    ref = march(step / 16)
-    errs = [np.max(np.abs(got - ref) / ref)
-            for got in (solver_surface, march(step / 2), march(step / 4))]
-    return errs, np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+def _reference_march(rhs, y0, x):
+    """rhs marched through the nodes x by scipy's DOP853 at rtol 1e-13."""
+    sol = solve_ivp(rhs, (x[0], x[-1]), y0, method="DOP853", t_eval=x,
+                    rtol=1e-13, atol=1e-16)
+    assert sol.success, sol.message
+    return sol.y.T
 
 
-def _march_overdamped(p, t, beta, step):
+def _march_overdamped(p, t, beta):
     """The overdamped surface ODE in ln t from the superposition at
-    1e-8 t[0], on the anchor grid solve_overdamped_full puts below t[0],
-    marched by solve_ode's RK4."""
-    n_pre = max(2, int(math.ceil(12 * math.log10(t[0] / (1e-8 * t[0])))))
-    ti = np.concatenate((np.geomspace(1e-8 * t[0], t[0], n_pre + 1)[:-1], t))
+    1e-8 t[0]."""
+    t0 = 1e-8 * t[0]
     Dj = 1.0 / (beta[1:] * p.friction)
-    S0 = p.hbar * math.sqrt(ti[0] / (p.mass * p.friction)) + 2.0 * Dj * ti[0]
+    S0 = p.hbar * math.sqrt(t0 / (p.mass * p.friction)) + 2.0 * Dj * t0
 
     def rhs(lt, S):
         integrand = np.concatenate(
@@ -265,22 +262,22 @@ def _march_overdamped(p, t, beta, step):
         I = cumulative_trapezoid(integrand, beta)[1:]
         return 2.0 * Dj * math.exp(lt) * (1.0 + I * S)
 
-    return solve_ode(rhs, S0, np.log(ti), fixed_step=step)[n_pre:]
+    return _reference_march(rhs, S0, np.log(np.concatenate(([t0], t))))[1:]
 
 
 def test_full_matches_stepped_sweeps(caplog):
-    """The surface is one fourth-order RK4 march of 0.05 in ln t."""
+    """The surface is the overdamped ODE marched to solve_ode's tolerance:
+    the reference is DOP853 at rtol 1e-13."""
     sc = derived_scales(NAT)
     t = np.geomspace(1e-2 * sc.t_c, 1e2 * sc.t_c, 21)
     beta = make_beta_grid(1.0, n=8)
-    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
+    with caplog.at_level(logging.DEBUG, logger="qbrown.numerics"):
         surface, _ = solve_overdamped_full(NAT, t, beta)
-    errs, orders = _surface_errors(
-        surface.values[:, 1:],
-        lambda step: _march_overdamped(NAT, t, beta, step), 0.05)
-    assert errs[0] <= 1e-7
-    assert np.all((orders > 3.5) & (orders < 4.5)), orders
-    assert "overdamped surface march: 584 RK4 steps x 8 columns" in caplog.text
+    ref = _march_overdamped(NAT, t, beta)
+    err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
+    assert err <= 1e-7
+    assert ("solve_ode: 251 accepted and 0 rejected steps, 8 components"
+            in caplog.text)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +329,8 @@ def test_harmonic_relaxes_to_equilibrium():
                                atol=1e-8)
 
 
-def _march_harmonic(p, s0, ds0, t, beta, step):
-    """The harmonic surface ODE in (S, S') per column, marched by
-    solve_ode's RK4."""
+def _march_harmonic(p, s0, ds0, t, beta):
+    """The harmonic surface ODE in (S, S') per column."""
     kT = 1.0 / beta[1:]
     ncol = kT.size
     w0sq = p.omega0 ** 2
@@ -349,24 +345,22 @@ def _march_harmonic(p, s0, ds0, t, beta, step):
         return np.concatenate((V, dV))
 
     y0 = np.concatenate((np.full(ncol, s0), np.full(ncol, ds0)))
-    return solve_ode(rhs, y0, t, fixed_step=step)[:, :ncol]
+    return _reference_march(rhs, y0, t)[:, :ncol]
 
 
 def test_harmonic_matches_stepped_sweeps(caplog):
-    """The surface is one fourth-order RK4 march of min(span / 200,
-    0.02 / omega0) in t."""
+    """The surface is the harmonic ODE marched to solve_ode's tolerance:
+    the reference is DOP853 at rtol 1e-13."""
     p = PhysicalParams.natural(omega0=1.0, friction=2.0)
     t = np.linspace(0.0, 5.0, 26)
     beta = make_beta_grid(1.0, n=8)
-    with caplog.at_level(logging.DEBUG, logger="qbrown.dispersion"):
+    with caplog.at_level(logging.DEBUG, logger="qbrown.numerics"):
         surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta)
-    errs, orders = _surface_errors(
-        surface.values[:, 1:],
-        lambda step: _march_harmonic(p, 1.3, 0.2, t, beta, step),
-        min(5.0 / 200, 0.02 / p.omega0))
-    assert errs[0] <= 1e-6
-    assert np.all((orders > 3.5) & (orders < 4.5)), orders
-    assert "harmonic surface march: 262 RK4 steps x 8 columns" in caplog.text
+    ref = _march_harmonic(p, 1.3, 0.2, t, beta)
+    err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
+    assert err <= 1e-9
+    assert ("solve_ode: 207 accepted and 1 rejected steps, 18 components"
+            in caplog.text)
 
 
 def test_harmonic_names_where_a_column_fails():
@@ -384,6 +378,25 @@ def test_harmonic_guards():
         solve_harmonic(p, -1.0, 0.0, 0.0, 0.0, np.linspace(0, 1, 11))
     with pytest.raises(ValueError):
         solve_harmonic(p, 1.0, 0.0, 0.0, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("beta_grid, match", [
+    (make_beta_grid(2.0, n=8), r"beta = 1\.0 is not a node"),
+    (np.geomspace(1e-3, 1.0, 8), "must increase from 0"),
+    (np.array([0.0, 1.0, 0.5]), "must increase from 0"),
+], ids=["no-physical-beta", "no-zero", "not-increasing"])
+def test_surface_solvers_check_the_beta_grid_first(monkeypatch, beta_grid,
+                                                   match):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before the beta grid was checked")
+
+    monkeypatch.setattr(dispersion, "solve_ode", no_march)
+    p = PhysicalParams.natural(omega0=1.0)
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match=match):
+        solve_harmonic(p, 1.0, 0.0, 0.0, 0.0, t, beta_grid)
+    with pytest.raises(ValueError, match=match):
+        solve_overdamped_full(p, t, beta_grid)
 
 
 # ---------------------------------------------------------------------------
