@@ -292,14 +292,6 @@ def _beta_integral(coef, S, half_widths):
     return np.cumsum(half_widths * pair)
 
 
-def _require_positive(S, t, beta_grid):
-    """Raise ConvergenceError naming t and beta where a column S <= 0."""
-    if not np.all(S > 0):
-        j = int(np.argmin(S))  # the first NaN, if any
-        raise ConvergenceError(f"sigma_x^2 reached {S[j]:.3e} at t = {t:.6g}, "
-                               f"beta = {beta_grid[j + 1]:.6g}")
-
-
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                    mu0: float, dmu0: float, t_grid, beta_grid=None):
     """Integrate the harmonic dispersion equation with its beta-integral.
@@ -308,9 +300,9 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     S = sigma_x^2 at every beta node (k_B T = 1 / beta, b fixed), where
     I = int_0^beta hbar^2 / (4 m^2 S(t, beta')^2) dbeta' softens the spring
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
-    so (S, S') of every column and the mean are one ODE system in t,
-    marched once by solve_ode.  A column reaching S <= 0 raises
-    ConvergenceError naming t and beta.
+    so (S, S') of every column and the mean are one ODE system, marched
+    once by solve_ode in omega0 t with S in units of sigma0_sq.  A column
+    reaching S <= 0 raises ConvergenceError naming t and beta.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.omega0 <= 0:
@@ -324,34 +316,42 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
         raise ValueError("t_grid needs at least two times")
     beta_grid, j_phys = _beta_nodes(p.beta, beta_grid)
 
+    # unit-free variables keep the tolerances relative in any units: the
+    # phase x = omega0 t, s = S / sigma0^2 and the mean in units of sigma0
     ncol = beta_grid.size - 1
-    kT = 1.0 / beta_grid[1:]
-    w0sq = p.omega0 ** 2
-    q_coef = p.hbar ** 2 / (4.0 * p.mass ** 2)
-    b_m, f_m = p.friction / p.mass, p.force / p.mass
-    drive = 2.0 * kT / p.mass
+    w0 = p.omega0
+    sig0 = math.sqrt(sigma0_sq)
+    kT_w = 1.0 / (beta_grid[1:] * w0 ** 2)
+    q_coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * sigma0_sq ** 2)
+    damp = p.friction / (p.mass * w0)
+    f_s = p.force / (p.mass * sig0 * w0 ** 2)
+    drive = 2.0 * kT_w / (p.mass * sigma0_sq)
     half_widths = 0.5 * np.diff(beta_grid)
 
-    # y = (mu, mu', S, S') with one S and S' per column beta > 0
-    def rhs(t, y):
-        S, V = y[2:2 + ncol], y[2 + ncol:]
-        _require_positive(S, t, beta_grid)
-        spring = np.maximum(w0sq - kT * _beta_integral(q_coef, S, half_widths),
-                            1e-8 * w0sq)
-        return np.concatenate(((y[1], f_m - w0sq * y[0] - b_m * y[1]), V,
-                               drive - b_m * V - 2.0 * spring * S))
+    # y = (mu, mu', s, s') with one s and s' per column beta > 0
+    def rhs(x, y):
+        s, v = y[2:2 + ncol], y[2 + ncol:]
+        if not np.all(s > 0):
+            j = int(np.argmin(s))  # the first NaN, if any
+            raise ConvergenceError(
+                f"sigma_x^2 reached {s[j] * sigma0_sq:.3e} at t = "
+                f"{x / w0:.6g}, beta = {beta_grid[j + 1]:.6g}")
+        spring = np.maximum(1.0 - kT_w * _beta_integral(q_coef, s, half_widths),
+                            1e-8)
+        return np.concatenate(((y[1], f_s - y[0] - damp * y[1]), v,
+                               drive - damp * v - 2.0 * spring * s))
 
-    y0 = np.concatenate(([mu0, dmu0], np.full(ncol, sigma0_sq),
-                         np.full(ncol, dsigma0_sq)))
-    y = solve_ode(rhs, y0, t_grid)
+    y0 = np.concatenate(([mu0 / sig0, dmu0 / (sig0 * w0)], np.ones(ncol),
+                         np.full(ncol, dsigma0_sq / (sigma0_sq * w0))))
+    y = solve_ode(rhs, y0, w0 * t_grid)
 
     values = np.empty((t_grid.size, ncol + 1))
     values[:, 0] = np.inf
     values[t_grid == 0, 0] = sigma0_sq
-    values[:, 1:] = y[:, 2:2 + ncol]
+    values[:, 1:] = sigma0_sq * y[:, 2:2 + ncol]
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
     traj = DispersionTrajectory.from_sigma(t_grid, values[:, j_phys], p,
-                                           mu=y[:, 0])
+                                           mu=sig0 * y[:, 0])
     return grid_fn, traj
 
 
@@ -426,11 +426,11 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     dS/dt = 2 D(beta) [1 + S int_0^beta hbar^2 / (4 m S(t, beta')^2) dbeta'],
     with D and lambda_T recomputed per beta node while b stays constant.
     The integral couples only the columns of one time, so the surface is
-    one ODE system in ln t, marched once by solve_ode from the
-    quantum+classical superposition at 1e-8 of the first positive time,
-    where the small-time quantum asymptote holds; values are reported on
-    the caller's grid only.  A column reaching S <= 0 raises
-    ConvergenceError naming t and beta.
+    one ODE system, marched once by solve_ode from the quantum+classical
+    superposition at 1e-8 of the first positive time t_1, where the
+    small-time quantum asymptote holds; values are reported on the
+    caller's grid only.  The march is in ln(S / S_anchor) against
+    ln(t / t_1), which are unit-free and keep S positive.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.temperature <= 0 or p.friction <= 0:
@@ -443,7 +443,7 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     if tp.size == 0 or tp[0] <= 0:
         raise ValueError("t_grid needs at least one positive time")
     t_anchor = tp[0] * 1e-8
-    tau = np.log(np.concatenate(([t_anchor], tp)))
+    tau = np.log(np.concatenate(([1e-8], tp / tp[0])))
 
     Dj = 1.0 / (beta_grid[1:] * p.friction)
     q_coef = p.hbar ** 2 / (4.0 * p.mass)
@@ -451,12 +451,15 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
                      + 2.0 * Dj * t_anchor)
     half_widths = 0.5 * np.diff(beta_grid)
 
-    def rhs(log_t, S):
-        t = math.exp(log_t)
-        _require_positive(S, t, beta_grid)
-        return 2.0 * Dj * t * (1.0 + _beta_integral(q_coef, S, half_widths) * S)
+    # unit-free variables keep the tolerances relative in any units:
+    # du/dln t = 2 D t (1 / S + int hbar^2 / (4 m S^2) dbeta')
+    def rhs(log_t, u):
+        t = tp[0] * math.exp(log_t)
+        S = superposition * np.exp(u)
+        return 2.0 * Dj * t * (1.0 / S + _beta_integral(q_coef, S, half_widths))
 
-    S = solve_ode(rhs, superposition, tau)
+    u = solve_ode(rhs, np.zeros(Dj.size), tau)
+    S = superposition * np.exp(u)
 
     values = np.empty((t_grid.size, beta_grid.size))
     values[:, 0] = np.inf

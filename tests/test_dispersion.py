@@ -276,8 +276,38 @@ def test_full_matches_stepped_sweeps(caplog):
     ref = _march_overdamped(NAT, t, beta)
     err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
     assert err <= 1e-7
-    assert ("solve_ode: 251 accepted and 0 rejected steps, 8 components"
+    assert ("solve_ode: 274 accepted and 0 rejected steps, 8 components"
             in caplog.text)
+
+
+def _in_units(p, mass, length, time, k_B):
+    """p, given in natural units, restated in units where the unit mass,
+    length and time are the given values (k_B sets the temperature
+    unit)."""
+    energy = mass * length ** 2 / time ** 2
+    return PhysicalParams(hbar=p.hbar * energy * time, k_B=k_B,
+                          mass=p.mass * mass, friction=p.friction * mass / time,
+                          temperature=p.temperature * energy / k_B,
+                          omega0=p.omega0 / time,
+                          force=p.force * mass * length / time ** 2)
+
+
+_UNITS = dict(mass=_log_uniform(1e-31, 1e3), length=_log_uniform(1e-12, 1e3),
+              time=_log_uniform(1e-15, 1e3), k_B=_log_uniform(1e-23, 1e3))
+_SI_ATOM = dict(mass=1.66e-27, length=1e-10, time=1e-12, k_B=1.380649e-23)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_UNITS)
+@example(**_SI_ATOM)
+def test_full_surface_in_any_units(mass, length, time, k_B):
+    t = np.geomspace(0.05, 50.0, 13)
+    beta = make_beta_grid(1.0, n=8)
+    want, _ = solve_overdamped_full(NAT, t, beta)
+    p = _in_units(NAT, mass, length, time, k_B)
+    got, _ = solve_overdamped_full(p, t * time, beta * p.beta)
+    np.testing.assert_allclose(got.values[:, 1:] / length ** 2,
+                               want.values[:, 1:], rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +391,23 @@ def test_harmonic_matches_stepped_sweeps(caplog):
     assert err <= 1e-9
     assert ("solve_ode: 207 accepted and 1 rejected steps, 18 components"
             in caplog.text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_UNITS)
+@example(**_SI_ATOM)
+def test_harmonic_surface_in_any_units(mass, length, time, k_B):
+    nat = PhysicalParams.natural(omega0=1.0, friction=2.0, force=0.3)
+    t = np.linspace(0.0, 5.0, 26)
+    beta = make_beta_grid(1.0, n=8)
+    want, want_tr = solve_harmonic(nat, 1.3, 0.2, 1.0, 0.5, t, beta)
+    p = _in_units(nat, mass, length, time, k_B)
+    got, got_tr = solve_harmonic(p, 1.3 * length ** 2, 0.2 * length ** 2 / time,
+                                 length, 0.5 * length / time, t * time,
+                                 beta * p.beta)
+    np.testing.assert_allclose(got.values[:, 1:] / length ** 2,
+                               want.values[:, 1:], rtol=1e-9)
+    np.testing.assert_allclose(got_tr.mu / length, want_tr.mu, rtol=1e-9)
 
 
 def test_harmonic_names_where_a_column_fails():
