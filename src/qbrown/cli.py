@@ -51,7 +51,6 @@ class ScenarioConfig:
     scenario: str
     params: PhysicalParams
     options: dict
-    out_dir: str = "."
 
 
 _PARAM_KEYS = ("hbar", "k_B", "mass", "friction", "temperature",
@@ -66,9 +65,6 @@ _TIME_KEYS = {
     "time.start": (float, 0.0, _NONNEG),
     "time.stop": (float, 10.0, _POSITIVE),
     "time.points": (int, 201, ("must be at least 2", lambda v: v >= 2)),
-    "time.spacing": (str, "linear",
-                     ("must be 'linear' or 'log'",
-                      lambda v: v in ("linear", "log"))),
 }
 _GRID_KEYS = {
     "grid.x_min": (float, -8.0, None),
@@ -77,8 +73,6 @@ _GRID_KEYS = {
 }
 _PDE_KEYS = {
     "pde.t_final": (float, 10.0, _POSITIVE),
-    # the telegraph step (checked) or the first Smoluchowski step; 0 = auto
-    "pde.dt": (float, 0.0, _NONNEG),
     "pde.n_records": (int, 101, ("must be at least 2", lambda v: v >= 2)),
     "pde.boundary": (str, "reflecting",
                      ("must be 'reflecting' or 'periodic'",
@@ -109,8 +103,6 @@ _SCENARIO_PARAMS = {
        for scen in ("free-high-friction", "dispersion-compare",
                     "classical-telegraph", "semiclassical-pde")},
 }
-
-_MODEL_NAMES = tuple(k.value for k in ClosedForm)
 
 # potential variants and the option each needs positive
 _VARIANT_KEYS = {"harmonic": "potential.omega0", "quartic": "potential.k4"}
@@ -174,12 +166,6 @@ _SCHEMAS = {
                               lambda v: v == 0 or v >= 2)),
     },
     "dispersion-compare": {
-        "models": (str, "all",
-                   ("must be 'all' or a comma-separated list from "
-                    + ", ".join(_MODEL_NAMES),
-                    lambda v: v == "all" or all(
-                        n.strip() in _MODEL_NAMES for n in v.split(",")))),
-        "sigma0": (float, 1.0, _POSITIVE),
         "time.points": (int, 60, ("must be at least 2", lambda v: v >= 2)),
     },
     "acceptance": {
@@ -214,6 +200,15 @@ def _where(seen, key):
     return f"line {seen[key]}" if key in seen else "default"
 
 
+def _cite(options, params, seen, keys):
+    """The last line among keys, and 'key = value (line n)' for each key."""
+    values = {**options, **{f"params.{n}": getattr(params, n)
+                            for n in _PARAM_KEYS}}
+    return (max(seen.get(k, 0) for k in keys),
+            ", ".join(f"{k} = {values[k]!r} ({_where(seen, k)})"
+                      for k in keys))
+
+
 def _cross_key_errors(scen, options, seen):
     """Errors of checks that span two keys, each citing both keys' lines."""
     where = functools.partial(_where, seen)
@@ -228,11 +223,6 @@ def _cross_key_errors(scen, options, seen):
             errors.append((max(seen.get(lo, 0), seen.get(hi, 0)),
                            f"{hi} = {b!r} ({where(hi)}) must exceed "
                            f"{lo} = {a!r} ({where(lo)})"))
-    if options.get("time.spacing") == "log" and options["time.start"] <= 0:
-        errors.append((max(seen.get("time.start", 0), seen["time.spacing"]),
-                       f"time.spacing = log ({where('time.spacing')}) needs "
-                       f"time.start > 0, got {options['time.start']!r} "
-                       f"({where('time.start')})"))
     variant = options.get("potential.variant")
     need = _VARIANT_KEYS.get(variant)
     if need is not None and options[need] <= 0:
@@ -254,13 +244,9 @@ def _beta_step_errors(options, params, seen):
              / (options["grid.n"] - 1))
         need = min_beta_steps(params, h, params.beta)
     except ArithmeticError:
-        values = {**options, **{f"params.{n}": getattr(params, n)
-                                for n in _PARAM_KEYS}}
-        cited = ", ".join(f"{k} = {values[k]!r} ({_where(seen, k)})"
-                          for k in keys)
-        return [(max(seen.get(k, 0) for k in keys),
-                 f"the Crank-Nicolson beta step counts overflow a float "
-                 f"for {cited}")]
+        ln, cited = _cite(options, params, seen, keys)
+        return [(ln, f"the Crank-Nicolson beta step counts overflow a float "
+                     f"for {cited}")]
     if options["eq.n_beta_steps"] >= need:
         return []
     where = _where(seen, "eq.n_beta_steps")
@@ -271,12 +257,38 @@ def _beta_step_errors(options, params, seen):
              f"and stays above 1e-12; use eq.n_beta_steps >= {need}")]
 
 
+def _start_errors(options, params, seen):
+    """Errors, citing the keys' lines, of a harmonic potential whose omega0
+    disagrees with params.omega0 and of an initial PDE density with no
+    mass on its grid."""
+    errors = []
+    if "potential.variant" in options:
+        try:
+            _potential(options).check_consistency(params)
+        except ValueError:
+            ln, cited = _cite(options, params, seen,
+                              ("potential.omega0", "params.omega0"))
+            errors.append((ln, f"the harmonic well and the bath disagree on "
+                               f"omega0: {cited}"))
+    if "pde.t_final" in options:
+        try:
+            with np.errstate(all="ignore"):
+                _initial_density(options)
+        except ValueError as exc:
+            ln, cited = _cite(options, params, seen,
+                              ("mu0", "sigma0_sq", "grid.x_min",
+                               "grid.x_max", "grid.n"))
+            errors.append((ln, f"initial density: {exc} for {cited}"))
+    return errors
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config.
 
     Collects every error (unknown key, duplicate key, bad value, missing
-    scenario key, out-of-range value, inconsistent key pair) with its line
-    number and raises one ConfigError carrying the full list.
+    scenario key, out-of-range value, inconsistent key pair, initial
+    density with no mass) with its line number and raises one ConfigError
+    carrying the full list.
     """
     errors = []
     seen = {}        # key -> line number
@@ -313,11 +325,8 @@ def parse_config(text: str) -> ScenarioConfig:
     schema = _SCHEMAS[scen]
     param_kwargs = {}
     options = {}
-    out_dir = "."
     for key, (ln, raw) in entries.items():
-        if key == "out":
-            out_dir = raw
-        elif key.startswith("params."):
+        if key.startswith("params."):
             name = key[len("params."):]
             if name not in _PARAM_KEYS:
                 errors.append((ln, f"unknown key '{key}'"))
@@ -360,13 +369,14 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((ln, str(exc)))
         params = None
 
+    if not errors:
+        errors.extend(_start_errors(options, params, seen))
     if scen == "equilibrium" and not errors and params.temperature > 0:
         errors.extend(_beta_step_errors(options, params, seen))
 
     if errors:
         raise ConfigError(sorted(errors))
-    return ScenarioConfig(scenario=scen, params=params, options=options,
-                          out_dir=out_dir)
+    return ScenarioConfig(scenario=scen, params=params, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +462,23 @@ class Manifest:
 
 
 def _time_grid(o):
-    start, stop = o["time.start"], o["time.stop"]
-    if o["time.spacing"] == "log":
-        return np.geomspace(start, stop, o["time.points"])
-    return np.linspace(start, stop, o["time.points"])
+    return np.linspace(o["time.start"], o["time.stop"], o["time.points"])
 
 
 def _potential(o) -> PotentialSpec:
     """The potential.* keys; each variant reads only its own parameter."""
     return PotentialSpec(variant=o["potential.variant"], f=o["potential.f"],
                          omega0=o["potential.omega0"], k4=o["potential.k4"])
+
+
+def _initial_density(o) -> DensityField:
+    """The Gaussian start of the PDE scenarios; on a periodic ring each
+    node takes its minimum-image distance to mu0 on the n h ring."""
+    grid = Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
+    d = grid.x - o["mu0"]
+    if o["pde.boundary"] == "periodic":
+        d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
+    return DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
 
 
 def _write_trajectory(out, man, label, traj):
@@ -532,7 +549,6 @@ def _run_harmonic(cfg, out, man):
 
 def _run_pde(cfg, out, man):
     o, p = cfg.options, cfg.params
-    grid = Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
     U = _potential(o)
     if cfg.scenario == "classical-telegraph":
         model = PdeModel.CLASSICAL_TELEGRAPH
@@ -542,13 +558,9 @@ def _run_pde(cfg, out, man):
     else:
         model = (PdeModel.SEMICLASSICAL_TELEGRAPH if o["inertial"]
                  else PdeModel.SEMICLASSICAL_SMOLUCHOWSKI)
-    d = grid.x - o["mu0"]
-    if o["pde.boundary"] == "periodic":   # minimum image on the n h ring
-        d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
-    rho0 = DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
+    rho0 = _initial_density(o)
     res = evolve(rho0, model, U, p, o["pde.t_final"],
-                 dt=o["pde.dt"] or None, boundary=o["pde.boundary"],
-                 n_records=o["pde.n_records"])
+                 boundary=o["pde.boundary"], n_records=o["pde.n_records"])
     write_csv(out / "trajectory.csv",
               ["t [time]", "mu [length]", "sigma_x2 [length^2]",
                "mass [1]"],
@@ -556,11 +568,10 @@ def _run_pde(cfg, out, man):
     man.record_file("trajectory.csv")
     write_csv(out / "density_final.csv",
               ["x [length]", "rho [1/length]"],
-              [grid.x, res.density.rho])
+              [rho0.grid.x, res.density.rho])
     man.record_file("density_final.csv")
     man.section("solver settings")
     man.add(f"model = {model.value}")
-    man.add(f"dt = {_fmt(res.dt)}")
     man.add(f"n_steps = {res.n_steps}")
     d = res.diagnostics
     man.add(f"dt_min = {_fmt(d['dt_min'])}")
@@ -615,28 +626,17 @@ def _run_equilibrium(cfg, out, man):
     return 0
 
 
-_COMPARE_ALL = (ClosedForm.EINSTEIN, ClosedForm.PURE_QUANTUM,
-                ClosedForm.SUPERPOSITION, ClosedForm.LAMBERT_EXACT,
-                ClosedForm.COTH_INTERPOLATION, ClosedForm.SEMICLASSICAL_LOG,
-                ClosedForm.ELEMENTARY_LOG_APPROX)
-
-
 def _run_dispersion_compare(cfg, out, man):
     o, p = cfg.options, cfg.params
     sc = derived_scales(p)
     t = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, o["time.points"])
-    if o["models"] == "all":
-        models = list(_COMPARE_ALL)
-    else:
-        models = [ClosedForm(name.strip()) for name in o["models"].split(",")]
-    table = compare_models(p, t, models, sigma0=o["sigma0"])
+    # every closed form but vacuum spreading, which b > 0 refuses
+    table = compare_models(p, t, ClosedForm)
     headers = ["t [time]"] + [f"sigma_x2_{lbl} [length^2]"
                               for lbl in table.columns]
     write_csv(out / "trajectory.csv",
               headers, [t] + list(table.columns.values()))
     man.record_file("trajectory.csv")
-    for lbl, msg in table.errors.items():
-        man.add(f"model {lbl} skipped: {msg}")
     for name, ok in table.verdicts.items():
         man.verdict(name, ok)
     return 0
@@ -667,9 +667,9 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> int:
+def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> int:
     """Execute one scenario; write outputs and the manifest; return exit code."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest(cfg)
     t0 = time.time()
@@ -692,7 +692,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=".", help="output directory")
 
     p_acc = sub.add_parser("accept", help="run the acceptance suite")
     p_acc.add_argument("--quick", action="store_true",

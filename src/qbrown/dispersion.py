@@ -176,9 +176,9 @@ class DispersionTrajectory:
     def from_sigma(cls, times, sigma_x2, p: PhysicalParams, mu=None):
         times = np.asarray(times, dtype=float)
         sigma_x2 = np.asarray(sigma_x2, dtype=float)
-        sp2 = np.where(sigma_x2 > 0,
-                       momentum_dispersion(np.maximum(sigma_x2, 1e-300), p),
-                       np.inf)
+        sp2 = np.full(sigma_x2.shape, np.inf)
+        pos = sigma_x2 > 0
+        sp2[pos] = momentum_dispersion(sigma_x2[pos], p)
         return cls(times=times, sigma_x2=sigma_x2, sigma_p2=sp2,
                    mu=None if mu is None else np.asarray(mu, dtype=float))
 
@@ -387,11 +387,14 @@ def stationary_harmonic_dispersion(p: PhysicalParams) -> float:
 
 def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
                              t_grid) -> DispersionTrajectory:
-    """Integrate dS/dt = 2D (1 + lambda_T^2 / S), the bounded overdamped law.
+    """Integrate dS/dt = 2D (1 + lambda_T^2 / S) from S(0) = sigma0_sq.
 
-    sigma0_sq = 0 is served by anchoring at the exact Lambert value at the
-    first positive grid time (the ODE itself is singular at S = 0) and
-    integrating ln S against ln t from there.
+    The ODE is singular at S = 0, so the march starts at the first positive
+    grid time on the exact law shifted by the initial data, s - ln(1 + s)
+    = c + s0 - ln(1 + s0) with s = S / lambda_T^2, s0 = sigma0_sq /
+    lambda_T^2 and c = t / t_c, and integrates ln s against ln(t / t_c),
+    which are unit-free and keep the tolerances relative in any units.  A
+    grid time 0 reports sigma0_sq.
     """
     if p.temperature <= 0 or p.friction <= 0:
         raise ModelCompatibilityError("overdamped solver requires T > 0, b > 0")
@@ -399,24 +402,20 @@ def solve_overdamped_bounded(p: PhysicalParams, sigma0_sq: float,
         raise ValueError("sigma0_sq must be non-negative")
     t_grid = np.asarray(t_grid, dtype=float)
     sc = derived_scales(p)
-    D, lam2 = sc.D, sc.lambda_T ** 2
+    lam2 = sc.lambda_T ** 2
 
-    if sigma0_sq > 0.0:
-        sigma = solve_ode(lambda t, y: np.array([2.0 * D * (1.0 + lam2 / y[0])]),
-                          [sigma0_sq], t_grid)[:, 0]
-        return DispersionTrajectory.from_sigma(t_grid, sigma, p)
-
-    # u = ln S against tau = ln t keeps the tolerances relative where S is
-    # tiny: du/dtau = 2 D t e^-u (1 + lambda_T^2 e^-u)
+    # du/dtau = (t / t_c) e^-u (1 + e^-u) for u = ln s, tau = ln(t / t_c)
     def log_rhs(tau, u):
         e = math.exp(-u[0])
-        return np.array([2.0 * D * math.exp(tau) * e * (1.0 + lam2 * e)])
+        return np.array([math.exp(tau) * e * (1.0 + e)])
 
-    sigma = np.zeros(t_grid.size)
+    sigma = np.full(t_grid.size, float(sigma0_sq))
     start = 1 if t_grid[0] == 0.0 else 0
-    anchor = float(eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid[start], p))
-    sigma[start:] = np.exp(solve_ode(log_rhs, [math.log(anchor)],
-                                     np.log(t_grid[start:]))[:, 0])
+    s0 = sigma0_sq / lam2
+    anchor = lambert_dispersion_scaled(t_grid[start] / sc.t_c + s0
+                                       - math.log1p(s0))
+    sigma[start:] = lam2 * np.exp(solve_ode(
+        log_rhs, [math.log(anchor)], np.log(t_grid[start:] / sc.t_c))[:, 0])
     return DispersionTrajectory.from_sigma(t_grid, sigma, p)
 
 
@@ -485,12 +484,12 @@ class ComparisonTable:
     verdicts: dict = field(default_factory=dict)  # name -> bool
 
 
-def compare_models(p: PhysicalParams, t_grid, models, *,
-                   sigma0: float | None = None) -> ComparisonTable:
+def compare_models(p: PhysicalParams, t_grid, models) -> ComparisonTable:
     """Evaluate closed-form models on a common grid and compare them.
 
     Incompatible model/parameter combinations are reported per model and
-    do not abort the rest.  Ordering verdicts are recorded for the pairs
+    do not abort the rest; vacuum spreading, which needs an initial width,
+    always lands there.  Ordering verdicts are recorded for the pairs
     the theory ranks: superposition >= exact Lambert bound, and the
     elementary log approximation >= the semiclassical log law at large t.
     """
@@ -498,10 +497,9 @@ def compare_models(p: PhysicalParams, t_grid, models, *,
     table = ComparisonTable(times=t_grid)
     for kind in models:
         try:
-            kw = {"sigma0": sigma0} if kind is ClosedForm.VACUUM_SPREADING else {}
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", SemiclassicalDomainWarning)
-                table.columns[kind.value] = eval_closed_form(kind, t_grid, p, **kw)
+                table.columns[kind.value] = eval_closed_form(kind, t_grid, p)
         except (ModelCompatibilityError, ValueError) as exc:
             table.errors[kind.value] = str(exc)
 

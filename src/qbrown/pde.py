@@ -291,7 +291,6 @@ class EvolveResult:
     mu: np.ndarray
     sigma2: np.ndarray
     mass: np.ndarray
-    dt: float
     n_steps: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -598,7 +597,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
 
 
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
-           p: PhysicalParams, t_final: float, dt: float | None = None,
+           p: PhysicalParams, t_final: float,
            boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
     """Advance the chosen density equation to t_final.
 
@@ -615,24 +614,25 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     value, mass drift beyond 1e-8, a minimum below -1e-9 of the initial
     peak.  Each aborts with ConvergenceError naming the quantity, the step
     count and t; a breakdown between two records is caught at the next.
-    The default dt is min(explicit stability bound, t_final / 10).
+    Each stepper starts from dt = min(explicit stability bound,
+    t_final / 10); the diagnostics dt_min and dt_max are the smallest and
+    largest steps taken.
 
     The three Smoluchowski models step y = ln rho implicitly on the flux
     of _LogDensityRate, exponentially fitted for T > 0 as in the linear
     telegraph models, so the discrete Boltzmann density is stationary:
     variable-step BDF2 (backward Euler first), a Newton solve on a banded
     Jacobian per step, local error control, and a halved step where Newton
-    fails.  rho = exp(y) stays positive with no density floor.  Here dt is
-    the first step tried and is not bounded; n_steps counts accepted steps
-    and the diagnostics rejected_steps, of which newton_failures were
-    rejected because Newton failed.
+    fails.  rho = exp(y) stays positive with no density floor.  There dt
+    is only the first step tried, and the steps taken are not bounded;
+    n_steps counts accepted steps and the diagnostics rejected_steps, of
+    which newton_failures were rejected because Newton failed.
 
     The three telegraph models step explicitly: the second-order-in-time
     form as a (rho, drho/dt) system with semi-implicit damping and
     drho/dt(0) = 0, the quantum one on the tapered _flux, recomputing its
-    floored Bohm potential every step.  dt must not exceed the stability
-    bound; each record interval takes ceil(interval / dt) equal steps, so
-    the dt returned is at most the one given and n_steps is a multiple of
+    floored Bohm potential every step.  Each record interval takes
+    ceil(interval / dt) equal steps, so n_steps is a multiple of
     n_records - 1.
     """
     if boundary not in ("reflecting", "periodic"):
@@ -646,8 +646,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError("evolution requires friction b > 0")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if dt is not None and not dt > 0:
-        raise ValueError("dt must be positive")
     if n_records < 2:
         raise ValueError("n_records must be at least 2")
 
@@ -684,10 +682,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
             dt_bound = min(dt_bound, 0.25 * p.mass * h ** 2 / p.hbar)
     else:
         dt_bound = 0.4 * h ** 2 * p.friction / scale
-    if dt is None:
-        dt = min(dt_bound, t_final / 10.0)
-    elif dt > dt_bound and model.inertial:
-        raise ValueError(f"dt = {dt} exceeds the stability bound {dt_bound:.3e}")
+    dt = min(dt_bound, t_final / 10.0)
 
     t_records = t_final * np.arange(n_records) / (n_records - 1)
     stats = {"newton_iterations": 0, "rejected_steps": 0,
@@ -743,4 +738,4 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                stats["newton_iterations"], diagnostics["min_density"])
     return EvolveResult(
         density=final, times=t_records, mu=mu, sigma2=sigma2, mass=masses,
-        dt=dt, n_steps=n_steps, diagnostics=diagnostics)
+        n_steps=n_steps, diagnostics=diagnostics)

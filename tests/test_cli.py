@@ -94,8 +94,10 @@ def test_time_span_must_be_ordered(tmp_path):
 
 @pytest.mark.parametrize("text, line, words", [
     ("scenario = harmonic\nseed = 3\n", 2, ("unknown key 'seed'",)),
-    ("scenario = dispersion-compare\nmodels = einstein,bogus\n", 2,
-     ("'models'", "einstein,bogus", "lambert-exact")),
+    ("scenario = semiclassical-pde\nparams.omega0 = 1\n"
+     "potential.variant = harmonic\npotential.omega0 = 2\n", 4,
+     ("potential.omega0 = 2.0 (line 4)", "params.omega0 = 1.0 (line 2)",
+      "disagree")),
     ("scenario = semiclassical-pde\npotential.variant = harmonic\n", 2,
      ("potential.variant = harmonic (line 2)", "potential.omega0 > 0",
       "(default)")),
@@ -129,6 +131,10 @@ def test_time_span_must_be_ordered(tmp_path):
       "use eq.n_beta_steps >= 6329")),
     ("scenario = equilibrium\nparams.hbar = 1e200\ngrid.n = 64\n", 3,
      ("params.hbar = 1e+200 (line 2)", "grid.n = 64 (line 3)", "overflow")),
+    # the Gaussian underflows to 0 at every node of [-8, 8]
+    ("scenario = quantum-zero-T-pde\nmu0 = 100\n", 2,
+     ("no mass", "mu0 = 100.0 (line 2)", "sigma0_sq = 0.04 (default)",
+      "grid.x_max = 8.0 (default)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -140,6 +146,28 @@ def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     cfg_path.write_text(text)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: line {line}:" in capsys.readouterr().err
+
+
+# options that no scenario needed: the steppers pick their own step, time
+# grids are linear, dispersion-compare tabulates every closed form that
+# b > 0 allows, and the output directory is --out
+@pytest.mark.parametrize("text", [
+    "scenario = classical-telegraph\npde.dt = 1.0\n",
+    "scenario = harmonic\ntime.spacing = log\n",
+    "scenario = dispersion-compare\nmodels = einstein,bogus\n",
+    "scenario = dispersion-compare\nsigma0 = 1\n",
+    "scenario = free-zero-T\nout = results\n",
+], ids=["pde.dt", "time.spacing", "models", "sigma0", "out"])
+def test_deleted_keys_are_unknown(tmp_path, capsys, text):
+    key = text.splitlines()[1].split(" = ")[0]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [(2, f"unknown key '{key}' for scenario "
+                                    f"'{text.split()[2]}'")]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: line 2: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_ent", [5, 10 ** 6])
@@ -163,9 +191,9 @@ _VALUES = {
     float: _FLOATS,
     int: st.one_of(st.integers(-4, 600), st.just(10 ** 400)).map(str),
     bool: st.sampled_from(["true", "no", "maybe"]),
-    str: st.sampled_from(["log", "linear", "periodic", "box", "reflecting",
+    str: st.sampled_from(["linear", "periodic", "box", "reflecting",
                           "free", "linear", "harmonic", "quartic", "all",
-                          "einstein,pure-quantum", "bogus"]),
+                          "bogus"]),
 }
 
 
@@ -283,14 +311,12 @@ def test_periodic_pde_scenario_conserves_mass(tmp_path):
      "params.temperature = 0\n"
      "grid.n = 161\n"
      "pde.t_final = 1.0\n", None),
-    # pde.dt is only the first step, about 460x the explicit bound
-    # 0.4 h^2 b / ptp(U_eff) = 2.18e-5; the run relaxes to the
-    # semiclassical sigma^2 = 1 / (2 beta (1/2 - beta^2/24)) = 12/11 at T = 1
+    # the run relaxes to the semiclassical
+    # sigma^2 = 1 / (2 beta (1/2 - beta^2/24)) = 12/11 at T = 1
     ("scenario = semiclassical-pde\n"
      "potential.variant = harmonic\n"
      "potential.omega0 = 1\n"
-     "mu0 = 1\n"
-     "pde.dt = 0.01\n", 12.0 / 11.0),
+     "mu0 = 1\n", 12.0 / 11.0),
 ], ids=["quantum-zero-T-pde", "semiclassical-pde-harmonic"])
 def test_pde_scenario_reports_its_stepper(tmp_path, text, sigma2):
     code, out = _run(tmp_path, text)

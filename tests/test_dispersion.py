@@ -310,6 +310,19 @@ def test_full_surface_in_any_units(mass, length, time, k_B):
                                want.values[:, 1:], rtol=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(**_UNITS, sigma0_sq=st.sampled_from([0.0, 0.01, 0.3]))
+@example(**_SI_ATOM, sigma0_sq=0.0)
+@example(**{**_SI_ATOM, "mass": 1e-26}, sigma0_sq=0.01)
+@example(**{**_SI_ATOM, "mass": 1e-26}, sigma0_sq=0.3)
+def test_bounded_in_any_units(mass, length, time, k_B, sigma0_sq):
+    t = np.linspace(0.0, 10.0, 41)
+    want = solve_overdamped_bounded(NAT, sigma0_sq, t).sigma_x2
+    p = _in_units(NAT, mass, length, time, k_B)
+    got = solve_overdamped_bounded(p, sigma0_sq * length ** 2, t * time)
+    np.testing.assert_allclose(got.sigma_x2 / length ** 2, want, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # harmonic
 
@@ -453,7 +466,7 @@ def test_surface_solvers_check_the_beta_grid_first(monkeypatch, beta_grid,
 def test_compare_models_verdicts_and_errors():
     sc = derived_scales(NAT)
     t = np.geomspace(1e-2 * sc.t_c, 1e2 * sc.t_c, 40)
-    table = compare_models(NAT, t, list(ClosedForm), sigma0=1.0)
+    table = compare_models(NAT, t, list(ClosedForm))
     # vacuum spreading is incompatible with b > 0 and lands in errors
     assert "vacuum-spreading" in table.errors
     assert table.verdicts["superposition_ge_lambert"]
