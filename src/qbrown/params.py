@@ -8,14 +8,16 @@ exists for tests and quick experiments only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 
 class ScalesUndefinedError(ValueError):
-    """Thermal scales are undefined: they require T > 0 and b > 0.
+    """Thermal scales are undefined: they require T > 0, b > 0 and
+    parameters whose scales are finite positive floats.
 
-    Callers hitting this should switch to the zero-temperature / vacuum
-    code paths instead of working with infinite beta or infinite D.
+    Callers hitting this at T = 0 or b = 0 should switch to the
+    zero-temperature / vacuum code paths instead of working with
+    infinite beta or infinite D.
     """
 
 
@@ -104,17 +106,28 @@ class DerivedScales:
 def derived_scales(p: PhysicalParams) -> DerivedScales:
     """Compute the thermal scales of ``p``.
 
-    Raises ScalesUndefinedError at T = 0 or b = 0; those limits have
-    dedicated solvers and no finite thermal scales.
+    Raises ScalesUndefinedError at T = 0 or b = 0, which have dedicated
+    solvers and no finite thermal scales, and wherever a scale is not a
+    finite positive float (it overflows or underflows to 0).
     """
     if p.temperature == 0 or p.friction == 0:
         raise ScalesUndefinedError(
             "scales undefined at T = 0 or b = 0; "
             "use the zero-temperature / vacuum code paths")
-    lambda_T = p.hbar / (2.0 * math.sqrt(p.mass * p.k_B * p.temperature))
-    D = p.k_B * p.temperature / p.friction
-    t_c = lambda_T ** 2 / (2.0 * D)
-    return DerivedScales(lambda_T=lambda_T, D=D, t_c=t_c, tau_m=p.mass / p.friction)
+    try:   # / raises by an underflowed 0, ** on overflow
+        lambda_T = p.hbar / (2.0 * math.sqrt(p.mass * p.k_B * p.temperature))
+        D = p.k_B * p.temperature / p.friction
+        sc = DerivedScales(lambda_T=lambda_T, D=D, t_c=lambda_T ** 2 / (2.0 * D),
+                           tau_m=p.mass / p.friction)
+    except ArithmeticError:
+        sc = None
+    if sc is None or not all(0.0 < v < math.inf for v in astuple(sc)):
+        raise ScalesUndefinedError(
+            f"scales undefined at hbar = {p.hbar}, k_B = {p.k_B}, "
+            f"mass = {p.mass}, friction = {p.friction}, temperature = "
+            f"{p.temperature}: lambda_T, D, t_c and tau_m must be finite "
+            f"positive floats")
+    return sc
 
 
 def momentum_dispersion(sigma_x2, p: PhysicalParams):

@@ -62,3 +62,16 @@ def test_momentum_dispersion_scalar_and_array():
     np.testing.assert_allclose(momentum_dispersion(s, p0), 0.25 / s)
     with pytest.raises(ValueError):
         momentum_dispersion(0.0, p)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"hbar": 1e200},                                  # lambda_T^2 overflows
+    {"hbar": 1e-200},                                 # lambda_T^2 underflows
+    {"k_B": 1e-300, "friction": 4e23},                # t_c = inf
+    {"mass": 1e-300, "k_B": 1e-300, "temperature": 1e-30},  # m k_B T = 0
+    {"friction": 1e-320},                             # D = inf
+], ids=["lambda_T2-overflow", "lambda_T2-underflow", "t_c-inf",
+        "mkT-underflow", "D-inf"])
+def test_scales_beyond_the_floats_are_undefined(overrides):
+    with pytest.raises(ScalesUndefinedError, match="finite positive floats"):
+        derived_scales(PhysicalParams.natural(**overrides))
