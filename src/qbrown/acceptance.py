@@ -43,7 +43,7 @@ class CriterionResult:
 
 def _result(number, name, passed, details, t0, **measured):
     return CriterionResult(number=number, name=name, passed=bool(passed),
-                           details=details, runtime=time.time() - t0,
+                           details=details, runtime=time.perf_counter() - t0,
                            measured=measured)
 
 
@@ -85,7 +85,7 @@ def _zero_T_inertial(quick=False):
 
 def criterion_1(quick=False) -> CriterionResult:
     """Einstein-law asymptote: sigma^2 / 2Dt in [0.99, 1.02] at t = 100 t_c."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p, sc, t_grid, _, traj = _full_surface(quick)
     i = int(np.argmin(np.abs(t_grid - 100.0 * sc.t_c)))
     ratio_full = float(traj.sigma_x2[i] / (2.0 * sc.D * t_grid[i]))
@@ -100,7 +100,7 @@ def criterion_1(quick=False) -> CriterionResult:
 
 def criterion_2(quick=False) -> CriterionResult:
     """Pure quantum diffusion sigma^2 = hbar sqrt(t/mb) within 2%."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p, sc, t_grid, surface, _ = _full_surface(quick)
     cold = surface.values[:, -1]
     pq = p.hbar * np.sqrt(t_grid / (p.mass * p.friction))
@@ -120,7 +120,7 @@ def criterion_2(quick=False) -> CriterionResult:
 
 def criterion_3(quick=False) -> CriterionResult:
     """Bounded-equation trajectory equals the Lambert closed form to 1e-8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = _NATURAL
     sc = derived_scales(p)
     tg = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, 61)
@@ -140,7 +140,7 @@ def criterion_3(quick=False) -> CriterionResult:
 
 def criterion_4(quick=False) -> CriterionResult:
     """Ordering: self-consistent <= bounded <= superposition."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p, sc, t_grid, _, traj = _full_surface(quick)
     bounded = solve_overdamped_bounded(p, 0.0, t_grid)
     excess = float(np.max((traj.sigma_x2 - bounded.sigma_x2)
@@ -157,7 +157,7 @@ def criterion_4(quick=False) -> CriterionResult:
 
 def criterion_5(quick=False) -> CriterionResult:
     """Harmonic equilibrium dispersion matches the coth closed form to 1e-3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_st = worst_it = 0.0
     for bho in (0.1, 1.0, 2.0, 10.0):
         p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / bho)
@@ -180,7 +180,7 @@ def criterion_5(quick=False) -> CriterionResult:
 
 def criterion_6(quick=False) -> CriterionResult:
     """Vacuum spreading matches its closed form within 1e-6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = PhysicalParams.natural(friction=0.0, temperature=0.0)
     tg = np.linspace(0.0, 10.0, 101)
     tr = solve_inertial_zero_T(p, 1.0, 0.0, 0.0, 0.0, tg)
@@ -192,7 +192,7 @@ def criterion_6(quick=False) -> CriterionResult:
 
 def criterion_7(quick=False) -> CriterionResult:
     """Zero-T overdamped law sigma^4 = hbar^2 t / mb within 2% (ODE and PDE)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p, tg, tr = _zero_T_inertial(quick)
     tau = p.tau_m
     law = p.hbar ** 2 * tg / (p.mass * p.friction)
@@ -215,7 +215,7 @@ def criterion_7(quick=False) -> CriterionResult:
 
 def criterion_8(quick=False) -> CriterionResult:
     """Heisenberg monitor: quantum models satisfy it, Einstein violates it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = _NATURAL
     sc = derived_scales(p)
     tg = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, 121)
@@ -245,7 +245,7 @@ def criterion_8(quick=False) -> CriterionResult:
 
 def criterion_9(quick=False) -> CriterionResult:
     """Semiclassical log correction: size within 10%, elementary form above."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p, sc, t_grid, _, traj = _full_surface(quick)
     i = int(np.argmin(np.abs(t_grid - 100.0 * sc.t_c)))
     lam2 = sc.lambda_T ** 2
@@ -266,7 +266,7 @@ def criterion_9(quick=False) -> CriterionResult:
 
 def criterion_10(quick=False) -> CriterionResult:
     """Coth interpolation limits: pure quantum early, offset Einstein late."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = _NATURAL
     sc = derived_scales(p)
     lam2 = sc.lambda_T ** 2
@@ -287,7 +287,7 @@ def criterion_10(quick=False) -> CriterionResult:
 
 def criterion_11(quick=False) -> CriterionResult:
     """Mass conservation and Ehrenfest mean motion for every PDE model."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = 0.5
     worst_mass = 0.0
     worst_mu = 0.0
@@ -323,7 +323,7 @@ def criterion_11(quick=False) -> CriterionResult:
 
 def criterion_12(quick=False) -> CriterionResult:
     """Equilibrium route equivalence and semiclassical consistency."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rho = worst_z = 0.0
     cases = [(PotentialSpec.harmonic(1.0),
               PhysicalParams.natural(omega0=1.0, temperature=0.5),
@@ -358,7 +358,7 @@ def criterion_12(quick=False) -> CriterionResult:
 
 def criterion_13(quick=False) -> CriterionResult:
     """Classical telegraph dispersion follows 2D[t - tau(1 - e^-t/tau)]."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = _NATURAL
     g = Grid1D(-30.0, 30.0, 1601 if quick else 2401)
     s0 = 0.01

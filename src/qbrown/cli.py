@@ -649,14 +649,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         _RUNNERS[cfg.scenario](cfg, out, man)
     except (ConvergenceError, ArithmeticError, ValueError) as exc:
-        man.write(out, time.time() - t0, error=str(exc))
+        man.write(out, time.perf_counter() - t0, error=str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    man.write(out, time.time() - t0)
+    man.write(out, time.perf_counter() - t0)
     return 0
 
 

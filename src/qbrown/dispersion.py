@@ -56,13 +56,14 @@ def lambert_dispersion_scaled(c):
     to Newton on the defining relation once exp(-1 - c) underflows.  For
     c < 1e-3, where -exp(-1 - c) rounds c away, s is the branch-point
     series in P = sqrt(-2 expm1(-c)) through P^9 (relative error below
-    3e-15 down to the smallest subnormal c).
+    3e-15 down to the smallest subnormal c).  A NaN, infinite or negative
+    c raises ValueError.
     """
     c = np.asarray(c, dtype=float)
     scalar = c.ndim == 0
     c = np.atleast_1d(c)
-    if np.any(c < 0):
-        raise ValueError("scaled time must be non-negative")
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise ValueError("scaled time must be finite and non-negative")
     s = np.zeros_like(c)
     pos = c > 0
     tiny = pos & (c < 1e-3)
@@ -90,14 +91,15 @@ def lambert_dispersion_scaled(c):
 def eval_closed_form(kind: ClosedForm, t, p: PhysicalParams, *, sigma0: float | None = None):
     """Evaluate one of the closed-form dispersion laws at times t >= 0.
 
-    sigma0 is required (and only allowed) for VACUUM_SPREADING.  The
-    semiclassical log law is returned as written even where 2Dt <= lambda_T^2
-    makes it negative; a SemiclassicalDomainWarning flags that range.
+    A negative or NaN time raises ValueError.  sigma0 is required (and
+    only allowed) for VACUUM_SPREADING.  The semiclassical log law is
+    returned as written even where 2Dt <= lambda_T^2 makes it negative; a
+    SemiclassicalDomainWarning flags that range.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("t must be non-negative")
 
     if kind is ClosedForm.VACUUM_SPREADING:

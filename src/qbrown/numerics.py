@@ -14,6 +14,9 @@ import math
 import numpy as np
 
 _INV_E = math.exp(-1.0)
+_TWO_EPS = 2.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_HALLEY_MAX = 50
 _log = logging.getLogger(__name__)
 
 
@@ -29,17 +32,26 @@ class ConvergenceError(RuntimeError):
 def lambert_w_minus1(x):
     """Lambert W on the branch W_-1, the lower real inverse of w e^w.
 
-    Valid for x in (-1/e, 0); returns w <= -1 with relative residual
-    |w e^w - x| / |x| below 1e-13.  Initial guess from the asymptotic
-    series w ~ L - ln(-L) with L = ln(-x), switched to the square-root
-    branch-point expansion near -1/e, then polished by Halley steps.
-    Accepts scalars or arrays.
+    Valid for x in (-1/e, -tiny], tiny = 2.2e-308 the smallest normal
+    float (for subnormal x, w e^w cannot carry the residual); NaN and
+    every x outside raise ValueError.  Returns w <= -1 with relative
+    residual |w e^w - x| / |x| below 1e-13 wherever e^w is normal.
+    Initial guess from the asymptotic series w ~ L - ln(-L) with
+    L = ln(-x), switched to the square-root branch-point expansion near
+    -1/e, then polished by Halley steps until every point meets
+    |w e^w - x| <= (1e-14 + 2 eps |w|) |x|: a correctly rounded w leaves a
+    residual of about eps |w| |x|, so a bound without the |w| term is out
+    of reach for w below about -100.  A point still above it after
+    _HALLEY_MAX = 50 steps raises ArithmeticError.  Each call logs its
+    point count and Halley steps at DEBUG on qbrown.numerics.  Accepts
+    scalars or arrays.
     """
     scalar = np.isscalar(x)
     z = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(z >= 0) or np.any(z <= -_INV_E - 1e-300):
-        bad = z[(z >= 0) | (z <= -_INV_E)]
-        raise ValueError(f"lambert_w_minus1 requires -1/e < x < 0, got {bad}")
+    inside = (z <= -_TINY) & (z > -_INV_E)
+    if not inside.all():
+        raise ValueError(f"lambert_w_minus1 requires -1/e < x <= {-_TINY}, "
+                         f"got {z[~inside]}")
 
     w = np.empty_like(z)
     near = z + _INV_E <= 1e-15
@@ -49,21 +61,25 @@ def lambert_w_minus1(x):
     zr = z[rest]
     # branch-point expansion for moderate closeness, asymptotic series otherwise
     p = -np.sqrt(np.maximum(2.0 * (1.0 + math.e * zr), 0.0))
-    w_bp = -1.0 + p - p ** 2 / 3.0 + 11.0 * p ** 3 / 72.0
+    w_bp = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     L = np.log(-zr)
     with np.errstate(invalid="ignore", divide="ignore"):
         w_as = L - np.log(-L)
     guess = np.where(zr > -0.25, w_as, w_bp)
 
-    for _ in range(50):
+    scale = np.abs(zr)
+    for steps in range(1, _HALLEY_MAX + 1):
         ew = np.exp(guess)
         f = guess * ew - zr
+        done = np.all(np.abs(f) <= (1e-14 + _TWO_EPS * np.abs(guess)) * scale)
         wp1 = guess + 1.0
-        denom = ew * wp1 - (guess + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        guess = guess - step
-        if np.all(np.abs(f) <= 1e-14 * np.abs(zr) + 1e-300):
+        guess = guess - f / (ew * wp1 - (guess + 2.0) * f / (2.0 * wp1))
+        if done:
             break
+    else:
+        raise ArithmeticError("Lambert W_-1: Halley iteration did not "
+                              f"converge in {_HALLEY_MAX} steps")
+    _log.debug("lambert_w_minus1: %d points, %d Halley steps", z.size, steps)
     w[rest] = guess
     if np.any(w > -1.0 + 1e-12):
         raise ArithmeticError("Lambert iteration left the lower branch")
@@ -129,6 +145,8 @@ _DP_A = np.array([
 # fifth- minus fourth-order weights: the local error estimate
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
+# stages 1-6 as (index, Butcher row sliced to the earlier stages, node)
+_DP_STAGES = tuple((s, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 7))
 
 
 def _norm(v, scale):
@@ -144,10 +162,14 @@ def solve_ode(rhs, y0, t_grid):
     exactly on every requested grid time (output clipping, no
     interpolation error).  The first trial step is the Hairer-Norsett-
     Wanner estimate (Solving ODEs I, sec. II.4) from y0, rhs(t0, y0) and
-    one Euler probe, in the step control's norm and capped at the span.
-    NaN in the right-hand side or step-count exhaustion raise
-    ConvergenceError with the time of failure.  Each call logs its
-    accepted and rejected steps at DEBUG on qbrown.numerics.
+    one Euler probe, in the step control's norm; the probe step and the
+    first trial step are both capped at the span, so no stage leaves it.
+    The six stage values of a step are checked once, together, before
+    its error estimate: a NaN or infinity in any stage, or step-count
+    exhaustion, raises ConvergenceError with the time of failure.  Inside
+    the march numpy's invalid and divide-by-zero warnings are off, in the
+    right-hand side too: the check reports what they would.  Each call
+    logs its accepted and rejected steps at DEBUG on qbrown.numerics.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
@@ -171,33 +193,41 @@ def solve_ode(rhs, y0, t_grid):
         # the library runs in SI and in natural units
         scale = _ABS_TOL + _REL_TOL * np.abs(y)
         d0, d1 = _norm(y, scale), _norm(k[0], scale)
-        h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6 * span
+        h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6 * span,
+                 span)
         d2 = _norm(call(t + h0, y + h0 * k[0]) - k[0], scale) / h0
         h1 = ((0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
               else max(1e-6 * span, 1e-3 * h0))
         h = min(100.0 * h0, h1, span)
     steps = rejected = 0
-    for i in range(1, t_grid.size):
-        t_target = t_grid[i]
-        while t < t_target:
-            h = min(h, t_target - t)
-            for s in range(1, 7):
-                ys = y + h * (_DP_A[s, :s] @ k[:s])
-                k[s] = call(t + _DP_C[s] * h, ys)
-            # the last stage's state is the fifth-order solution
-            scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(ys))
-            err = _norm(h * (_DP_E @ k), scale)
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise ConvergenceError(f"step budget exhausted at t = {t}")
-            if err <= 1.0:
-                t += h
-                y = ys
-                k[0] = k[6]  # FSAL
-            else:
-                rejected += 1
-            h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
-        out[i] = y
+    # a non-finite stage flows into the later stages of its step before
+    # the step's one check, which reports it: no floating-point warning
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(1, t_grid.size):
+            t_target = t_grid[i]
+            while t < t_target:
+                h = min(h, t_target - t)
+                for s, a, c in _DP_STAGES:
+                    ys = y + h * (a @ k[:s])
+                    k[s] = rhs(t + c * h, ys)
+                if not np.isfinite(k).all():
+                    s = int(np.argmin(np.isfinite(k).all(axis=1)))
+                    raise ConvergenceError(
+                        f"non-finite right-hand side at t = {t + _DP_C[s] * h}")
+                # the last stage's state is the fifth-order solution
+                scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(ys))
+                err = _norm(h * (_DP_E @ k), scale)
+                steps += 1
+                if steps > _MAX_STEPS:
+                    raise ConvergenceError(f"step budget exhausted at t = {t}")
+                if err <= 1.0:
+                    t += h
+                    y = ys
+                    k[0] = k[6]  # FSAL
+                else:
+                    rejected += 1
+                h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
+            out[i] = y
     _log.debug("solve_ode: %d accepted and %d rejected steps, %d components",
                steps - rejected, rejected, y.size)
     return out

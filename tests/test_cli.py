@@ -531,6 +531,17 @@ def test_bounded_from_zero_keeps_the_lambert_law_early(tmp_path):
     assert gap <= 1e-8
 
 
+def test_bounded_march_probes_inside_its_span(tmp_path):
+    # here the first-step estimate exceeds the span of ln(t / t_c), and a
+    # probe beyond it overflowed exp(tau) in the bounded law's rhs
+    code, out = _run(tmp_path, "scenario = free-high-friction\n"
+                               "params.hbar = 2.78e-22\nparams.k_B = 16.5\n"
+                               "params.mass = 2.39e-30\nsigma0_sq = 1.09e-6\n"
+                               "time.points = 5\n")
+    assert code == 0
+    assert "status = ok" in (out / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("scenario, zeros", [
     ("free-zero-T", ("temperature",)),
     ("quantum-zero-T-pde", ("temperature",)),

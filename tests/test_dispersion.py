@@ -46,8 +46,9 @@ def test_lambert_scaled_round_trip():
     # atol covers cancellation in the residual where s ~ sqrt(2c) is tiny
     np.testing.assert_allclose(s - np.log1p(s), c, rtol=1e-10, atol=5e-16)
     assert lambert_dispersion_scaled(0.0) == 0.0
-    with pytest.raises(ValueError):
-        lambert_dispersion_scaled(-1.0)
+    for bad in (-1.0, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            lambert_dispersion_scaled(bad)
 
 
 def test_lambert_closed_form_solves_implicit_relation():
@@ -109,8 +110,10 @@ def test_thermal_forms_need_bath():
                  ClosedForm.COTH_INTERPOLATION):
         with pytest.raises(ModelCompatibilityError):
             eval_closed_form(kind, 1.0, cold)
-    with pytest.raises(ValueError):
-        eval_closed_form(ClosedForm.EINSTEIN, -1.0, NAT)
+    for kind in (ClosedForm.EINSTEIN, ClosedForm.COTH_INTERPOLATION):
+        for bad in (-1.0, [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                eval_closed_form(kind, bad, NAT)
 
 
 def test_semiclassical_log_warns_outside_domain():
