@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -481,40 +481,32 @@ class ComparisonTable:
     """Per-time dispersions for several models with ordering verdicts."""
 
     times: np.ndarray
-    columns: dict = field(default_factory=dict)   # label -> sigma_x2 array
-    errors: dict = field(default_factory=dict)    # label -> error message
-    verdicts: dict = field(default_factory=dict)  # name -> bool
+    columns: dict    # label -> sigma_x2 array
+    verdicts: dict   # name -> bool
 
 
-def compare_models(p: PhysicalParams, t_grid, models) -> ComparisonTable:
-    """Evaluate closed-form models on a common grid and compare them.
+def compare_models(p: PhysicalParams, t_grid) -> ComparisonTable:
+    """Evaluate every closed form but vacuum spreading, which needs b = 0
+    and an initial width, on a common grid and compare them; T = 0 or
+    b = 0 raises ModelCompatibilityError.
 
-    Incompatible model/parameter combinations are reported per model and
-    do not abort the rest; vacuum spreading, which needs an initial width,
-    always lands there.  Ordering verdicts are recorded for the pairs
-    the theory ranks: superposition >= exact Lambert bound, and the
-    elementary log approximation >= the semiclassical log law at large t.
+    Ordering verdicts are recorded for the pairs the theory ranks:
+    superposition >= exact Lambert bound, and the elementary log
+    approximation >= the semiclassical log law at large t.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    table = ComparisonTable(times=t_grid)
-    for kind in models:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SemiclassicalDomainWarning)
-                table.columns[kind.value] = eval_closed_form(kind, t_grid, p)
-        except (ModelCompatibilityError, ValueError) as exc:
-            table.errors[kind.value] = str(exc)
-
-    sup = table.columns.get(ClosedForm.SUPERPOSITION.value)
-    lam = table.columns.get(ClosedForm.LAMBERT_EXACT.value)
-    if sup is not None and lam is not None:
-        table.verdicts["superposition_ge_lambert"] = bool(np.all(sup >= lam - 1e-12 * sup))
-    elem = table.columns.get(ClosedForm.ELEMENTARY_LOG_APPROX.value)
-    semi = table.columns.get(ClosedForm.SEMICLASSICAL_LOG.value)
-    if elem is not None and semi is not None:
-        sc = derived_scales(p)
-        late = t_grid > sc.t_c
-        if np.any(late):
-            table.verdicts["elementary_ge_semiclassical_late"] = bool(
-                np.all(elem[late] >= semi[late]))
-    return table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SemiclassicalDomainWarning)
+        columns = {kind.value: eval_closed_form(kind, t_grid, p)
+                   for kind in ClosedForm
+                   if kind is not ClosedForm.VACUUM_SPREADING}
+    sup = columns[ClosedForm.SUPERPOSITION.value]
+    lam = columns[ClosedForm.LAMBERT_EXACT.value]
+    verdicts = {"superposition_ge_lambert":
+                bool(np.all(sup >= lam - 1e-12 * sup))}
+    late = t_grid > derived_scales(p).t_c
+    if np.any(late):
+        verdicts["elementary_ge_semiclassical_late"] = bool(np.all(
+            columns[ClosedForm.ELEMENTARY_LOG_APPROX.value][late]
+            >= columns[ClosedForm.SEMICLASSICAL_LOG.value][late]))
+    return ComparisonTable(times=t_grid, columns=columns, verdicts=verdicts)

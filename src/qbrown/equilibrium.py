@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, solve
 
-from .numerics import ConvergenceError, cumulative_trapezoid
+from .numerics import ConvergenceError
 from .params import PhysicalParams
 from .pde import (DensityField, Grid1D, PotentialSpec, effective_potential,
                   quantum_potential)
@@ -269,5 +269,5 @@ def quantum_entropy(rho_per_beta, p: PhysicalParams,
     beta = beta_nodes[-1]
 
     q = np.stack([quantum_potential(f, p) for f in fields], axis=-1)
-    integral = cumulative_trapezoid(q, beta_nodes)[..., -1]
-    return p.k_B * (beta * q[..., -1] - integral)
+    segs = 0.5 * (q[:, 1:] + q[:, :-1]) * np.diff(beta_nodes)  # trapezoid
+    return p.k_B * (beta * q[:, -1] - np.cumsum(segs, axis=-1)[:, -1])

@@ -1,9 +1,8 @@
 """Self-contained numerical kernels.
 
-Lambert W on the lower branch, a stable coth, cumulative trapezoid
-quadrature over inverse temperature and adaptive Dormand-Prince 5(4)
-integration, which marches every ODE of the library.  Everything here is
-a pure function over immutable inputs.
+Lambert W on the lower branch, a stable coth and adaptive Dormand-Prince
+5(4) integration, which marches every ODE of the library.  Everything
+here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -103,24 +102,6 @@ def coth(x):
     out[big] = np.sign(z[big])
     out[mid] = np.cosh(z[mid]) / np.sinh(z[mid])
     return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-# ---------------------------------------------------------------------------
-# Quadrature over inverse temperature
-
-
-def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of sampled values along the last axis.
-
-    Works on possibly non-uniform nodes; quantum_entropy integrates over
-    its beta nodes with it.
-    """
-    values = np.asarray(values, dtype=float)
-    d = np.diff(nodes)
-    segs = 0.5 * (values[..., 1:] + values[..., :-1]) * d
-    out = np.zeros_like(values)
-    out[..., 1:] = np.cumsum(segs, axis=-1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _trapz(values: np.ndarray, h: float, boundary: str = "reflecting") -> float:
 
 @dataclass
 class DensityField:
-    """Normalized probability density sampled on a Grid1D."""
+    """Probability density on a Grid1D, normalized to unit trapezoid mass."""
 
     grid: Grid1D
     rho: np.ndarray
@@ -68,17 +68,10 @@ class DensityField:
             raise ValueError("rho length must match the grid")
         if np.any(self.rho < 0):
             raise ValueError("rho must be non-negative")
-        self.normalize()
-
-    def normalize(self):
         mass = _trapz(self.rho, self.grid.h)
         if mass <= 0:
             raise ValueError("density has no mass")
         self.rho = self.rho / mass
-
-    @property
-    def mass(self) -> float:
-        return _trapz(self.rho, self.grid.h)
 
     @classmethod
     def gaussian(cls, grid: Grid1D, mu: float, sigma2: float) -> "DensityField":
@@ -96,8 +89,8 @@ class DensityField:
 class PotentialSpec:
     """External potential: free, linear (-f x), harmonic, quartic or tabulated.
 
-    Analytic variants expose exact first and second derivatives; the
-    tabulated variant uses central differences.
+    derivatives gives (U, U', U''): exact for the analytic variants, central
+    differences for a table.
     """
 
     variant: str
@@ -147,46 +140,31 @@ class PotentialSpec:
                 f"omega0 = {p.omega0}")
 
     def energy(self, grid: Grid1D, p: PhysicalParams) -> np.ndarray:
+        return self.derivatives(grid, p)[0]
+
+    def derivatives(self, grid: Grid1D, p: PhysicalParams):
+        """(U, U', U'') at the grid nodes."""
         self.check_consistency(p)
         x = grid.x
         if self.variant == "free":
-            return np.zeros(grid.n)
+            zero = np.zeros(grid.n)
+            return zero, zero, zero
         if self.variant == "linear":
-            return -self.f * x
+            return -self.f * x, np.full(grid.n, -self.f), np.zeros(grid.n)
         if self.variant == "harmonic":
-            return 0.5 * p.mass * self.omega0 ** 2 * x ** 2
+            k = p.mass * self.omega0 ** 2
+            return 0.5 * k * x ** 2, k * x, np.full(grid.n, k)
         if self.variant == "quartic":
-            return self.k4 * x ** 4
+            return (self.k4 * x ** 4, 4.0 * self.k4 * x ** 3,
+                    12.0 * self.k4 * x ** 2)
         if self.values.size != grid.n:
             raise ValueError("tabulated potential length must match the grid")
-        return np.array(self.values, dtype=float)
-
-    def grad(self, grid: Grid1D, p: PhysicalParams) -> np.ndarray:
-        x = grid.x
-        if self.variant == "free":
-            return np.zeros(grid.n)
-        if self.variant == "linear":
-            return np.full(grid.n, -self.f)
-        if self.variant == "harmonic":
-            return p.mass * self.omega0 ** 2 * x
-        if self.variant == "quartic":
-            return 4.0 * self.k4 * x ** 3
-        return np.gradient(self.energy(grid, p), grid.h)
-
-    def laplacian(self, grid: Grid1D, p: PhysicalParams) -> np.ndarray:
-        x = grid.x
-        if self.variant in ("free", "linear"):
-            return np.zeros(grid.n)
-        if self.variant == "harmonic":
-            return np.full(grid.n, p.mass * self.omega0 ** 2)
-        if self.variant == "quartic":
-            return 12.0 * self.k4 * x ** 2
-        u = self.energy(grid, p)
+        u = np.array(self.values, dtype=float)
         lap = np.empty(grid.n)
         lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h ** 2
         lap[0] = lap[1]
         lap[-1] = lap[-2]
-        return lap
+        return u, np.gradient(u, grid.h), lap
 
 
 class PdeModel(Enum):
@@ -248,13 +226,11 @@ def _quantum_potential_raw(rho_arr: np.ndarray, h: float, p: PhysicalParams,
 
 def effective_potential(U: PotentialSpec, beta: float, p: PhysicalParams,
                         grid: Grid1D) -> np.ndarray:
-    """Semiclassical potential U + beta hbar^2 [3 lap U - beta (grad U)^2] / 24m."""
+    """Semiclassical potential U + beta hbar^2 [3 U'' - beta U'^2] / 24m."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    u = U.energy(grid, p)
-    gu = U.grad(grid, p)
-    lu = U.laplacian(grid, p)
-    return u + beta * p.hbar ** 2 * (3.0 * lu - beta * gu ** 2) / (24.0 * p.mass)
+    u, du, d2u = U.derivatives(grid, p)
+    return u + beta * p.hbar ** 2 * (3.0 * d2u - beta * du ** 2) / (24.0 * p.mass)
 
 
 @dataclass

@@ -1,11 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbrown
 from qbrown import cli
 from qbrown.cli import (_SCHEMAS, SCENARIOS, ConfigError, ScenarioConfig,
                         main, parse_config, run_scenario)
@@ -161,6 +166,30 @@ def test_time_span_must_be_ordered(tmp_path):
       "grid.n = 1000000000000000000 (line 2)")),
     # the suite runs as qbrown accept
     ("scenario = acceptance\n", 1, ("unknown scenario 'acceptance'",)),
+    # numpy refuses this grid before it allocates anything
+    ("scenario = equilibrium\ngrid.n = 1000000000000000000\n"
+     "eq.n_beta_steps = 1000000000000000000\n", 2,
+     ("grid nodes: Unable to allocate", "grid.x_min = -8.0 (default)",
+      "grid.n = 1000000000000000000 (line 2)")),
+    # time grids that cannot be built, or whose 201 or 61 times repeat
+    # between adjacent floats
+    pytest.param(f"scenario = harmonic\ntime.points = {10 ** 400}\n", 2,
+                 ("the time grid cannot be built",
+                  "time.start = 0.0 (default)", "(line 2)"),
+                 id="harmonic-time.points-1e400"),
+    pytest.param(f"scenario = free-high-friction\ntime.points = {10 ** 400}\n",
+                 2, ("the time grid cannot be built",
+                     "time.stop = 0.0 (default)", "(line 2)"),
+                 id="free-high-friction-time.points-1e400"),
+    ("scenario = harmonic\ntime.start = 5\ntime.stop = 5.000000000000001\n",
+     3, ("the time grid does not strictly increase",
+         "time.start = 5.0 (line 2)", "time.stop = 5.000000000000001 (line 3)",
+         "time.points = 201 (default)")),
+    ("scenario = free-high-friction\ntime.start = 0.5\n"
+     "time.stop = 0.5000000000000001\n", 3,
+     ("the time grid does not strictly increase", "time.start = 0.5 (line 2)",
+      "time.stop = 0.5000000000000001 (line 3)",
+      "time.points = 61 (default)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -244,9 +273,8 @@ def test_parse_config_is_total(text):
         return
     assert isinstance(cfg, ScenarioConfig)
     assert cli._scale_lines(cfg.params)
-    if cfg.scenario == "free-high-friction":
-        start, stop = cli._time_span(cfg.options, cfg.params)
-        assert start < stop
+    if "time.points" in cfg.options:
+        assert np.all(np.diff(cli._times(cfg)) > 0)
 
 
 def test_missing_and_unknown_scenario():
@@ -540,6 +568,35 @@ def test_bounded_march_probes_inside_its_span(tmp_path):
                                "time.points = 5\n")
     assert code == 0
     assert "status = ok" in (out / "manifest.txt").read_text()
+
+
+def test_full_below_bounded_compares_the_surface_from_zero(tmp_path):
+    # the full surface starts from 0 whatever sigma0_sq; against the
+    # bounded law from sigma0_sq = 1.09e-6 its excess read -1.000e+00
+    code, out = _run(tmp_path, "scenario = free-high-friction\n"
+                               "params.hbar = 2.78e-22\nparams.k_B = 16.5\n"
+                               "params.mass = 2.39e-30\nsigma0_sq = 1.09e-6\n"
+                               "time.points = 5\n")
+    assert code == 0
+    line, = [ln for ln in (out / "manifest.txt").read_text().splitlines()
+             if ln.startswith("full_below_bounded")]
+    assert "[PASS]" in line
+    excess = float(line.rsplit(" ", 1)[1])
+    assert -1e-2 < excess < -1e-3
+    _, _, lam, full = np.loadtxt(out / "trajectory.csv", delimiter=",",
+                                 skiprows=1, unpack=True)
+    assert excess == pytest.approx(np.max((full - lam) / lam), rel=1e-3)
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate costs about 0.3 s and 21 MiB of start-up per process
+    src = str(Path(qbrown.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qbrown.cli; print('scipy.linalg' "
+         "in sys.modules, 'scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.parametrize("scenario, zeros", [

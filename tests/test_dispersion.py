@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     PhysicalParams, compare_models, derived_scales,
@@ -16,7 +16,7 @@ from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     stationary_harmonic_dispersion)
 from qbrown.dispersion import (SemiclassicalDomainWarning, _beta_integral,
                                lambert_dispersion_scaled)
-from qbrown.numerics import ConvergenceError, coth, cumulative_trapezoid
+from qbrown.numerics import ConvergenceError, coth
 from qbrown.params import momentum_dispersion
 
 NAT = PhysicalParams.natural()
@@ -262,7 +262,7 @@ def _march_overdamped(p, t, beta):
     def rhs(lt, S):
         integrand = np.concatenate(
             ([0.0], p.hbar ** 2 / (4.0 * p.mass) / S ** 2))
-        I = cumulative_trapezoid(integrand, beta)[1:]
+        I = cumulative_trapezoid(integrand, beta)
         return 2.0 * Dj * math.exp(lt) * (1.0 + I * S)
 
     return _reference_march(rhs, S0, np.log(np.concatenate(([t0], t))))[1:]
@@ -335,7 +335,7 @@ def test_beta_integral_is_the_cumulative_trapezoid():
     S = np.linspace(2.0, 0.5, beta.size - 1)
     want = cumulative_trapezoid(np.concatenate(([0.0], 0.25 / S ** 2)), beta)
     got = _beta_integral(0.25, S, 0.5 * np.diff(beta))
-    np.testing.assert_array_equal(got, want[1:])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_stationary_harmonic_matches_coth():
@@ -385,7 +385,7 @@ def _march_harmonic(p, s0, ds0, t, beta):
         S, V = y[:ncol], y[ncol:]
         integrand = np.concatenate(
             ([0.0], p.hbar ** 2 / (4.0 * p.mass ** 2) / S ** 2))
-        I = cumulative_trapezoid(integrand, beta)[1:]
+        I = cumulative_trapezoid(integrand, beta)
         spring = np.maximum(w0sq - kT * I, 1e-8 * w0sq)
         dV = (2.0 * kT - p.friction * V) / p.mass - 2.0 * spring * S
         return np.concatenate((V, dV))
@@ -466,11 +466,19 @@ def test_surface_solvers_check_the_beta_grid_first(monkeypatch, beta_grid,
 # comparison table
 
 
-def test_compare_models_verdicts_and_errors():
+@pytest.mark.filterwarnings(
+    "ignore::qbrown.dispersion.SemiclassicalDomainWarning")
+def test_compare_models_verdicts():
     sc = derived_scales(NAT)
     t = np.geomspace(1e-2 * sc.t_c, 1e2 * sc.t_c, 40)
-    table = compare_models(NAT, t, list(ClosedForm))
-    # vacuum spreading is incompatible with b > 0 and lands in errors
-    assert "vacuum-spreading" in table.errors
-    assert table.verdicts["superposition_ge_lambert"]
-    assert table.verdicts["elementary_ge_semiclassical_late"]
+    table = compare_models(NAT, t)
+    # every closed form but vacuum spreading, which needs b = 0, in order
+    assert list(table.columns) == [k.value for k in ClosedForm
+                                   if k is not ClosedForm.VACUUM_SPREADING]
+    for label, col in table.columns.items():
+        np.testing.assert_array_equal(
+            col, eval_closed_form(ClosedForm(label), t, NAT))
+    assert table.verdicts == {"superposition_ge_lambert": True,
+                              "elementary_ge_semiclassical_late": True}
+    with pytest.raises(ModelCompatibilityError):
+        compare_models(PhysicalParams.natural(temperature=0.0), t)

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.linalg import lu_factor, lu_solve
 
 from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
                     PotentialSpec, eigen_density, imaginary_time_density,
-                    moments, quantum_entropy, semiclassical_density)
+                    moments, quantum_entropy, quantum_potential,
+                    semiclassical_density)
 from qbrown.equilibrium import GridMismatchError, min_beta_steps
 from qbrown.numerics import coth
 
@@ -245,6 +247,20 @@ def test_quantum_entropy_uniform_is_zero():
     s = quantum_entropy(fields, PhysicalParams.natural(),
                         np.linspace(0.0, 1.0, 5))
     np.testing.assert_allclose(s, 0.0, atol=1e-10)
+
+
+def test_quantum_entropy_is_the_trapezoid_on_uneven_nodes():
+    # S_Q = k_B (beta Q(beta) - int_0^beta Q dbeta'), the integral by the
+    # trapezoid rule over the beta nodes
+    p = PhysicalParams.natural(k_B=2.0, hbar=0.7)
+    g = Grid1D(-6.0, 6.0, 121)
+    nodes = np.array([0.0, 0.05, 0.3, 0.35, 1.1, 2.0])
+    fields = [DensityField.uniform(g)] + [
+        DensityField.gaussian(g, 0.2 * b, 0.5 + b) for b in nodes[1:]]
+    q = np.array([quantum_potential(f, p) for f in fields])
+    want = 2.0 * (2.0 * q[-1] - trapezoid(q, nodes, axis=0))
+    np.testing.assert_allclose(quantum_entropy(fields, p, nodes), want,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_quantum_entropy_grid_mismatch():

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbrown import numerics
-from qbrown.numerics import (ConvergenceError, coth, cumulative_trapezoid,
-                             lambert_w_minus1, solve_ode)
+from qbrown.numerics import (ConvergenceError, coth, lambert_w_minus1,
+                             solve_ode)
 
 # ---------------------------------------------------------------------------
 # Lambert W, lower branch
@@ -85,29 +85,6 @@ def test_coth_small_and_large():
     assert coth(-50.0) == -1.0
     with pytest.raises(ValueError):
         coth(0.0)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def test_tanh_squared_integral():
-    # int_0^2 tanh^2 = 2 - tanh(2)
-    nodes = np.linspace(0.0, 2.0, 4001)
-    val = cumulative_trapezoid(np.tanh(nodes) ** 2, nodes)[-1]
-    assert val == pytest.approx(2.0 - math.tanh(2.0), rel=1e-7)
-
-
-def test_cumulative_trapezoid_nonuniform():
-    nodes = np.array([0.0, 0.1, 0.5, 1.3, 2.0])
-    vals = 3.0 * nodes ** 2
-    out = cumulative_trapezoid(vals, nodes)
-    assert out[0] == 0.0
-    # trapezoid of a quadratic overshoots slightly but converges
-    assert out[-1] == pytest.approx(2.0 ** 3, rel=0.1)
-    dense = np.linspace(0.0, 2.0, 20001)
-    out = cumulative_trapezoid(3.0 * dense ** 2, dense)
-    assert out[-1] == pytest.approx(8.0, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_grid_validation():
 def test_density_field_normalizes():
     g = Grid1D(-5.0, 5.0, 101)
     f = DensityField(grid=g, rho=np.ones(101) * 7.0)
-    assert f.mass == pytest.approx(1.0)
+    assert moments(f).norm == pytest.approx(1.0)
     with pytest.raises(ValueError):
         DensityField(grid=g, rho=-np.ones(101))
     with pytest.raises(ValueError):
@@ -67,13 +67,22 @@ def test_moments_warns_off_norm():
 
 def test_potential_variants():
     g = Grid1D(-2.0, 2.0, 41)
-    p = NAT
-    x = g.x
-    np.testing.assert_allclose(PotentialSpec.linear(2.0).energy(g, p), -2.0 * x)
-    np.testing.assert_allclose(PotentialSpec.quartic(3.0).grad(g, p),
-                               12.0 * x ** 3)
-    np.testing.assert_allclose(PotentialSpec.quartic(3.0).laplacian(g, p),
-                               36.0 * x ** 2)
+    x, zero = g.x, np.zeros(41)
+    p = PhysicalParams.natural(mass=2.5, omega0=1.5)
+    k = 2.5 * 1.5 ** 2
+    cases = [(PotentialSpec.free(), (zero, zero, zero)),
+             (PotentialSpec.linear(2.0), (-2.0 * x, np.full(41, -2.0), zero)),
+             (PotentialSpec.harmonic(1.5),
+              (0.5 * k * x ** 2, k * x, np.full(41, k))),
+             (PotentialSpec.quartic(3.0),
+              (3.0 * x ** 4, 12.0 * x ** 3, 36.0 * x ** 2))]
+    for U, want in cases:
+        got = U.derivatives(g, p)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        np.testing.assert_array_equal(U.energy(g, p), want[0])
     with pytest.raises(ValueError):
         PotentialSpec.harmonic(0.0)
     with pytest.raises(ValueError):
@@ -83,8 +92,11 @@ def test_potential_variants():
 def test_tabulated_potential_derivatives():
     g = Grid1D(-2.0, 2.0, 401)
     tab = PotentialSpec.tabulated(0.5 * g.x ** 2)
-    np.testing.assert_allclose(tab.grad(g, NAT)[1:-1], g.x[1:-1], atol=1e-3)
-    np.testing.assert_allclose(tab.laplacian(g, NAT)[1:-1], 1.0, atol=1e-6)
+    u, du, d2u = tab.derivatives(g, NAT)
+    np.testing.assert_array_equal(u, 0.5 * g.x ** 2)
+    np.testing.assert_allclose(du[1:-1], g.x[1:-1], atol=1e-3)
+    np.testing.assert_allclose(d2u[1:-1], 1.0, atol=1e-6)
+    assert d2u[0] == d2u[1] and d2u[-1] == d2u[-2]
     with pytest.raises(ValueError):
         PotentialSpec.tabulated([1.0, math.nan])
 
