@@ -288,9 +288,11 @@ def _beta_step_errors(options, params, seen):
 
 def _start_errors(cfg, seen):
     """Errors, citing the keys' lines, of a harmonic potential whose omega0
-    disagrees with params.omega0, of a time grid that cannot be built or
-    does not strictly increase, of grid nodes too large to allocate and of
-    an initial PDE density with no mass on its grid."""
+    disagrees with params.omega0, of a harmonic run whose quantum
+    coefficient hbar^2/(4 m^2 sigma0_sq^2) is not a finite float, of a time
+    grid that cannot be built or does not strictly increase, of grid nodes
+    too large to allocate and of an initial PDE density with no mass on its
+    grid."""
     options, errors = cfg.options, []
     if "potential.variant" in options:
         try:
@@ -300,6 +302,18 @@ def _start_errors(cfg, seen):
                               ("potential.omega0", "params.omega0"))
             errors.append((ln, f"the harmonic well and the bath disagree on "
                                f"omega0: {cited}"))
+    if cfg.scenario == "harmonic":
+        p = cfg.params
+        try:    # as solve_harmonic forms it: ** raises on overflow
+            coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * options["sigma0_sq"] ** 2)
+        except ArithmeticError:
+            coef = math.inf
+        if not math.isfinite(coef):
+            ln, cited = _cite(options, seen,
+                              ("params.hbar", "params.mass", "sigma0_sq"))
+            errors.append((ln, f"the quantum coefficient hbar^2/(4 m^2 "
+                               f"sigma0_sq^2) is not a finite float for "
+                               f"{cited}"))
     if "time.points" in options:
         try:
             increasing = bool(np.all(np.diff(_times(cfg)) > 0))

@@ -443,10 +443,12 @@ class _LogDensityRate:
         return z[self._pos]
 
 
-# Newton stops once max |dy| falls below this, and a step whose Newton
-# solve has not converged after _NEWTON_MAX_ITER iterations is halved
+# Newton stops once max |dy| max(rho / rho_max, _NEWTON_WEIGHT_FLOOR)
+# falls below _NEWTON_TOL, and a step whose Newton solve has not converged
+# after _NEWTON_MAX_ITER iterations is halved
 _NEWTON_TOL = 1e-9
-_NEWTON_MAX_ITER = 8
+_NEWTON_WEIGHT_FLOOR = 1e-6
+_NEWTON_MAX_ITER = 12
 # local error per step: the trapezoid L1 norm of the predictor-corrector
 # difference, scaled to the BDF error constant, relative to the mass
 _LOCAL_ERROR_TOL = 1e-5
@@ -456,9 +458,13 @@ def _newton(rate_of, y_guess, a0, history, k):
     """Solve a0 + sum_j a_j rho_j / rho = k rate(y) for y, by Newton.
 
     history holds (a_j, y_j) of the earlier states of the BDF formula;
-    dividing by rho = exp(y) leaves exp(y_j - y).  Returns (y, iterations)
-    or (None, iterations) when the iteration fails, leaves the floats or
-    has not converged after _NEWTON_MAX_ITER iterations.
+    dividing by rho = exp(y) leaves exp(y_j - y).  The test is weighted by
+    the density: an update dy converges once max |dy| max(rho / rho_max,
+    1e-6) < 1e-9, so the core is solved to 1e-9 in ln rho and nodes below
+    1e-6 of the peak, where ln rho changes no moment, to 1e-3.  Returns
+    (y, iterations) or (None, iterations) when the iteration fails, leaves
+    the floats or has not converged after _NEWTON_MAX_ITER (12)
+    iterations.
     """
     y = y_guess.copy()
     for it in range(1, _NEWTON_MAX_ITER + 1):
@@ -473,7 +479,8 @@ def _newton(rate_of, y_guess, a0, history, k):
         if not np.all(np.isfinite(dy)):
             return None, it
         y += dy
-        if float(np.max(np.abs(dy))) < _NEWTON_TOL:
+        weight = np.maximum(np.exp(y - np.max(y)), _NEWTON_WEIGHT_FLOOR)
+        if float(np.max(np.abs(dy) * weight)) < _NEWTON_TOL:
             return y, it
     return None, _NEWTON_MAX_ITER
 
@@ -483,6 +490,25 @@ def _extrapolate(points, t):
     return sum(vk * math.prod((t - tm) / (tk - tm)
                               for tm, _ in points if tm != tk)
                for tk, vk in points)
+
+
+def _log_start(rho):
+    """ln rho where rho is a normal float; past the last normal node at
+    each end, the line through the two outermost normal nodes there, held
+    at or below ln(tiny).  A run of underflowed nodes between normal ones
+    stays at ln(tiny), as does every node when fewer than two are normal.
+    """
+    tiny = np.finfo(float).tiny
+    y = np.log(np.maximum(rho, tiny))
+    normal = np.flatnonzero(rho >= tiny)
+    if normal.size < 2:
+        return y
+    for end, inner, tail in ((normal[0], normal[1], np.arange(normal[0])),
+                             (normal[-1], normal[-2],
+                              np.arange(normal[-1] + 1, rho.size))):
+        slope = (y[end] - y[inner]) / (end - inner)
+        y[tail] = np.minimum(y[end] + slope * (tail - end), y[tail])
+    return y
 
 
 def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
@@ -495,15 +521,17 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
     only by the Newton residual.  The local error is estimated from a
     predictor in rho: the slope at t = 0 for the first step, the Hermite
     quadratic through it and the first step for the second, then the
-    quadratic through the last three states.  Newton starts from the
-    extrapolated y.  A step that fails is retried at half its size, one
-    over the error tolerance at the size the estimate asks for, and the
-    step after a failure does not grow.
+    quadratic through the last three states.  The march starts from
+    _log_start(rho0), smooth where rho0 underflows at the walls.  Newton
+    starts from the y extrapolated through the accepted states, moved by
+    at most 1 per node from the last one.  A step that fails is retried at
+    half its size, one over the error tolerance at the size the estimate
+    asks for, and the step after a failure does not grow.
     """
     def mass_of(r):
         return _trapz(r, rate_of.h, rate_of.boundary)
 
-    y = np.log(np.maximum(rho0, np.finfo(float).tiny))
+    y = _log_start(rho0)
     mass0 = mass_of(rho0)
     drho0 = rho0 * rate_of.rate_and_jacobian(y)[0] / friction
     hist = [(0.0, y, np.exp(y))]           # the last three accepted states
@@ -525,7 +553,8 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                 w = dt / (t1 - t0)
                 a0, order = (1.0 + 2.0 * w) / (1.0 + w), 2
                 past = [(-(1.0 + w), y1), (w * w / (1.0 + w), y0)]
-                guess = _extrapolate([(tk, yk) for tk, yk, _ in hist], t_new)
+                guess = y1 + np.clip(_extrapolate(
+                    [(tk, yk) for tk, yk, _ in hist], t_new) - y1, -1.0, 1.0)
                 if len(hist) == 2:
                     nodes = (t0, t0, t1)
                     s = (t_new - t0) / (t1 - t0)
@@ -599,7 +628,11 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     telegraph models, so the discrete Boltzmann density is stationary:
     variable-step BDF2 (backward Euler first), a Newton solve on a banded
     Jacobian per step, local error control, and a halved step where Newton
-    fails.  rho = exp(y) stays positive with no density floor.  There dt
+    fails.  rho = exp(y) stays positive with no density floor.  Where rho0
+    underflows at the walls, y starts on the line through the last two
+    normal nodes; each Newton guess moves no node by more than 1; and
+    Newton, allowed 12 iterations, converges once max |dy| max(rho /
+    rho_max, 1e-6) < 1e-9, so the tails need ln rho only to 1e-3.  There dt
     is only the first step tried, and the steps taken are not bounded;
     n_steps counts accepted steps and the diagnostics rejected_steps, of
     which newton_failures were rejected because Newton failed.

@@ -190,6 +190,11 @@ def test_time_span_must_be_ordered(tmp_path):
      ("the time grid does not strictly increase", "time.start = 0.5 (line 2)",
       "time.stop = 0.5000000000000001 (line 3)",
       "time.points = 61 (default)")),
+    # hbar^2 overflows where solve_harmonic forms hbar^2/(4 m^2 sigma0_sq^2)
+    ("scenario = harmonic\nparams.omega0 = 1\nparams.hbar = 1e200\n", 3,
+     ("quantum coefficient", "not a finite float",
+      "params.hbar = 1e+200 (line 3)", "params.mass = 1.0 (default)",
+      "sigma0_sq = 1.0 (default)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -505,7 +510,8 @@ def test_scales_undefined(tmp_path, capsys):
     assert main(["scales", str(cfg_path)]) == 0
     assert capsys.readouterr().out.startswith("undefined: ")
     # so is a harmonic config whose lambda_T^2 overflows a float
-    cfg_path.write_text("scenario = harmonic\nparams.hbar = 1e200\n")
+    cfg_path.write_text("scenario = harmonic\nparams.hbar = 1e150\n"
+                        "params.temperature = 1e-10\n")
     assert main(["scales", str(cfg_path)]) == 0
     assert capsys.readouterr().out.startswith("undefined: ")
 
@@ -522,6 +528,17 @@ def test_scenario_defaults_run(tmp_path, scenario):
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.endswith(",sigma_x2_full [length^2]")
         assert "full_below_bounded [PASS]" in manifest
+
+
+@pytest.mark.parametrize("n", [121, 141])
+def test_zero_T_pde_runs_at_under_two_cells_per_sigma0(tmp_path, n):
+    # sigma0 = 0.2 spans 1.5 cells at 121 nodes on the default [-8, 8]; the
+    # Newton solves once failed at the underflowed tails down to dt ~ 1e-12
+    code, out = _run(tmp_path, f"scenario = quantum-zero-T-pde\n"
+                               f"params.temperature = 0\npde.t_final = 1\n"
+                               f"grid.n = {n}\n")
+    assert code == 0
+    assert "status = ok" in (out / "manifest.txt").read_text()
 
 
 def _failing_criteria(verdict_lines):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve
 
 from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
                     PotentialSpec, eigen_density, imaginary_time_density,
@@ -38,6 +38,19 @@ def test_harmonic_routes_agree():
     # discrete spectrum approximates (n + 1/2) omega0
     np.testing.assert_allclose(energies[:4], [0.5, 1.5, 2.5, 3.5],
                                rtol=1e-3)
+    assert moments(rho_it).dispersion == pytest.approx(exact, rel=1e-3)
+
+
+def test_hot_harmonic_routes_agree():
+    # criterion 5's beta = 0.1 box, [-25.31, 25.31], whose kernel powers
+    # hold subnormal entries that the kernel flushes to zero
+    p, g, exact = _harmonic_setup(0.1)
+    U = PotentialSpec.harmonic(1.0)
+    cfg = ImaginaryTimeConfig(beta_final=0.1, grid=g, n_beta_steps=256)
+    rho_it, z_it = imaginary_time_density(U, p, cfg)
+    rho_e, z_e, _ = eigen_density(U, p, 0.1, g)
+    assert np.max(np.abs(rho_it.rho - rho_e.rho)) <= 1e-6
+    assert abs(z_it - z_e) / z_e <= 1e-3
     assert moments(rho_it).dispersion == pytest.approx(exact, rel=1e-3)
 
 
@@ -134,6 +147,43 @@ def test_squared_kernel_matches_stepped_loop(boundary, n_steps):
     rho_ref, z_ref = _stepped_kernel(U, p, cfg)
     assert np.max(np.abs(rho.rho - rho_ref.rho)) <= 1e-12 * np.max(rho_ref.rho)
     assert abs(z - z_ref) <= 1e-12 * z_ref
+
+
+def test_kernel_flush_leaves_rho_and_z_bit_identical():
+    # the same square-and-multiply with no flush, on criterion 5's
+    # beta = 0.1 box: S^256 by 8 squarings
+    p, g, _ = _harmonic_setup(0.1)
+    U = PotentialSpec.harmonic(1.0)
+    cfg = ImaginaryTimeConfig(beta_final=0.1, grid=g, n_beta_steps=256)
+    rho, z = imaginary_time_density(U, p, cfg)
+
+    db = 0.1 / 256
+    u = U.energy(g, p)
+    half_pot = np.exp(-0.5 * db * (u - np.min(u)))
+    half_kin = 0.5 * db * p.hbar ** 2 / (2.0 * p.mass * g.h ** 2)
+    off = np.eye(g.n, k=1) + np.eye(g.n, k=-1)
+    A = np.eye(g.n) * (1.0 + 2.0 * half_kin) - half_kin * off
+    B = np.eye(g.n) * (1.0 - 2.0 * half_kin) + half_kin * off
+    M = solve(A, B, overwrite_a=True, overwrite_b=True)
+    M *= np.outer(half_pot, half_pot)
+    subnormal = []
+
+    def unit_peak(M):
+        peak = max(float(M.max()), -float(M.min()))
+        M /= peak
+        subnormal.append(int(np.count_nonzero(
+            (M != 0.0) & (np.abs(M) < np.finfo(float).tiny))))
+        return math.log(peak)
+
+    log_m = unit_peak(M)
+    for _ in range(8):
+        M = M @ M
+        log_m = 2.0 * log_m + unit_peak(M)
+    assert sum(subnormal) > 0
+    z_ref = float(np.trace(M)) * math.exp(log_m - 0.1 * float(np.min(u)))
+    rho_ref = DensityField(grid=g, rho=np.maximum(np.diag(M), 0.0))
+    np.testing.assert_array_equal(rho.rho, rho_ref.rho)
+    assert z == z_ref
 
 
 def test_kernel_logs_squarings(caplog):

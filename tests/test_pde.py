@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qbrown import (ConvergenceError, DensityField, Grid1D, PdeModel,
                     PhysicalParams, PotentialSpec, derived_scales,
                     effective_potential, evolve, moments, quantum_potential)
-from qbrown.pde import _LogDensityRate
+from qbrown.pde import _LogDensityRate, _log_start
 
 NAT = PhysicalParams.natural()
 
@@ -183,6 +183,38 @@ def test_quantum_zero_T_quartic_root_law():
     m = res.times >= 0.1
     meas = res.sigma2[m] ** 2 - res.sigma2[0] ** 2
     np.testing.assert_allclose(meas, law[m], rtol=1e-2)
+
+
+def test_zero_T_relaxation_spends_few_newton_iterations():
+    # criterion 7's quick run: tens of Newton failures in the underflowed
+    # tails once halved its first steps down to dt ~ 5e-7
+    p = PhysicalParams.natural(friction=100.0, temperature=0.0)
+    g = Grid1D(-8.0, 8.0, 321)
+    res = evolve(DensityField.gaussian(g, 0.0, 0.04),
+                 PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI, PotentialSpec.free(),
+                 p, 1000.0 * p.tau_m, n_records=101)
+    assert res.diagnostics["newton_iterations"] <= 900
+    assert res.diagnostics["newton_failures"] <= 3
+
+
+def test_log_start_continues_the_tails_linearly():
+    g = Grid1D(-8.0, 8.0, 321)
+    rho = DensityField.gaussian(g, 0.0, 0.04).rho
+    tiny = np.finfo(float).tiny
+    normal = np.flatnonzero(rho >= tiny)
+    lo, hi = normal[0], normal[-1]
+    assert 0 < lo and hi < g.n - 1 and normal.size == hi - lo + 1
+    y = _log_start(rho)
+    np.testing.assert_array_equal(y[lo:hi + 1], np.log(rho[lo:hi + 1]))
+    for tail, end, inner in ((slice(0, lo), lo, lo + 1),
+                             (slice(hi + 1, None), hi, hi - 1)):
+        i = np.arange(g.n)[tail]
+        line = y[end] + (y[end] - y[inner]) * np.abs(i - end)
+        np.testing.assert_allclose(y[tail], line, rtol=1e-13)
+        assert np.all(y[tail] <= math.log(tiny))
+    # a run of underflowed nodes between normal ones keeps the floor
+    rho[150:160] = 0.0
+    assert np.all(_log_start(rho)[150:160] == math.log(tiny))
 
 
 def _params_for(model):
