@@ -11,26 +11,25 @@ import argparse
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .acceptance import run_all
 from .dispersion import (ClosedForm, compare_models, eval_closed_form,
-                         solve_harmonic, solve_inertial_zero_T,
-                         solve_overdamped_bounded, solve_overdamped_full)
+                         quantum_coefficient, solve_harmonic,
+                         solve_inertial_zero_T, solve_overdamped_bounded,
+                         solve_overdamped_full)
 from .equilibrium import (ImaginaryTimeConfig, eigen_density,
                           imaginary_time_density, min_beta_steps,
                           quantum_entropy, semiclassical_density)
 from .numerics import ConvergenceError
 from .params import (PhysicalParams, ScalesUndefinedError, derived_scales)
 from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec, evolve,
-                  quantum_potential)
-
-SCENARIOS = ("free-zero-T", "free-high-friction", "vacuum-spreading",
-             "harmonic", "classical-telegraph", "quantum-zero-T-pde",
-             "semiclassical-pde", "equilibrium", "dispersion-compare")
+                  quantum_potential, record_times)
 
 
 class ConfigError(Exception):
@@ -100,90 +99,6 @@ _POTENTIAL_KEYS = {
 _WARM = {"params.temperature": (float, 1.0, _POSITIVE)}
 _COLD = {"params.temperature": (float, 0.0, _ZERO)}
 _DAMPED = {"params.friction": (float, 1.0, _POSITIVE)}
-_SCENARIO_PARAMS = {
-    "harmonic": {"params.omega0": (float, 1.0, _POSITIVE), **_WARM},
-    "free-zero-T": _COLD,
-    "quantum-zero-T-pde": {**_COLD, **_DAMPED},
-    "vacuum-spreading": {**_COLD, "params.friction": (float, 0.0, _ZERO)},
-    "equilibrium": _WARM,
-    **{scen: {**_WARM, **_DAMPED}
-       for scen in ("free-high-friction", "dispersion-compare",
-                    "classical-telegraph", "semiclassical-pde")},
-}
-
-# the params that set the thermal scales, and the scenarios on a t_c
-# time axis, which need t_c to be defined
-_SCALE_KEYS = ("params.hbar", "params.k_B", "params.mass", "params.friction",
-               "params.temperature")
-_TC_AXIS = ("free-high-friction", "dispersion-compare")
-
-# potential variants and the option each needs positive
-_VARIANT_KEYS = {"harmonic": "potential.omega0", "quartic": "potential.k4"}
-
-# (low, high) option pairs that must satisfy low < high; a t_c axis
-# compares its time span once resolved (_time_span)
-_ORDERED_KEYS = (("grid.x_min", "grid.x_max"), ("time.start", "time.stop"))
-
-_SCENARIO_KEYS = {
-    "free-zero-T": {
-        "sigma0": (float, 1.0, _POSITIVE),
-        "dsigma0": (float, 0.0, None),
-        "mu0": (float, 0.0, None),
-        "dmu0": (float, 0.0, None),
-        **_TIME_KEYS,
-    },
-    "free-high-friction": {
-        "sigma0_sq": (float, 0.0, _NONNEG),
-        "full": (bool, True, None),
-        "time.start": (float, 0.0, _NONNEG),   # 0 = 1e-3 t_c
-        "time.stop": (float, 0.0, _NONNEG),    # 0 = 1e3 t_c
-        "time.points": (int, 61, ("must be at least 2", lambda v: v >= 2)),
-    },
-    "vacuum-spreading": {
-        "sigma0": (float, 1.0, _POSITIVE),
-        **_TIME_KEYS,
-    },
-    "harmonic": {
-        "sigma0_sq": (float, 1.0, _POSITIVE),
-        "dsigma0_sq": (float, 0.0, None),
-        "mu0": (float, 1.0, None),
-        "dmu0": (float, 0.0, None),
-        **_TIME_KEYS,
-    },
-    "classical-telegraph": {
-        "sigma0_sq": (float, 0.25, _POSITIVE),
-        "mu0": (float, 0.0, None),
-        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
-    },
-    "quantum-zero-T-pde": {
-        "sigma0_sq": (float, 0.04, _POSITIVE),
-        "mu0": (float, 0.0, None),
-        "inertial": (bool, False, None),
-        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
-    },
-    "semiclassical-pde": {
-        "sigma0_sq": (float, 0.25, _POSITIVE),
-        "mu0": (float, 0.0, None),
-        "inertial": (bool, False, None),
-        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
-    },
-    "equilibrium": {
-        **_GRID_KEYS, **_POTENTIAL_KEYS,
-        "eq.n_beta_steps": (int, 512,
-                            ("must be at least 16", lambda v: v >= 16)),
-        "eq.boundary": (str, "box",
-                        ("must be 'box' or 'periodic'",
-                         lambda v: v in ("box", "periodic"))),
-        "eq.entropy_nodes": (int, 0,
-                             ("must be 0 or at least 2",
-                              lambda v: v == 0 or v >= 2)),
-    },
-    "dispersion-compare": {
-        "time.points": (int, 60, ("must be at least 2", lambda v: v >= 2)),
-    },
-}
-_SCHEMAS = {scen: {**_PARAMS, **_SCENARIO_PARAMS.get(scen, {}), **keys}
-            for scen, keys in _SCENARIO_KEYS.items()}
 
 
 def _parse_value(raw, typ, ln, key, errors):
@@ -217,139 +132,16 @@ def _cite(options, seen, keys):
                       for k in keys))
 
 
-def _time_span(o, p):
-    """The span of a t_c time axis: time.start and time.stop where set,
-    else (0 or no such key) 1e-3 t_c and 1e3 t_c."""
-    t_c = derived_scales(p).t_c
-    return o.get("time.start") or 1e-3 * t_c, o.get("time.stop") or 1e3 * t_c
-
-
-def _times(cfg):
-    """The time grid of a dispersion scenario: time.points times spaced
-    geometrically over _time_span on a t_c axis, else linearly from
-    time.start to time.stop."""
-    o = cfg.options
-    if cfg.scenario in _TC_AXIS:
-        return np.geomspace(*_time_span(o, cfg.params), o["time.points"])
-    return np.linspace(o["time.start"], o["time.stop"], o["time.points"])
-
-
-def _cross_key_errors(scen, options, params, seen):
-    """Errors of checks that span two keys or more, each citing the keys'
-    lines."""
-    errors = []
-    for lo, hi in _ORDERED_KEYS:
-        if (lo in options and scen not in _TC_AXIS
-                and options[hi] <= options[lo]):
-            ln, cited = _cite(options, seen, (hi, lo))
-            errors.append((ln, f"{hi} must exceed {lo}: {cited}"))
-    need = _VARIANT_KEYS.get(options.get("potential.variant"))
-    if need is not None and options[need] <= 0:
-        ln, cited = _cite(options, seen, ("potential.variant", need))
-        errors.append((ln, f"potential.variant needs {need} > 0: {cited}"))
-    if scen in _TC_AXIS:
-        try:
-            start, stop = _time_span(options, params)
-            why = (f"the time span [{start:.6g}, {stop:.6g}] (time.start or "
-                   f"1e-3 t_c, time.stop or 1e3 t_c) must be positive, "
-                   f"finite and increasing")
-        except ScalesUndefinedError:
-            start = stop = math.nan
-            why = "the time axis is in units of t_c, which is undefined"
-        if not 0.0 < start < stop < math.inf:
-            ln, cited = _cite(options, seen, [
-                k for k in ("time.start", "time.stop") if k in options]
-                + list(_SCALE_KEYS))
-            errors.append((ln, f"{why} for {cited}"))
-    return errors
-
-
-def _beta_step_errors(options, params, seen):
-    """An error, citing the keys' lines, when the Crank-Nicolson beta step
-    at the target beta is too coarse for the grid
-    (equilibrium.min_beta_steps) or its bound overflows a float."""
-    keys = ("eq.n_beta_steps", "grid.x_min", "grid.x_max", "grid.n",
-            "params.temperature", "params.hbar", "params.k_B", "params.mass")
-    ln, cited = _cite(options, seen, keys)
-    try:
-        h = ((options["grid.x_max"] - options["grid.x_min"])
-             / (options["grid.n"] - 1))
-        need = min_beta_steps(params, h, params.beta)
-    except ArithmeticError:
-        return [(ln, f"the Crank-Nicolson beta step counts overflow a float "
-                     f"for {cited}")]
-    if options["eq.n_beta_steps"] >= need:
-        return []
-    return [(ln, f"{_cite(options, seen, keys[:1])[1]} is too coarse for "
-                 f"grid.h = {h:.4g} at beta = {params.beta:.6g}: the "
-                 f"Crank-Nicolson factor of the top grid mode turns negative "
-                 f"and stays above 1e-12; use eq.n_beta_steps >= {need}")]
-
-
-def _start_errors(cfg, seen):
-    """Errors, citing the keys' lines, of a harmonic potential whose omega0
-    disagrees with params.omega0, of a harmonic run whose quantum
-    coefficient hbar^2/(4 m^2 sigma0_sq^2) is not a finite float, of a time
-    grid that cannot be built or does not strictly increase, of grid nodes
-    too large to allocate and of an initial PDE density with no mass on its
-    grid."""
-    options, errors = cfg.options, []
-    if "potential.variant" in options:
-        try:
-            _potential(options).check_consistency(cfg.params)
-        except ValueError:
-            ln, cited = _cite(options, seen,
-                              ("potential.omega0", "params.omega0"))
-            errors.append((ln, f"the harmonic well and the bath disagree on "
-                               f"omega0: {cited}"))
-    if cfg.scenario == "harmonic":
-        p = cfg.params
-        try:    # as solve_harmonic forms it: ** raises on overflow
-            coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * options["sigma0_sq"] ** 2)
-        except ArithmeticError:
-            coef = math.inf
-        if not math.isfinite(coef):
-            ln, cited = _cite(options, seen,
-                              ("params.hbar", "params.mass", "sigma0_sq"))
-            errors.append((ln, f"the quantum coefficient hbar^2/(4 m^2 "
-                               f"sigma0_sq^2) is not a finite float for "
-                               f"{cited}"))
-    if "time.points" in options:
-        try:
-            increasing = bool(np.all(np.diff(_times(cfg)) > 0))
-            why = None if increasing else "does not strictly increase"
-        except (ValueError, OverflowError, MemoryError) as exc:
-            why = f"cannot be built: {exc}"
-        if why is not None:
-            ln, cited = _cite(options, seen, [
-                k for k in ("time.start", "time.stop", "time.points")
-                if k in options])
-            errors.append((ln, f"the time grid {why} for {cited}"))
-    if "grid.n" in options:
-        pde = "pde.t_final" in options
-        try:
-            with np.errstate(all="ignore"):
-                if pde:
-                    _initial_density(options)
-                else:
-                    _grid(options).x     # allocates the nodes
-        except (ValueError, MemoryError) as exc:
-            keys = ("grid.x_min", "grid.x_max", "grid.n")
-            ln, cited = _cite(options, seen,
-                              ("mu0", "sigma0_sq") + keys if pde else keys)
-            errors.append((ln, f"{'initial density' if pde else 'grid nodes'}"
-                               f": {exc} for {cited}"))
-    return errors
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config.
 
     Collects every error (unknown key, duplicate key, bad value, missing
-    scenario key, out-of-range value, inconsistent keys, initial density
-    with no mass) with its line number and raises one ConfigError
-    carrying the full list.  Every key, params.* among them, goes through
-    the scenario's schema in _SCHEMAS.
+    scenario key, out-of-range value) with its line number and raises one
+    ConfigError carrying the full list.  Every key, params.* among them,
+    goes through the scenario's schema in _SCHEMAS.  Then the scenario's
+    checks build what its run builds, stage by stage; a stage runs only
+    when the stages before it refused nothing, and each refusal cites the
+    keys of the refused build.
     """
     errors = []
     seen = {}        # key -> line number
@@ -405,13 +197,20 @@ def parse_config(text: str) -> ScenarioConfig:
     params = PhysicalParams(**{key[len("params."):]: options[key]
                                for key in _PARAMS})
     cfg = ScenarioConfig(scenario=scen, params=params, options=options)
-    errors = _cross_key_errors(scen, options, params, seen)
-    if not errors:
-        errors = _start_errors(cfg, seen)
-    if not errors and scen == "equilibrium":
-        errors = _beta_step_errors(options, params, seen)
-    if errors:
-        raise ConfigError(sorted(errors))
+    # an overflow or invalid value refuses a build; an underflow does not
+    with np.errstate(all="raise", under="ignore"):
+        for stage in (1, 2, 3):
+            for at, what, keys, build in _TABLE[scen].checks:
+                if at != stage:
+                    continue
+                try:
+                    build(cfg)
+                except (ArithmeticError, ValueError, MemoryError) as exc:
+                    ln, cited = _cite(options, seen,
+                                      [k for k in keys if k in options])
+                    errors.append((ln, f"{what}: {exc} for {cited}"))
+            if errors:
+                raise ConfigError(sorted(errors))
     return cfg
 
 
@@ -494,24 +293,83 @@ class Manifest:
 # Scenario runners
 
 
-def _grid(o) -> Grid1D:
+def _grid(cfg) -> Grid1D:
+    o = cfg.options
     return Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
 
 
-def _potential(o) -> PotentialSpec:
-    """The potential.* keys; each variant reads only its own parameter."""
-    return PotentialSpec(variant=o["potential.variant"], f=o["potential.f"],
-                         omega0=o["potential.omega0"], k4=o["potential.k4"])
+def _potential(cfg) -> PotentialSpec:
+    """The potential.* keys, checked against params.omega0; each variant
+    reads only its own parameter."""
+    o = cfg.options
+    U = PotentialSpec(variant=o["potential.variant"], f=o["potential.f"],
+                      omega0=o["potential.omega0"], k4=o["potential.k4"])
+    U.check_consistency(cfg.params)
+    return U
 
 
-def _initial_density(o) -> DensityField:
+def _initial_density(cfg) -> DensityField:
     """The Gaussian start of the PDE scenarios; on a periodic ring each
     node takes its minimum-image distance to mu0 on the n h ring."""
-    grid = _grid(o)
+    o, grid = cfg.options, _grid(cfg)
     d = grid.x - o["mu0"]
     if o["pde.boundary"] == "periodic":
         d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
     return DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
+
+
+def _increasing(t):
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("does not strictly increase")
+    return t
+
+
+def _linear_times(cfg):
+    """time.points times spaced linearly from time.start to time.stop."""
+    o = cfg.options
+    return _increasing(np.linspace(o["time.start"], o["time.stop"],
+                                   o["time.points"]))
+
+
+def _tc_times(cfg):
+    """time.points times spaced geometrically on a t_c axis, from
+    time.start to time.stop where set, else (0 or no such key) from
+    1e-3 t_c to 1e3 t_c."""
+    o = cfg.options
+    try:
+        t_c = derived_scales(cfg.params).t_c
+    except ScalesUndefinedError:
+        raise ValueError("the time axis is in units of t_c, which is "
+                         "undefined") from None
+    start = o.get("time.start") or 1e-3 * t_c
+    stop = o.get("time.stop") or 1e3 * t_c
+    if not 0.0 < start < stop < math.inf:
+        raise ValueError(f"the time span [{start:.6g}, {stop:.6g}] "
+                         f"(time.start or 1e-3 t_c, time.stop or 1e3 t_c) "
+                         f"must be positive, finite and increasing")
+    return _increasing(np.geomspace(start, stop, o["time.points"]))
+
+
+def _imaginary_time(cfg) -> ImaginaryTimeConfig:
+    """The propagation of the equilibrium run, refused when its beta step
+    is too coarse for the grid (equilibrium.min_beta_steps)."""
+    o, p = cfg.options, cfg.params
+    it = ImaginaryTimeConfig(beta_final=p.beta, grid=_grid(cfg),
+                             n_beta_steps=o["eq.n_beta_steps"],
+                             boundary=o["eq.boundary"])
+    need = min_beta_steps(p, it.grid.h, p.beta)
+    if it.n_beta_steps < need:
+        raise ValueError(
+            f"{it.n_beta_steps} steps are too coarse for grid.h = "
+            f"{it.grid.h:.4g} at beta = {p.beta:.6g}: the Crank-Nicolson "
+            f"factor of the top grid mode turns negative and stays above "
+            f"1e-12; use eq.n_beta_steps >= {need}")
+    return it
+
+
+def _entropy_betas(cfg):
+    """The eq.entropy_nodes betas of the entropy sweep, from 0 to beta."""
+    return np.linspace(0.0, cfg.params.beta, cfg.options["eq.entropy_nodes"])
 
 
 def _write_trajectory(out, man, label, traj):
@@ -527,7 +385,7 @@ def _write_trajectory(out, man, label, traj):
 
 def _run_free_zero_T(cfg, out, man):
     o = cfg.options
-    t = _times(cfg)
+    t = _linear_times(cfg)
     traj = solve_inertial_zero_T(cfg.params, o["sigma0"], o["dsigma0"],
                                  o["mu0"], o["dmu0"], t)
     _write_trajectory(out, man, "inertial", traj)
@@ -535,7 +393,7 @@ def _run_free_zero_T(cfg, out, man):
 
 def _run_free_high_friction(cfg, out, man):
     o, p = cfg.options, cfg.params
-    t = _times(cfg)
+    t = _tc_times(cfg)
     bounded = solve_overdamped_bounded(p, o["sigma0_sq"], t)
     lam = eval_closed_form(ClosedForm.LAMBERT_EXACT, t, p)
     headers = ["t [time]", "sigma_x2_bounded [length^2]",
@@ -556,7 +414,7 @@ def _run_free_high_friction(cfg, out, man):
 
 def _run_vacuum_spreading(cfg, out, man):
     o = cfg.options
-    t = _times(cfg)
+    t = _linear_times(cfg)
     traj = solve_inertial_zero_T(cfg.params, o["sigma0"], 0.0, 0.0, 0.0, t)
     exact = eval_closed_form(ClosedForm.VACUUM_SPREADING, t, cfg.params,
                              sigma0=o["sigma0"])
@@ -568,25 +426,19 @@ def _run_vacuum_spreading(cfg, out, man):
 
 def _run_harmonic(cfg, out, man):
     o = cfg.options
-    t = _times(cfg)
+    t = _linear_times(cfg)
     _, traj = solve_harmonic(cfg.params, o["sigma0_sq"], o["dsigma0_sq"],
                              o["mu0"], o["dmu0"], t)
     _write_trajectory(out, man, "harmonic", traj)
 
 
-def _run_pde(cfg, out, man):
+def _run_pde(first_order, inertial, cfg, out, man):
+    """Evolve the first-order model, or the inertial one where the
+    scenario's inertial key is true."""
     o, p = cfg.options, cfg.params
-    U = _potential(o)
-    if cfg.scenario == "classical-telegraph":
-        model = PdeModel.CLASSICAL_TELEGRAPH
-    elif cfg.scenario == "quantum-zero-T-pde":
-        model = (PdeModel.QUANTUM_ZERO_T_TELEGRAPH if o["inertial"]
-                 else PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI)
-    else:
-        model = (PdeModel.SEMICLASSICAL_TELEGRAPH if o["inertial"]
-                 else PdeModel.SEMICLASSICAL_SMOLUCHOWSKI)
-    rho0 = _initial_density(o)
-    res = evolve(rho0, model, U, p, o["pde.t_final"],
+    model = inertial if o.get("inertial") else first_order
+    rho0 = _initial_density(cfg)
+    res = evolve(rho0, model, _potential(cfg), p, o["pde.t_final"],
                  boundary=o["pde.boundary"], n_records=o["pde.n_records"])
     write_csv(out / "trajectory.csv",
               ["t [time]", "mu [length]", "sigma_x2 [length^2]",
@@ -613,12 +465,8 @@ def _run_pde(cfg, out, man):
 
 def _run_equilibrium(cfg, out, man):
     o, p = cfg.options, cfg.params
-    grid = _grid(o)
-    U = _potential(o)
-    beta = p.beta
-    it_cfg = ImaginaryTimeConfig(beta_final=beta, grid=grid,
-                                 n_beta_steps=o["eq.n_beta_steps"],
-                                 boundary=o["eq.boundary"])
+    it_cfg = _imaginary_time(cfg)
+    grid, U, beta = it_cfg.grid, _potential(cfg), p.beta
     rho_it, z_it = imaginary_time_density(U, p, it_cfg)
     rho_e, z_e, energies = eigen_density(U, p, beta, grid,
                                          boundary=o["eq.boundary"])
@@ -628,10 +476,9 @@ def _run_equilibrium(cfg, out, man):
                "rho_eigen [1/length]", "rho_semiclassical [1/length]",
                "Q [energy]"]
     cols = [grid.x, rho_it.rho, rho_e.rho, rho_sc.rho, q]
-    n_ent = o["eq.entropy_nodes"]
-    if n_ent:
+    if o["eq.entropy_nodes"]:
         # the eigen route is exact for the same Hamiltonian at every node
-        betas = np.linspace(0.0, beta, n_ent)
+        betas = _entropy_betas(cfg)
         fields = [DensityField.uniform(grid)] + [
             eigen_density(U, p, b, grid, boundary=o["eq.boundary"])[0]
             for b in betas[1:]]
@@ -652,7 +499,7 @@ def _run_equilibrium(cfg, out, man):
 
 
 def _run_dispersion_compare(cfg, out, man):
-    t = _times(cfg)
+    t = _tc_times(cfg)
     table = compare_models(cfg.params, t)
     headers = ["t [time]"] + [f"sigma_x2_{lbl} [length^2]"
                               for lbl in table.columns]
@@ -672,17 +519,123 @@ def _accept(quick):
     return 0 if all(r.passed for r in results) else 1
 
 
-_RUNNERS = {
-    "free-zero-T": _run_free_zero_T,
-    "free-high-friction": _run_free_high_friction,
-    "vacuum-spreading": _run_vacuum_spreading,
-    "harmonic": _run_harmonic,
-    "classical-telegraph": _run_pde,
-    "quantum-zero-T-pde": _run_pde,
-    "semiclassical-pde": _run_pde,
-    "equilibrium": _run_equilibrium,
-    "dispersion-compare": _run_dispersion_compare,
+# ---------------------------------------------------------------------------
+# The scenario table
+
+# A check builds from its keys what the run builds and refuses the config
+# with that object's own refusal, citing the keys.  Stage 2 builds on the
+# grid of stage 1, and stage 3 on the grid nodes of stage 2.
+_Check = namedtuple("_Check", "stage what keys build")
+_GRID = tuple(_GRID_KEYS)
+_GRID_CHECK = _Check(1, "the grid", _GRID, _grid)
+_POTENTIAL_CHECK = _Check(1, "the potential",
+                          (*_POTENTIAL_KEYS, "params.omega0"), _potential)
+_LINEAR_TIMES = _Check(1, "the time grid", tuple(_TIME_KEYS), _linear_times)
+# a t_c axis also reads the params that set t_c
+_TC_TIMES = _Check(1, "the time grid", (
+    *_TIME_KEYS, "params.hbar", "params.k_B", "params.mass",
+    "params.friction", "params.temperature"), _tc_times)
+_PDE_CHECKS = (
+    _GRID_CHECK, _POTENTIAL_CHECK,
+    _Check(1, "the record times", ("pde.t_final", "pde.n_records"),
+           lambda cfg: record_times(cfg.options["pde.t_final"],
+                                    cfg.options["pde.n_records"])),
+    _Check(2, "initial density", ("mu0", "sigma0_sq", *_GRID, "pde.boundary"),
+           _initial_density))
+_EQUILIBRIUM_CHECKS = (
+    _GRID_CHECK, _POTENTIAL_CHECK,
+    _Check(1, "the entropy beta nodes",
+           ("eq.entropy_nodes", "params.k_B", "params.temperature"),
+           _entropy_betas),
+    _Check(2, "grid nodes", _GRID, lambda cfg: _grid(cfg).x),
+    _Check(3, "the Crank-Nicolson beta step", (
+        "eq.n_beta_steps", *_GRID, "params.temperature", "params.hbar",
+        "params.k_B", "params.mass", "eq.boundary"),
+        lambda cfg: _imaginary_time(cfg).dbeta))
+_HARMONIC_CHECKS = (_LINEAR_TIMES, _Check(
+    1, "the quantum coefficient", ("params.hbar", "params.mass", "sigma0_sq",
+                                   "params.k_B", "params.temperature"),
+    lambda cfg: quantum_coefficient(cfg.params, cfg.options["sigma0_sq"],
+                                    cfg.params.beta)))
+
+# one row per scenario: its runner, its keys beyond _PARAMS (its bounds on
+# the params among them) and its checks; a PDE runner carries its models
+_Scenario = namedtuple("_Scenario", "run keys checks")
+_TABLE = {
+    "free-zero-T": _Scenario(_run_free_zero_T, {
+        **_COLD,
+        "sigma0": (float, 1.0, _POSITIVE),
+        "dsigma0": (float, 0.0, None),
+        "mu0": (float, 0.0, None),
+        "dmu0": (float, 0.0, None),
+        **_TIME_KEYS,
+    }, (_LINEAR_TIMES,)),
+    "free-high-friction": _Scenario(_run_free_high_friction, {
+        **_WARM, **_DAMPED,
+        "sigma0_sq": (float, 0.0, _NONNEG),
+        "full": (bool, True, None),
+        "time.start": (float, 0.0, _NONNEG),   # 0 = 1e-3 t_c
+        "time.stop": (float, 0.0, _NONNEG),    # 0 = 1e3 t_c
+        "time.points": (int, 61, ("must be at least 2", lambda v: v >= 2)),
+    }, (_TC_TIMES,)),
+    "vacuum-spreading": _Scenario(_run_vacuum_spreading, {
+        **_COLD, "params.friction": (float, 0.0, _ZERO),
+        "sigma0": (float, 1.0, _POSITIVE),
+        **_TIME_KEYS,
+    }, (_LINEAR_TIMES,)),
+    "harmonic": _Scenario(_run_harmonic, {
+        "params.omega0": (float, 1.0, _POSITIVE), **_WARM,
+        "sigma0_sq": (float, 1.0, _POSITIVE),
+        "dsigma0_sq": (float, 0.0, None),
+        "mu0": (float, 1.0, None),
+        "dmu0": (float, 0.0, None),
+        **_TIME_KEYS,
+    }, _HARMONIC_CHECKS),
+    "classical-telegraph": _Scenario(partial(
+        _run_pde, PdeModel.CLASSICAL_TELEGRAPH,
+        PdeModel.CLASSICAL_TELEGRAPH), {
+        **_WARM, **_DAMPED,
+        "sigma0_sq": (float, 0.25, _POSITIVE),
+        "mu0": (float, 0.0, None),
+        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
+    }, _PDE_CHECKS),
+    "quantum-zero-T-pde": _Scenario(partial(
+        _run_pde, PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI,
+        PdeModel.QUANTUM_ZERO_T_TELEGRAPH), {
+        **_COLD, **_DAMPED,
+        "sigma0_sq": (float, 0.04, _POSITIVE),
+        "mu0": (float, 0.0, None),
+        "inertial": (bool, False, None),
+        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
+    }, _PDE_CHECKS),
+    "semiclassical-pde": _Scenario(partial(
+        _run_pde, PdeModel.SEMICLASSICAL_SMOLUCHOWSKI,
+        PdeModel.SEMICLASSICAL_TELEGRAPH), {
+        **_WARM, **_DAMPED,
+        "sigma0_sq": (float, 0.25, _POSITIVE),
+        "mu0": (float, 0.0, None),
+        "inertial": (bool, False, None),
+        **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
+    }, _PDE_CHECKS),
+    "equilibrium": _Scenario(_run_equilibrium, {
+        **_WARM,
+        **_GRID_KEYS, **_POTENTIAL_KEYS,
+        "eq.n_beta_steps": (int, 512,
+                            ("must be at least 16", lambda v: v >= 16)),
+        "eq.boundary": (str, "box",
+                        ("must be 'box' or 'periodic'",
+                         lambda v: v in ("box", "periodic"))),
+        "eq.entropy_nodes": (int, 0,
+                             ("must be 0 or at least 2",
+                              lambda v: v == 0 or v >= 2)),
+    }, _EQUILIBRIUM_CHECKS),
+    "dispersion-compare": _Scenario(_run_dispersion_compare, {
+        **_WARM, **_DAMPED,
+        "time.points": (int, 60, ("must be at least 2", lambda v: v >= 2)),
+    }, (_TC_TIMES,)),
 }
+SCENARIOS = tuple(_TABLE)
+_SCHEMAS = {scen: {**_PARAMS, **row.keys} for scen, row in _TABLE.items()}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> int:
@@ -692,7 +645,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> int:
     man = Manifest(cfg)
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.scenario](cfg, out, man)
+        _TABLE[cfg.scenario].run(cfg, out, man)
     except (ConvergenceError, ArithmeticError, ValueError) as exc:
         man.write(out, time.perf_counter() - t0, error=str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -294,6 +294,23 @@ def _beta_integral(coef, S, half_widths):
     return np.cumsum(half_widths * pair)
 
 
+def quantum_coefficient(p: PhysicalParams, sigma0_sq: float,
+                        beta: float) -> float:
+    """hbar^2/(4 m^2 sigma0_sq^2), the coefficient of solve_harmonic's
+    beta-integral of 1/s^2, s = S/sigma0_sq.  The march starts from s = 1,
+    where the integral up to beta is about coefficient * beta;
+    OverflowError when that product is not a finite float."""
+    try:    # ** raises on overflow
+        coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * sigma0_sq ** 2)
+    except ArithmeticError:
+        coef = math.inf
+    if not math.isfinite(coef * beta):
+        raise OverflowError(f"hbar^2/(4 m^2 sigma0_sq^2) = {coef:.6g} "
+                            f"integrated to beta = {beta:.6g} is not a finite "
+                            f"float")
+    return coef
+
+
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
                    mu0: float, dmu0: float, t_grid, beta_grid=None):
     """Integrate the harmonic dispersion equation with its beta-integral.
@@ -304,7 +321,9 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
     so (S, S') of every column and the mean are one ODE system, marched
     once by solve_ode in omega0 t with S in units of sigma0_sq.  A column
-    reaching S <= 0 raises ConvergenceError naming t and beta.
+    reaching S <= 0 raises ConvergenceError naming t and beta, and an
+    integral that overflows at the start raises OverflowError
+    (quantum_coefficient).
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.omega0 <= 0:
@@ -324,7 +343,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     w0 = p.omega0
     sig0 = math.sqrt(sigma0_sq)
     kT_w = 1.0 / (beta_grid[1:] * w0 ** 2)
-    q_coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * sigma0_sq ** 2)
+    q_coef = quantum_coefficient(p, sigma0_sq, float(beta_grid[-1]))
     damp = p.friction / (p.mass * w0)
     f_s = p.force / (p.mass * sig0 * w0 ** 2)
     drive = 2.0 * kT_w / (p.mass * sigma0_sq)

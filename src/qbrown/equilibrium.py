@@ -50,6 +50,10 @@ class ImaginaryTimeConfig:
         if self.boundary not in ("box", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
+    @property
+    def dbeta(self) -> float:
+        return self.beta_final / self.n_beta_steps
+
 
 def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
     """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box.
@@ -73,10 +77,13 @@ def min_beta_steps(p: PhysicalParams, h: float, beta_final: float) -> int:
     found by bisection.  A bound that is not a finite float raises
     OverflowError.
     """
-    lam = beta_final * 2.0 * p.hbar ** 2 / (p.mass * h ** 2)
+    try:    # ** raises on overflow, / by an underflowed h^2
+        lam = beta_final * 2.0 * p.hbar ** 2 / (p.mass * h ** 2)
+    except ArithmeticError:
+        lam = math.inf
     if not math.isfinite(lam):
-        raise OverflowError(f"beta_final 2 hbar^2/(m h^2) = {lam} is not "
-                            f"finite")
+        raise OverflowError(f"beta_final 2 hbar^2/(m h^2) = {lam} overflows "
+                            f"a float")
 
     def passes(n):
         x = lam / n
@@ -122,7 +129,7 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
             f"beta_final = {cfg.beta_final}")
     grid = cfg.grid
     n = grid.n
-    db = cfg.beta_final / cfg.n_beta_steps
+    db = cfg.dbeta
     n_min = min_beta_steps(p, grid.h, cfg.beta_final)
     if cfg.n_beta_steps < n_min:
         x = db * 2.0 * p.hbar ** 2 / (p.mass * grid.h ** 2)

@@ -601,6 +601,12 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
         yield hist[-1][2]
 
 
+def record_times(t_final: float, n_records: int) -> np.ndarray:
+    """The times t_final j / (n_records - 1), j = 0 .. n_records - 1, on
+    which evolve records."""
+    return t_final * np.arange(n_records) / (n_records - 1)
+
+
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
            p: PhysicalParams, t_final: float,
            boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
@@ -693,7 +699,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         dt_bound = 0.4 * h ** 2 * p.friction / scale
     dt = min(dt_bound, t_final / 10.0)
 
-    t_records = t_final * np.arange(n_records) / (n_records - 1)
+    t_records = record_times(t_final, n_records)
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}
     if not model.inertial:

@@ -14,6 +14,7 @@ import qbrown
 from qbrown import cli
 from qbrown.cli import (_SCHEMAS, SCENARIOS, ConfigError, ScenarioConfig,
                         main, parse_config, run_scenario)
+from qbrown.pde import record_times
 
 MINIMAL = "scenario = free-high-friction\n"
 
@@ -105,14 +106,14 @@ def test_time_span_must_be_ordered(tmp_path):
      ("potential.omega0 = 2.0 (line 4)", "params.omega0 = 1.0 (line 2)",
       "disagree")),
     ("scenario = semiclassical-pde\npotential.variant = harmonic\n", 2,
-     ("potential.variant = harmonic (line 2)", "potential.omega0 > 0",
+     ("potential.variant = harmonic (line 2)", "requires omega0 > 0",
       "(default)")),
     ("scenario = equilibrium\npotential.variant = quartic\n", 2,
-     ("potential.variant = quartic (line 2)", "potential.k4 > 0",
+     ("potential.variant = quartic (line 2)", "requires k4 > 0",
       "(default)")),
     ("scenario = equilibrium\npotential.k4 = 0\n\n"
      "potential.variant = quartic\n", 4,
-     ("potential.variant = quartic (line 4)", "potential.k4 > 0",
+     ("potential.variant = quartic (line 4)", "requires k4 > 0",
       "(line 2)")),
     # dbeta 2 hbar^2/(m h^2) = 294 leaves the top Crank-Nicolson mode at
     # -0.99 per step
@@ -133,8 +134,8 @@ def test_time_span_must_be_ordered(tmp_path):
     ("scenario = equilibrium\nparams.hbar = -inf\n", 2,
      ("'params.hbar'", "not a valid finite float")),
     ("scenario = equilibrium\nparams.temperature = 1e-300\n", 2,
-     ("eq.n_beta_steps = 512 (default) is too coarse", "at beta = 1e+300",
-      "use eq.n_beta_steps >= 6329")),
+     ("512 steps are too coarse", "eq.n_beta_steps = 512 (default)",
+      "at beta = 1e+300", "use eq.n_beta_steps >= 6329")),
     ("scenario = equilibrium\nparams.hbar = 1e200\ngrid.n = 64\n", 3,
      ("params.hbar = 1e+200 (line 2)", "grid.n = 64 (line 3)", "overflow")),
     # the Gaussian underflows to 0 at every node of [-8, 8]
@@ -174,20 +175,21 @@ def test_time_span_must_be_ordered(tmp_path):
     # time grids that cannot be built, or whose 201 or 61 times repeat
     # between adjacent floats
     pytest.param(f"scenario = harmonic\ntime.points = {10 ** 400}\n", 2,
-                 ("the time grid cannot be built",
+                 ("the time grid: Maximum allowed size exceeded",
                   "time.start = 0.0 (default)", "(line 2)"),
                  id="harmonic-time.points-1e400"),
     pytest.param(f"scenario = free-high-friction\ntime.points = {10 ** 400}\n",
-                 2, ("the time grid cannot be built",
+                 2, ("the time grid: int too large to convert to float",
                      "time.stop = 0.0 (default)", "(line 2)"),
                  id="free-high-friction-time.points-1e400"),
     ("scenario = harmonic\ntime.start = 5\ntime.stop = 5.000000000000001\n",
-     3, ("the time grid does not strictly increase",
+     3, ("the time grid: does not strictly increase",
          "time.start = 5.0 (line 2)", "time.stop = 5.000000000000001 (line 3)",
          "time.points = 201 (default)")),
     ("scenario = free-high-friction\ntime.start = 0.5\n"
      "time.stop = 0.5000000000000001\n", 3,
-     ("the time grid does not strictly increase", "time.start = 0.5 (line 2)",
+     ("the time grid: does not strictly increase",
+      "time.start = 0.5 (line 2)",
       "time.stop = 0.5000000000000001 (line 3)",
       "time.points = 61 (default)")),
     # hbar^2 overflows where solve_harmonic forms hbar^2/(4 m^2 sigma0_sq^2)
@@ -195,6 +197,27 @@ def test_time_span_must_be_ordered(tmp_path):
      ("quantum coefficient", "not a finite float",
       "params.hbar = 1e+200 (line 3)", "params.mass = 1.0 (default)",
       "sigma0_sq = 1.0 (default)")),
+    # record times and entropy beta nodes numpy refuses to build, and a
+    # beta step that is not a float
+    *[pytest.param(f"scenario = {scen}\n{key} = {n}\n", 2,
+                   (f"{what}: {why}", f"{key} = {n} (line 2)"),
+                   id=f"{scen}-{key}-1e{len(str(n)) - 1}")
+      for scen, key, what in [
+          ("semiclassical-pde", "pde.n_records", "the record times"),
+          ("equilibrium", "eq.entropy_nodes", "the entropy beta nodes")]
+      for n, why in [(10 ** 400, "Maximum allowed size exceeded"),
+                     (10 ** 21, "Maximum allowed size exceeded")]],
+    pytest.param(f"scenario = equilibrium\neq.n_beta_steps = {10 ** 400}\n", 2,
+                 ("the Crank-Nicolson beta step: int too large to convert to "
+                  "float", "grid.n = 401 (default)", "(line 2)"),
+                 id="equilibrium-eq.n_beta_steps-1e400"),
+    # the beta-integral of hbar^2/(4 m^2 sigma0_sq^2) = 2.5e299 up to
+    # beta = 1e10 overflows in the march, which held its spring at the
+    # clamp and exited 0
+    ("scenario = harmonic\nparams.hbar = 1e150\nparams.temperature = 1e-10\n",
+     3, ("the quantum coefficient: ", "2.5e+299 integrated to beta = 1e+10",
+         "not a finite float", "params.hbar = 1e+150 (line 2)",
+         "params.temperature = 1e-10 (line 3)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -249,7 +272,8 @@ _FLOATS = st.one_of(
     st.sampled_from([1e-300, 5e-324, 1e200, 0.0, -1.0, 0.5, 3.0])).map(repr)
 _VALUES = {
     float: _FLOATS,
-    int: st.one_of(st.integers(-4, 600), st.just(10 ** 400)).map(str),
+    int: st.one_of(st.integers(-4, 600),
+                   st.sampled_from([10 ** 21, 10 ** 400])).map(str),
     bool: st.sampled_from(["true", "no", "maybe"]),
     str: st.sampled_from(["linear", "periodic", "box", "reflecting",
                           "free", "linear", "harmonic", "quartic", "all",
@@ -278,8 +302,22 @@ def test_parse_config_is_total(text):
         return
     assert isinstance(cfg, ScenarioConfig)
     assert cli._scale_lines(cfg.params)
-    if "time.points" in cfg.options:
-        assert np.all(np.diff(cli._times(cfg)) > 0)
+    # every start object the run builds builds, warning-free
+    o = cfg.options
+    if "time.points" in o:
+        times = (cli._tc_times if cfg.scenario in ("free-high-friction",
+                                                   "dispersion-compare")
+                 else cli._linear_times)
+        assert np.all(np.diff(times(cfg)) > 0)
+    if "grid.n" in o:
+        assert cli._grid(cfg).x.size == o["grid.n"]
+        cli._potential(cfg)     # check_consistency included
+    if "pde.t_final" in o:
+        cli._initial_density(cfg)
+        assert record_times(o["pde.t_final"], o["pde.n_records"]).size > 1
+    if "eq.n_beta_steps" in o:
+        assert cli._entropy_betas(cfg).size == o["eq.entropy_nodes"]
+        assert cli._imaginary_time(cfg).dbeta > 0
 
 
 def test_missing_and_unknown_scenario():
@@ -509,9 +547,11 @@ def test_scales_undefined(tmp_path, capsys):
                         "params.friction = 0\nparams.temperature = 0\n")
     assert main(["scales", str(cfg_path)]) == 0
     assert capsys.readouterr().out.startswith("undefined: ")
-    # so is a harmonic config whose lambda_T^2 overflows a float
+    # so is a harmonic config whose lambda_T^2 overflows a float; a wide
+    # start keeps its beta-integral, about hbar^2 beta/(4 m^2 sigma0_sq^2),
+    # a float
     cfg_path.write_text("scenario = harmonic\nparams.hbar = 1e150\n"
-                        "params.temperature = 1e-10\n")
+                        "params.temperature = 1e-10\nsigma0_sq = 1e10\n")
     assert main(["scales", str(cfg_path)]) == 0
     assert capsys.readouterr().out.startswith("undefined: ")
 
