@@ -59,7 +59,7 @@ def _full_surface(quick=False):
     """
     p = _NATURAL
     sc = derived_scales(p)
-    n = 81 if quick else 121
+    n = 61 if quick else 121    # each puts a node at exactly 100 t_c
     t_grid = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, n)
     beta_grid = make_beta_grid(p.beta, n=32 if quick else 48, extend_factor=20.0)
     surface, traj = solve_overdamped_full(p, t_grid, beta_grid)

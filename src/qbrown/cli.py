@@ -13,6 +13,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from .dispersion import (ClosedForm, compare_models, eval_closed_form,
                          quantum_coefficient, solve_harmonic,
                          solve_inertial_zero_T, solve_overdamped_bounded,
                          solve_overdamped_full)
-from .equilibrium import (ImaginaryTimeConfig, eigen_density,
-                          imaginary_time_density, min_beta_steps,
+from .equilibrium import (ImaginaryTimeConfig, check_beta_steps,
+                          eigen_density, imaginary_time_density,
                           quantum_entropy, semiclassical_density)
 from .numerics import ConvergenceError
 from .params import (PhysicalParams, ScalesUndefinedError, derived_scales)
@@ -56,15 +57,11 @@ _POSITIVE = ("must be positive", lambda v: v > 0)
 _NONNEG = ("must be non-negative", lambda v: v >= 0)
 _ZERO = ("must be 0", lambda v: v == 0)
 
-# the PhysicalParams fields, which every scenario takes
+# the PhysicalParams fields every scenario reads (derived scales read b)
 _PARAMS = {
     "params.hbar": (float, 1.0, _POSITIVE),
-    "params.k_B": (float, 1.0, _POSITIVE),
     "params.mass": (float, 1.0, _POSITIVE),
     "params.friction": (float, 1.0, _NONNEG),
-    "params.temperature": (float, 1.0, _NONNEG),
-    "params.omega0": (float, 0.0, _NONNEG),
-    "params.force": (float, 0.0, None),
 }
 
 _TIME_KEYS = {
@@ -92,11 +89,13 @@ _POTENTIAL_KEYS = {
     "potential.f": (float, 0.0, None),
     "potential.omega0": (float, 0.0, _NONNEG),
     "potential.k4": (float, 0.0, _NONNEG),
+    "params.omega0": (float, 0.0, _NONNEG),  # a harmonic variant's, if > 0
 }
 
-# physical parameters a scenario defaults and constrains beyond _PARAMS:
-# the thermal scenarios need T > 0, the damped ones b > 0
-_WARM = {"params.temperature": (float, 1.0, _POSITIVE)}
+# params a scenario reads beyond _PARAMS, with its bounds: the thermal
+# ones need T > 0 and read k_B (k_B T = 0 at T = 0), the damped b > 0
+_WARM = {"params.temperature": (float, 1.0, _POSITIVE),
+         "params.k_B": (float, 1.0, _POSITIVE)}
 _COLD = {"params.temperature": (float, 0.0, _ZERO)}
 _DAMPED = {"params.friction": (float, 1.0, _POSITIVE)}
 
@@ -125,9 +124,12 @@ def _parse_value(raw, typ, ln, key, errors):
 
 def _cite(options, seen, keys):
     """The last line among keys, and 'key = value (line n)' for each key,
-    '(default)' for a key the config leaves out."""
+    '(default)' for a key the config leaves out; an int of more than 15
+    digits shows as its exponent."""
+    def shown(v):
+        return f"{Decimal(v):.3e}" if isinstance(v, int) and v >= 1e15 else v
     return (max(seen.get(k, 0) for k in keys),
-            ", ".join(f"{k} = {options[k]} "
+            ", ".join(f"{k} = {shown(options[k])} "
                       f"({f'line {seen[k]}' if k in seen else 'default'})"
                       for k in keys))
 
@@ -137,11 +139,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Collects every error (unknown key, duplicate key, bad value, missing
     scenario key, out-of-range value) with its line number and raises one
-    ConfigError carrying the full list.  Every key, params.* among them,
-    goes through the scenario's schema in _SCHEMAS.  Then the scenario's
-    checks build what its run builds, stage by stage; a stage runs only
-    when the stages before it refused nothing, and each refusal cites the
-    keys of the refused build.
+    ConfigError carrying the full list.  Every key goes through the
+    scenario's schema in _SCHEMAS, which takes the params.* keys its run
+    reads.  Then the scenario's checks build what its run builds, stage by
+    stage; a stage runs only when the stages before it refused nothing,
+    and each refusal cites the keys of the refused build.
     """
     errors = []
     seen = {}        # key -> line number
@@ -194,8 +196,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     for key, (_, default, _) in schema.items():
         options.setdefault(key, default)
-    params = PhysicalParams(**{key[len("params."):]: options[key]
-                               for key in _PARAMS})
+    params = PhysicalParams(**{k[len("params."):]: v for k, v in
+                               options.items() if k.startswith("params.")})
     cfg = ScenarioConfig(scenario=scen, params=params, options=options)
     # an overflow or invalid value refuses a build; an underflow does not
     with np.errstate(all="raise", under="ignore"):
@@ -352,18 +354,12 @@ def _tc_times(cfg):
 
 def _imaginary_time(cfg) -> ImaginaryTimeConfig:
     """The propagation of the equilibrium run, refused when its beta step
-    is too coarse for the grid (equilibrium.min_beta_steps)."""
+    is too coarse for the grid (equilibrium.check_beta_steps)."""
     o, p = cfg.options, cfg.params
     it = ImaginaryTimeConfig(beta_final=p.beta, grid=_grid(cfg),
                              n_beta_steps=o["eq.n_beta_steps"],
                              boundary=o["eq.boundary"])
-    need = min_beta_steps(p, it.grid.h, p.beta)
-    if it.n_beta_steps < need:
-        raise ValueError(
-            f"{it.n_beta_steps} steps are too coarse for grid.h = "
-            f"{it.grid.h:.4g} at beta = {p.beta:.6g}: the Crank-Nicolson "
-            f"factor of the top grid mode turns negative and stays above "
-            f"1e-12; use eq.n_beta_steps >= {need}")
+    check_beta_steps(p, it)
     return it
 
 
@@ -528,8 +524,8 @@ def _accept(quick):
 _Check = namedtuple("_Check", "stage what keys build")
 _GRID = tuple(_GRID_KEYS)
 _GRID_CHECK = _Check(1, "the grid", _GRID, _grid)
-_POTENTIAL_CHECK = _Check(1, "the potential",
-                          (*_POTENTIAL_KEYS, "params.omega0"), _potential)
+_POTENTIAL_CHECK = _Check(1, "the potential", tuple(_POTENTIAL_KEYS),
+                          _potential)
 _LINEAR_TIMES = _Check(1, "the time grid", tuple(_TIME_KEYS), _linear_times)
 # a t_c axis also reads the params that set t_c
 _TC_TIMES = _Check(1, "the time grid", (
@@ -558,12 +554,12 @@ _HARMONIC_CHECKS = (_LINEAR_TIMES, _Check(
     lambda cfg: quantum_coefficient(cfg.params, cfg.options["sigma0_sq"],
                                     cfg.params.beta)))
 
-# one row per scenario: its runner, its keys beyond _PARAMS (its bounds on
-# the params among them) and its checks; a PDE runner carries its models
+# one row per scenario: its runner, its keys beyond _PARAMS (the params its
+# run reads, with its bounds) and its checks; a PDE runner carries its models
 _Scenario = namedtuple("_Scenario", "run keys checks")
 _TABLE = {
     "free-zero-T": _Scenario(_run_free_zero_T, {
-        **_COLD,
+        **_COLD, "params.force": (float, 0.0, None),
         "sigma0": (float, 1.0, _POSITIVE),
         "dsigma0": (float, 0.0, None),
         "mu0": (float, 0.0, None),
@@ -580,11 +576,13 @@ _TABLE = {
     }, (_TC_TIMES,)),
     "vacuum-spreading": _Scenario(_run_vacuum_spreading, {
         **_COLD, "params.friction": (float, 0.0, _ZERO),
+        "params.force": (float, 0.0, None),
         "sigma0": (float, 1.0, _POSITIVE),
         **_TIME_KEYS,
     }, (_LINEAR_TIMES,)),
     "harmonic": _Scenario(_run_harmonic, {
         "params.omega0": (float, 1.0, _POSITIVE), **_WARM,
+        "params.force": (float, 0.0, None),
         "sigma0_sq": (float, 1.0, _POSITIVE),
         "dsigma0_sq": (float, 0.0, None),
         "mu0": (float, 1.0, None),

@@ -100,6 +100,26 @@ def min_beta_steps(p: PhysicalParams, h: float, beta_final: float) -> int:
     return hi
 
 
+def check_beta_steps(p: PhysicalParams, cfg: ImaginaryTimeConfig):
+    """Refuse cfg.n_beta_steps below min_beta_steps.
+
+    The ValueError names grid.h, beta and the smallest passing count, in
+    e-notation once it has more than 15 digits.
+    """
+    n, h = cfg.n_beta_steps, cfg.grid.h
+    need = min_beta_steps(p, h, cfg.beta_final)
+    if n < need:
+        x = cfg.dbeta * 2.0 * p.hbar ** 2 / (p.mass * h ** 2)
+        damping = abs((x - 2.0) / (x + 2.0)) ** n
+        raise ValueError(
+            f"n_beta_steps = {n} is too coarse for grid.h = {h:.4g} at "
+            f"beta = {cfg.beta_final:.6g}: dbeta = {cfg.dbeta:.3e} gives "
+            f"x = dbeta 2 hbar^2/(m h^2) = {x:.3g} > 2, so the "
+            f"Crank-Nicolson factor of the top grid mode is damped only to "
+            f"{damping:.2e}; use n_beta_steps >= "
+            f"{need if need < 10 ** 15 else f'{need:.3e}'}")
+
+
 def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
                            cfg: ImaginaryTimeConfig):
     """Equilibrium density and partition value by kernel propagation.
@@ -117,9 +137,8 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     moment of rho.  The kernel diagonal is the thermal
     mixture of all states, its trace the partition sum over the discrete
     spectrum; this matches the eigen-expansion route on the same grid
-    exactly up to the O(dbeta^2) splitting error.  n_beta_steps below
-    min_beta_steps raises ValueError naming the smallest step count that
-    passes.
+    exactly up to the O(dbeta^2) splitting error.  check_beta_steps
+    refuses an n_beta_steps below min_beta_steps.
 
     Returns (DensityField, Z).
     """
@@ -127,18 +146,10 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
         raise ValueError(
             f"params temperature gives beta = {p.beta}, config has "
             f"beta_final = {cfg.beta_final}")
+    check_beta_steps(p, cfg)
     grid = cfg.grid
     n = grid.n
     db = cfg.dbeta
-    n_min = min_beta_steps(p, grid.h, cfg.beta_final)
-    if cfg.n_beta_steps < n_min:
-        x = db * 2.0 * p.hbar ** 2 / (p.mass * grid.h ** 2)
-        damping = abs((x - 2.0) / (x + 2.0)) ** cfg.n_beta_steps
-        raise ValueError(
-            f"n_beta_steps = {cfg.n_beta_steps} is too coarse: dbeta = "
-            f"{db:.3e} gives x = dbeta 2 hbar^2/(m h^2) = {x:.3g} > 2, so "
-            f"the Crank-Nicolson factor of the top grid mode is damped only "
-            f"to {damping:.2e}; use n_beta_steps >= {n_min}")
 
     u = U.energy(grid, p)
     half_pot = np.exp(-0.5 * db * (u - np.min(u)))

@@ -65,11 +65,18 @@ class PhysicalParams:
 
     @property
     def beta(self) -> float:
-        """Inverse temperature 1/(k_B T).  Undefined at T = 0."""
+        """Inverse temperature 1/(k_B T).  Undefined at T = 0, and where
+        it is not a finite float (k_B T underflows)."""
         if self.temperature == 0:
             raise ScalesUndefinedError(
                 "beta is undefined at T = 0; use the zero-temperature code paths")
-        return 1.0 / (self.k_B * self.temperature)
+        kT = self.k_B * self.temperature
+        beta = 1.0 / kT if kT > 0 else math.inf
+        if beta == math.inf:
+            raise ScalesUndefinedError(
+                f"beta = 1/(k_B T) is not a finite float at k_B = {self.k_B}, "
+                f"temperature = {self.temperature}")
+        return beta
 
     @property
     def tau_m(self) -> float:

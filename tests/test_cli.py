@@ -119,11 +119,12 @@ def test_time_span_must_be_ordered(tmp_path):
     # -0.99 per step
     ("scenario = equilibrium\ngrid.n = 801\neq.n_beta_steps = 17\n", 3,
      ("eq.n_beta_steps = 17 (line 3)", "grid.h = 0.02",
-      "use eq.n_beta_steps >= 186")),
-    # beta overflows to inf and hbar^2 underflows to 0: the bound is nan
+      "use n_beta_steps >= 186")),
+    # 1/(k_B T) overflows a float: beta is refused where the entropy beta
+    # nodes first read it, before the beta step
     ("scenario = equilibrium\nparams.k_B = 5e-324\nparams.hbar = 1e-300\n",
-     3, ("params.k_B = 5e-324 (line 2)", "params.hbar = 1e-300 (line 3)",
-         "grid.n = 401 (default)", "overflow")),
+     2, ("the entropy beta nodes: beta = 1/(k_B T) is not a finite float",
+         "params.k_B = 5e-324 (line 2)")),
     # non-finite values, and beta-step counts that overflow a float
     ("scenario = classical-telegraph\ngrid.x_min = nan\n", 2,
      ("'grid.x_min'", "not a valid finite float")),
@@ -134,8 +135,8 @@ def test_time_span_must_be_ordered(tmp_path):
     ("scenario = equilibrium\nparams.hbar = -inf\n", 2,
      ("'params.hbar'", "not a valid finite float")),
     ("scenario = equilibrium\nparams.temperature = 1e-300\n", 2,
-     ("512 steps are too coarse", "eq.n_beta_steps = 512 (default)",
-      "at beta = 1e+300", "use eq.n_beta_steps >= 6329")),
+     ("n_beta_steps = 512 is too coarse", "eq.n_beta_steps = 512 (default)",
+      "at beta = 1e+300", "use n_beta_steps >= 6.329e+286")),
     ("scenario = equilibrium\nparams.hbar = 1e200\ngrid.n = 64\n", 3,
      ("params.hbar = 1e+200 (line 2)", "grid.n = 64 (line 3)", "overflow")),
     # the Gaussian underflows to 0 at every node of [-8, 8]
@@ -163,15 +164,14 @@ def test_time_span_must_be_ordered(tmp_path):
      ("time span [1.25e+304, inf]", "params.hbar = 1e+154 (line 2)")),
     # numpy refuses this grid before it allocates anything
     ("scenario = classical-telegraph\ngrid.n = 1000000000000000000\n", 2,
-     ("initial density: Unable to allocate",
-      "grid.n = 1000000000000000000 (line 2)")),
+     ("initial density: Unable to allocate", "grid.n = 1.000e+18 (line 2)")),
     # the suite runs as qbrown accept
     ("scenario = acceptance\n", 1, ("unknown scenario 'acceptance'",)),
     # numpy refuses this grid before it allocates anything
     ("scenario = equilibrium\ngrid.n = 1000000000000000000\n"
      "eq.n_beta_steps = 1000000000000000000\n", 2,
      ("grid nodes: Unable to allocate", "grid.x_min = -8.0 (default)",
-      "grid.n = 1000000000000000000 (line 2)")),
+      "grid.n = 1.000e+18 (line 2)")),
     # time grids that cannot be built, or whose 201 or 61 times repeat
     # between adjacent floats
     pytest.param(f"scenario = harmonic\ntime.points = {10 ** 400}\n", 2,
@@ -198,9 +198,11 @@ def test_time_span_must_be_ordered(tmp_path):
       "params.hbar = 1e+200 (line 3)", "params.mass = 1.0 (default)",
       "sigma0_sq = 1.0 (default)")),
     # record times and entropy beta nodes numpy refuses to build, and a
-    # beta step that is not a float
+    # beta step that is not a float; an int of more than 15 digits is
+    # cited by its exponent
     *[pytest.param(f"scenario = {scen}\n{key} = {n}\n", 2,
-                   (f"{what}: {why}", f"{key} = {n} (line 2)"),
+                   (f"{what}: {why}",
+                    f"{key} = 1.000e+{len(str(n)) - 1} (line 2)"),
                    id=f"{scen}-{key}-1e{len(str(n)) - 1}")
       for scen, key, what in [
           ("semiclassical-pde", "pde.n_records", "the record times"),
@@ -209,7 +211,8 @@ def test_time_span_must_be_ordered(tmp_path):
                      (10 ** 21, "Maximum allowed size exceeded")]],
     pytest.param(f"scenario = equilibrium\neq.n_beta_steps = {10 ** 400}\n", 2,
                  ("the Crank-Nicolson beta step: int too large to convert to "
-                  "float", "grid.n = 401 (default)", "(line 2)"),
+                  "float", "grid.n = 401 (default)",
+                  "eq.n_beta_steps = 1.000e+400 (line 2)"),
                  id="equilibrium-eq.n_beta_steps-1e400"),
     # the beta-integral of hbar^2/(4 m^2 sigma0_sq^2) = 2.5e299 up to
     # beta = 1e10 overflows in the march, which held its spring at the
@@ -257,8 +260,8 @@ def test_deleted_keys_are_unknown(tmp_path, capsys, text):
 def test_entropy_sweep_adds_no_beta_step_check(monkeypatch, n_ent):
     # the sweep's densities come from the eigen route, so only the target
     # beta's step is checked, once, whatever the number of nodes
-    calls, real = [], cli.min_beta_steps
-    monkeypatch.setattr(cli, "min_beta_steps",
+    calls, real = [], cli.check_beta_steps
+    monkeypatch.setattr(cli, "check_beta_steps",
                         lambda *args: calls.append(args) or real(*args))
     cfg = parse_config(f"scenario = equilibrium\ngrid.n = 401\n"
                        f"eq.entropy_nodes = {n_ent}\neq.n_beta_steps = 100\n")
@@ -318,6 +321,57 @@ def test_parse_config_is_total(text):
     if "eq.n_beta_steps" in o:
         assert cli._entropy_betas(cfg).size == o["eq.entropy_nodes"]
         assert cli._imaginary_time(cfg).dbeta > 0
+
+
+# a cheap config of each scenario: 81 nodes or a short span, and the rows
+# with a potential in the harmonic well that params.omega0 is checked against
+_WELL = ("grid.x_min = -4\ngrid.x_max = 4\ngrid.n = 81\n"
+         "potential.variant = harmonic\npotential.omega0 = 1\n"
+         "params.omega0 = 1\n")
+_PDE = _WELL + "pde.t_final = 0.1\npde.n_records = 5\n"
+_CHEAP = {
+    "free-zero-T": "time.stop = 1\ntime.points = 11\n",
+    "free-high-friction": "time.points = 5\n",
+    "vacuum-spreading": "time.stop = 1\ntime.points = 11\n",
+    "harmonic": "time.stop = 1\ntime.points = 11\n",
+    "classical-telegraph": _PDE,
+    "quantum-zero-T-pde": _PDE,
+    "semiclassical-pde": _PDE,
+    "equilibrium": _WELL + "eq.n_beta_steps = 64\n",
+    "dispersion-compare": "time.points = 5\n",
+}
+
+
+def _outputs(out, text):
+    """The exit code, CSV bytes and manifest lines of a run, leaving out
+    wall_time_s and the params.* echoes; None when parse_config refuses
+    the config."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return None
+    code = run_scenario(cfg, out_dir=str(out))
+    lines = [ln for ln in (out / "manifest.txt").read_text().splitlines()
+             if not ln.startswith(("wall_time_s = ", "params."))]
+    return code, {f.name: f.read_bytes() for f in out.glob("*.csv")}, lines
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_params_key_is_read(tmp_path, scenario):
+    # each params.* key a scenario takes, changed alone, is refused or moves
+    # an output; a key its run ignores is an unknown key instead
+    text = f"scenario = {scenario}\n{_CHEAP[scenario]}"
+    base = _outputs(tmp_path / "base", text)
+    assert base[0] == 0
+    options = parse_config(text).options
+    ignored = []
+    for key in (k for k in _SCHEMAS[scenario] if k.startswith("params.")):
+        changed = "".join(ln for ln in text.splitlines(keepends=True)
+                          if not ln.startswith(f"{key} = "))
+        changed += f"{key} = {options[key] * 1.37 or 0.37!r}\n"
+        if _outputs(tmp_path / key, changed) == base:
+            ignored.append(key)
+    assert ignored == []
 
 
 def test_missing_and_unknown_scenario():

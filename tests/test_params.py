@@ -54,6 +54,15 @@ def test_beta_and_tau():
     assert p.tau_m == 0.5
 
 
+@pytest.mark.parametrize("overrides", [
+    {"k_B": 5e-324},                                  # 1/(k_B T) = inf
+    {"k_B": 1e-200, "temperature": 1e-200},           # k_B T = 0
+], ids=["kT-subnormal", "kT-underflow"])
+def test_beta_beyond_the_floats_is_undefined(overrides):
+    with pytest.raises(ScalesUndefinedError, match="not a finite float"):
+        PhysicalParams.natural(**overrides).beta
+
+
 def test_momentum_dispersion_scalar_and_array():
     p = PhysicalParams.natural()
     assert momentum_dispersion(1.0, p) == pytest.approx(1.25)
