@@ -538,6 +538,10 @@ _PDE_CHECKS = (
                                     cfg.options["pde.n_records"])),
     _Check(2, "initial density", ("mu0", "sigma0_sq", *_GRID, "pde.boundary"),
            _initial_density))
+# the semiclassical effective potential reads beta
+_SEMICLASSICAL_PDE_CHECKS = (*_PDE_CHECKS, _Check(
+    1, "the effective potential's beta", ("params.k_B", "params.temperature"),
+    lambda cfg: cfg.params.beta))
 _EQUILIBRIUM_CHECKS = (
     _GRID_CHECK, _POTENTIAL_CHECK,
     _Check(1, "the entropy beta nodes",
@@ -614,7 +618,7 @@ _TABLE = {
         "mu0": (float, 0.0, None),
         "inertial": (bool, False, None),
         **_GRID_KEYS, **_PDE_KEYS, **_POTENTIAL_KEYS,
-    }, _PDE_CHECKS),
+    }, _SEMICLASSICAL_PDE_CHECKS),
     "equilibrium": _Scenario(_run_equilibrium, {
         **_WARM,
         **_GRID_KEYS, **_POTENTIAL_KEYS,

@@ -258,6 +258,22 @@ def _moments(r, x, h, boundary="reflecting"):
     return mean, _trapz(x ** 2 * r, h, boundary) / norm - mean ** 2, norm
 
 
+def _record_fault(r, mass0, neg_tol, h, boundary):
+    """The first record check that the density r fails, or None: a
+    non-finite value, a trapezoid mass more than 1e-8 from mass0, a
+    minimum below -neg_tol, in this order."""
+    if not np.all(np.isfinite(r)):
+        return "density not finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _trapz(r, h, boundary)
+    if not abs(mass - mass0) <= 1e-8:
+        return f"mass drift {mass - mass0:.3e}"
+    lowest = float(np.min(r))
+    if lowest < -neg_tol:
+        return f"density fell to {lowest:.3e}"
+    return None
+
+
 @dataclass
 class EvolveResult:
     """Final density plus the recorded moment trajectory and diagnostics."""
@@ -620,14 +636,14 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     quadrature.
 
     Every model's stepper lands on the record times t_final j /
-    (n_records - 1), j = 0 .. n_records - 1, where the moments are
-    recorded and the density is checked, in this order: a non-finite
-    value, mass drift beyond 1e-8, a minimum below -1e-9 of the initial
-    peak.  Each aborts with ConvergenceError naming the quantity, the step
-    count and t; a breakdown between two records is caught at the next.
-    Each stepper starts from dt = min(explicit stability bound,
-    t_final / 10); the diagnostics dt_min and dt_max are the smallest and
-    largest steps taken.
+    (n_records - 1), j = 0 .. n_records - 1, where the density is checked
+    before its moments are recorded, in this order: a non-finite value,
+    mass drift beyond 1e-8, a minimum below -1e-9 of the initial peak
+    (_record_fault).  Each aborts with ConvergenceError naming the
+    quantity, the step count and t; a breakdown between two records is
+    caught at the next.  Each stepper starts from dt = min(stability
+    bound, t_final / 10); the diagnostics dt_min and dt_max are the
+    smallest and largest steps taken, and n_steps counts accepted steps.
 
     The three Smoluchowski models step y = ln rho implicitly on the flux
     of _LogDensityRate, exponentially fitted for T > 0 as in the linear
@@ -646,9 +662,18 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     The three telegraph models step explicitly: the second-order-in-time
     form as a (rho, drho/dt) system with semi-implicit damping and
     drho/dt(0) = 0, the quantum one on the tapered _flux, recomputing its
-    floored Bohm potential every step.  Each record interval takes
-    ceil(interval / dt) equal steps, so n_steps is a multiple of
-    n_records - 1.
+    floored Bohm potential every step.  Their step is the wave bound
+    0.25 h sqrt(m / scale), which buys accuracy; the quantum one's is at
+    most 0.9 m h^2 / hbar, just inside the stability limit m h^2 / hbar
+    of the Bohm term linearized about a constant density.  Each record
+    interval takes ceil(interval / dt) equal steps and is checked at its
+    end as a record is.  Where the quantum model's interval fails, it is
+    redone from the saved (rho, drho/dt) at half the step, which the run
+    keeps, down to 1/64 of the first step; its discarded steps count into
+    rejected_steps, and a failure at 1/64 aborts, saying that it survived
+    that refinement.  A linear telegraph's failure is its equation's (the
+    exact semi-discrete solution goes negative too), so it aborts at
+    once.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -693,13 +718,16 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     if model.inertial:
         dt_bound = 0.25 * h * math.sqrt(p.mass / scale)
         if model.quantum:
-            # the Bohm term linearizes to a fourth-order wave operator
-            dt_bound = min(dt_bound, 0.25 * p.mass * h ** 2 / p.hbar)
+            # the Bohm term linearizes to a fourth-order wave operator,
+            # stable for dt <= m h^2 / hbar
+            dt_bound = min(dt_bound, 0.9 * p.mass * h ** 2 / p.hbar)
     else:
         dt_bound = 0.4 * h ** 2 * p.friction / scale
     dt = min(dt_bound, t_final / 10.0)
 
     t_records = record_times(t_final, n_records)
+    mass0 = _trapz(rho, h, boundary)
+    neg_tol = 1e-9 * float(np.max(rho))
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}
     if not model.inertial:
@@ -708,35 +736,52 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     else:
         interval = t_final / (n_records - 1)
         n_sub = max(1, math.ceil(interval / dt))
-        dt = interval / n_sub
-        stats.update(dt_min=dt, dt_max=dt)
+        stats.update(dt_min=interval / n_sub, dt_max=interval / n_sub)
+        # a linear telegraph's failure is its equation's (tests/
+        # test_modal_reference.py); the quantum step halves up to 64x
+        max_halvings = 6 if model.quantum else 0
 
-        def explicit_states(rho):
+        def explicit_states(rho, n_sub):
             g = np.zeros_like(rho)  # drho/dt
-            damping = 1.0 + dt * p.friction / p.mass
-            for _ in range(n_records - 1):
-                for _ in range(n_sub):
-                    g = (g + dt * rate(rho) / p.mass) / damping
-                    rho = rho + dt * g
+            halvings = 0
+            for t in t_records[1:]:
+                while True:
+                    dt = interval / n_sub
+                    damping = 1.0 + dt * p.friction / p.mass
+                    r, gr = rho, g
+                    # a blow-up shows as a failed check of the interval
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        for _ in range(n_sub):
+                            gr = (gr + dt * rate(r) / p.mass) / damping
+                            r = r + dt * gr
+                    fault = _record_fault(r, mass0, neg_tol, h, boundary)
+                    if fault is None:
+                        break
+                    if halvings == max_halvings:
+                        note = (f"; it survived refinement by {halvings} "
+                                f"halvings of the step, to dt = {dt:.3e}"
+                                if halvings else "")
+                        raise ConvergenceError(
+                            f"{fault} at step {stats['n_steps'] + n_sub} "
+                            f"(t = {t:.6g}){note}")
+                    stats["rejected_steps"] += n_sub
+                    halvings += 1
+                    n_sub *= 2
+                    stats["dt_min"] = interval / n_sub
+                rho, g = r, gr
                 stats["n_steps"] += n_sub
                 yield rho
 
-        states = explicit_states(rho)
+        states = explicit_states(rho, n_sub)
 
     x = grid.x
-    mass0 = _trapz(rho, h, boundary)
-    neg_tol = 1e-9 * float(np.max(rho))
     rows = []       # (mean, dispersion, mass) at each record time
     for t, rho in zip(t_records, itertools.chain([rho], states)):
-        where = f"at step {stats['n_steps']} (t = {t:.6g})"
-        if not np.all(np.isfinite(rho)):
-            raise ConvergenceError(f"density not finite {where}")
-        mean, dispersion, mass = _moments(rho, x, h, boundary)
-        if not abs(mass - mass0) <= 1e-8:
-            raise ConvergenceError(f"mass drift {mass - mass0:.3e} {where}")
-        if float(np.min(rho)) < -neg_tol:
-            raise ConvergenceError(f"density fell to {np.min(rho):.3e} {where}")
-        rows.append((mean, dispersion, mass))
+        fault = _record_fault(rho, mass0, neg_tol, h, boundary)
+        if fault is not None:
+            raise ConvergenceError(
+                f"{fault} at step {stats['n_steps']} (t = {t:.6g})")
+        rows.append(_moments(rho, x, h, boundary))
     mu, sigma2, masses = map(np.array, zip(*rows))
     n_steps = stats.pop("n_steps")
 

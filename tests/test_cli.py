@@ -221,6 +221,12 @@ def test_time_span_must_be_ordered(tmp_path):
      3, ("the quantum coefficient: ", "2.5e+299 integrated to beta = 1e+10",
          "not a finite float", "params.hbar = 1e+150 (line 2)",
          "params.temperature = 1e-10 (line 3)")),
+    # the semiclassical effective potential reads beta = 1/(k_B T), which
+    # overflows; the run exited 1 naming beta
+    ("scenario = semiclassical-pde\nparams.k_B = 5e-324\n", 2,
+     ("the effective potential's beta: beta = 1/(k_B T) is not a finite "
+      "float", "params.k_B = 5e-324 (line 2)",
+      "params.temperature = 1.0 (default)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -232,6 +238,12 @@ def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     cfg_path.write_text(text)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: line {line}:" in capsys.readouterr().err
+
+
+def test_classical_telegraph_reads_no_beta():
+    # the k_B that semiclassical-pde refuses for its beta
+    cfg = parse_config("scenario = classical-telegraph\nparams.k_B = 5e-324\n")
+    assert cfg.params.k_B == 5e-324
 
 
 # options that no scenario needed: the steppers pick their own step, time
@@ -488,20 +500,53 @@ def test_pde_scenario_reports_its_stepper(tmp_path, text, sigma2):
         assert abs(float(final.split(",")[2]) - sigma2) <= 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_density_is_a_numerical_failure(tmp_path):
-    # the explicit quantum telegraph step breaks down here and overflows
-    # to NaN by t = 0.5; the first record after the breakdown aborts
+    # the ground state sigma^2 = hbar / 2 m omega0 of this well: the
+    # tapered explicit quantum telegraph step loses positivity by t = 0.5
+    # at every step down to 1/64 of the first, a genuine solver failure
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
-                     "params.temperature = 0\n"
+                     "params.omega0 = 1\n"
+                     "inertial = true\n"
+                     "potential.variant = harmonic\n"
+                     "potential.omega0 = 1\n"
+                     "sigma0_sq = 0.5\n"
+                     "grid.x_min = -6\n"
+                     "grid.x_max = 6\n"
+                     "grid.n = 121\n"
+                     "pde.t_final = 1\n"
+                     "pde.n_records = 5\n")
+    assert code == 1
+    assert ("cause = density fell to -1.254e-07 at step 1820 (t = 0.5); it "
+            "survived refinement by 6 halvings of the step, to "
+            "dt = 1.395e-04" in (out / "manifest.txt").read_text())
+    assert not (out / "density_final.csv").exists()
+
+
+def test_quantum_telegraph_default_box_start_completes(tmp_path):
+    # the first step, 2.5e-3, breaks this narrow start down at t = 0.23;
+    # the failing record intervals are redone at half the step, down to
+    # 1/16 of it.  The step is first order: sigma^2 agrees with a run at
+    # 1/16 of the first step to 1.4e-3 (a run at 1/4 of it to 2.3e-4).
+    code, out = _run(tmp_path,
+                     "scenario = quantum-zero-T-pde\n"
                      "inertial = true\n"
                      "grid.n = 161\n"
                      "pde.t_final = 1.0\n")
-    assert code == 1
-    assert ("cause = density fell to -3.237e-08 at step 92 (t = 0.23)"
-            in (out / "manifest.txt").read_text())
-    assert not (out / "density_final.csv").exists()
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "dt_max = 0.0025\n" in manifest
+    assert "dt_min = 0.00015625\n" in manifest
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    sigma2 = np.array([float(row.split(",")[2]) for row in rows])
+    # one step of 2.5e-3 / 16 per record interval, 64 per interval of 1e-2
+    ref = qbrown.evolve(
+        qbrown.DensityField.gaussian(qbrown.Grid1D(-8.0, 8.0, 161), 0.0, 0.04),
+        qbrown.PdeModel.QUANTUM_ZERO_T_TELEGRAPH, qbrown.PotentialSpec.free(),
+        qbrown.PhysicalParams.natural(temperature=0.0), 1.0,
+        n_records=100 * 64 + 1)
+    assert ref.n_steps == 100 * 64
+    assert np.max(np.abs(sigma2 - ref.sigma2[::64])) <= 2e-3
 
 
 def test_equilibrium_scenario(tmp_path):
