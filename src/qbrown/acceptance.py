@@ -3,8 +3,8 @@
 Thirteen numbered checks, each exercising one headline quantitative
 claim of the theory through the public solvers and comparing against an
 independent closed form or oracle.  Used by the test suite and by the
-``qbrown accept`` command; each check returns a CriterionResult with a
-one-line verdict.
+``qbrown accept`` command.  Each check returns its measured values, and
+the gates declared beside it turn them into a one-line verdict.
 """
 
 from __future__ import annotations
@@ -41,10 +41,54 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{status}] {self.name}: {self.details}"
 
 
-def _result(number, name, passed, details, t0, **measured):
-    return CriterionResult(number=number, name=name, passed=bool(passed),
-                           details=details, runtime=time.perf_counter() - t0,
-                           measured=measured)
+def _gate(measured, gates):
+    """(passed, details) of the measured values against their gates:
+    key=(lo, hi), either end None, or key=True for a flag.  details shows
+    each measured key as 'key = value (required ...)', the bound printed
+    from the float the comparison uses, or without one if it is ungated.
+    """
+    assert gates.keys() <= measured.keys(), "a gate names no measured key"
+    passed, shown = True, []
+    for key, value in measured.items():
+        gate = gates.get(key)
+        if gate is None:
+            ok, required = True, ""
+        elif gate is True:
+            ok, required = bool(value), " (required True)"
+        else:
+            lo, hi = gate
+            ok = (lo is None or lo <= value) and (hi is None or value <= hi)
+            required = (f" (required <= {hi!r})" if lo is None else
+                        f" (required >= {lo!r})" if hi is None else
+                        f" (required [{lo!r}, {hi!r}])")
+        passed = passed and bool(ok)
+        text = value if isinstance(value, bool) else format(value, ".6g")
+        shown.append(f"{key} = {text}{required}")
+    return passed, ", ".join(shown)
+
+
+ALL_CRITERIA = []
+
+
+def _criterion(name, **gates):
+    """Register the decorated body, which returns its measured dict, as
+    the next numbered criterion; the criterion times and gates the body."""
+    def register(measure):
+        number = len(ALL_CRITERIA) + 1
+
+        def criterion(quick=False) -> CriterionResult:
+            t0 = time.perf_counter()
+            measured = measure(quick)
+            passed, details = _gate(measured, gates)
+            return CriterionResult(number, name, passed, details,
+                                   time.perf_counter() - t0, measured)
+
+        criterion.__name__ = criterion.__qualname__ = measure.__name__
+        criterion.__doc__ = measure.__doc__
+        criterion.number, criterion.name = number, name
+        ALL_CRITERIA.append(criterion)
+        return criterion
+    return register
 
 
 _NATURAL = PhysicalParams.natural()
@@ -83,24 +127,23 @@ def _zero_T_inertial(quick=False):
     return p, tg, tr
 
 
-def criterion_1(quick=False) -> CriterionResult:
-    """Einstein-law asymptote: sigma^2 / 2Dt in [0.99, 1.02] at t = 100 t_c."""
-    t0 = time.perf_counter()
+@_criterion("einstein-asymptote",
+            ratio_full=(0.99, 1.02), ratio_lambert=(0.99, 1.02))
+def criterion_1(quick=False) -> dict:
+    """Einstein-law asymptote: sigma^2 / 2Dt at t = 100 t_c."""
     p, sc, t_grid, _, traj = _full_surface(quick)
     i = int(np.argmin(np.abs(t_grid - 100.0 * sc.t_c)))
     ratio_full = float(traj.sigma_x2[i] / (2.0 * sc.D * t_grid[i]))
     lam = float(eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid[i], p))
     ratio_lam = lam / (2.0 * sc.D * t_grid[i])
-    ok = 0.99 <= ratio_full <= 1.02 and 0.99 <= ratio_lam <= 1.02
-    return _result(1, "einstein-asymptote", ok,
-                   f"sigma2/2Dt at 100 t_c: self-consistent {ratio_full:.4f}, "
-                   f"exact bound {ratio_lam:.4f} (required [0.99, 1.02])", t0,
-                   ratio_full=ratio_full, ratio_lambert=ratio_lam)
+    return dict(ratio_full=ratio_full, ratio_lambert=ratio_lam)
 
 
-def criterion_2(quick=False) -> CriterionResult:
-    """Pure quantum diffusion sigma^2 = hbar sqrt(t/mb) within 2%."""
-    t0 = time.perf_counter()
+@_criterion("pure-quantum-diffusion", err_cold=(None, 0.02),
+            err_ode=(None, 0.02))
+def criterion_2(quick=False) -> dict:
+    """Pure quantum diffusion sigma^2 = hbar sqrt(t/mb): coldest column at
+    t <= 0.01 t_c, inertial ODE over [10, 1e3] tau_m."""
     p, sc, t_grid, surface, _ = _full_surface(quick)
     cold = surface.values[:, -1]
     pq = p.hbar * np.sqrt(t_grid / (p.mass * p.friction))
@@ -110,17 +153,13 @@ def criterion_2(quick=False) -> CriterionResult:
     pz, tg, tr = _zero_T_inertial(quick)
     pq2 = pz.hbar * np.sqrt(tg / (pz.mass * pz.friction))
     err_ode = float(np.max(np.abs(tr.sigma_x2 - pq2) / pq2))
-    ok = err_cold <= 0.02 and err_ode <= 0.02
-    return _result(2, "pure-quantum-diffusion", ok,
-                   f"max rel err: coldest column {err_cold:.2e} "
-                   f"(t <= 0.01 t_c), inertial ODE {err_ode:.2e} "
-                   f"(t in [10, 1e3] tau_m); required <= 2e-2", t0,
-                   err_cold=err_cold, err_ode=err_ode)
+    return dict(err_cold=err_cold, err_ode=err_ode)
 
 
-def criterion_3(quick=False) -> CriterionResult:
-    """Bounded-equation trajectory equals the Lambert closed form to 1e-8."""
-    t0 = time.perf_counter()
+@_criterion("lambert-exactness", deviation=(None, 1e-8),
+            residual=(None, 1e-8))
+def criterion_3(quick=False) -> dict:
+    """Bounded-equation trajectory equals the Lambert closed form."""
     p = _NATURAL
     sc = derived_scales(p)
     tg = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, 61)
@@ -131,16 +170,13 @@ def criterion_3(quick=False) -> CriterionResult:
     lam2 = sc.lambda_T ** 2
     resid = float(np.max(np.abs(s - lam2 * np.log1p(s / lam2) - 2 * sc.D * tg)
                          / (2 * sc.D * tg)))
-    ok = dev <= 1e-8 and resid <= 1e-8
-    return _result(3, "lambert-exactness", ok,
-                   f"trajectory vs closed form {dev:.2e}, implicit residual "
-                   f"{resid:.2e}; required <= 1e-8", t0,
-                   deviation=dev, residual=resid)
+    return dict(deviation=dev, residual=resid)
 
 
-def criterion_4(quick=False) -> CriterionResult:
+@_criterion("upper-bound-ordering", excess=(None, 1e-6),
+            superposition_ok=True)
+def criterion_4(quick=False) -> dict:
     """Ordering: self-consistent <= bounded <= superposition."""
-    t0 = time.perf_counter()
     p, sc, t_grid, _, traj = _full_surface(quick)
     bounded = solve_overdamped_bounded(p, 0.0, t_grid)
     excess = float(np.max((traj.sigma_x2 - bounded.sigma_x2)
@@ -148,16 +184,13 @@ def criterion_4(quick=False) -> CriterionResult:
     sup = eval_closed_form(ClosedForm.SUPERPOSITION, t_grid, p)
     lam = eval_closed_form(ClosedForm.LAMBERT_EXACT, t_grid, p)
     sup_ok = bool(np.all(lam <= sup * (1.0 + 1e-12)))
-    ok = excess <= 1e-6 and sup_ok
-    return _result(4, "upper-bound-ordering", ok,
-                   f"full-vs-bounded max excess {excess:.2e} (slack 1e-6); "
-                   f"lambert <= superposition: {sup_ok}", t0,
-                   excess=excess, superposition_ok=sup_ok)
+    return dict(excess=excess, superposition_ok=sup_ok)
 
 
-def criterion_5(quick=False) -> CriterionResult:
-    """Harmonic equilibrium dispersion matches the coth closed form to 1e-3."""
-    t0 = time.perf_counter()
+@_criterion("harmonic-equilibrium-coth", stationary=(None, 1e-3),
+            imaginary_time=(None, 1e-3))
+def criterion_5(quick=False) -> dict:
+    """Harmonic equilibrium dispersion matches the coth closed form."""
     worst_st = worst_it = 0.0
     for bho in (0.1, 1.0, 2.0, 10.0):
         p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / bho)
@@ -171,28 +204,24 @@ def criterion_5(quick=False) -> CriterionResult:
         rho, _ = imaginary_time_density(PotentialSpec.harmonic(1.0), p, cfg)
         it = moments(rho).dispersion
         worst_it = max(worst_it, abs(it - exact) / exact)
-    ok = worst_st <= 1e-3 and worst_it <= 1e-3
-    return _result(5, "harmonic-equilibrium-coth", ok,
-                   f"max rel err: stationary {worst_st:.2e}, imaginary-time "
-                   f"{worst_it:.2e}; required <= 1e-3", t0,
-                   stationary=worst_st, imaginary_time=worst_it)
+    return dict(stationary=worst_st, imaginary_time=worst_it)
 
 
-def criterion_6(quick=False) -> CriterionResult:
-    """Vacuum spreading matches its closed form within 1e-6."""
-    t0 = time.perf_counter()
+@_criterion("vacuum-spreading", err=(None, 1e-6))
+def criterion_6(quick=False) -> dict:
+    """Vacuum spreading matches its closed form."""
     p = PhysicalParams.natural(friction=0.0, temperature=0.0)
     tg = np.linspace(0.0, 10.0, 101)
     tr = solve_inertial_zero_T(p, 1.0, 0.0, 0.0, 0.0, tg)
     exact = eval_closed_form(ClosedForm.VACUUM_SPREADING, tg, p, sigma0=1.0)
     err = float(np.max(np.abs(tr.sigma_x2 - exact) / exact))
-    return _result(6, "vacuum-spreading", err <= 1e-6,
-                   f"max rel err {err:.2e}; required <= 1e-6", t0, err=err)
+    return dict(err=err)
 
 
-def criterion_7(quick=False) -> CriterionResult:
-    """Zero-T overdamped law sigma^4 = hbar^2 t / mb within 2% (ODE and PDE)."""
-    t0 = time.perf_counter()
+@_criterion("zero-T-overdamped-law", err_ode=(None, 0.02),
+            err_pde=(None, 0.02))
+def criterion_7(quick=False) -> dict:
+    """Zero-T overdamped law sigma^4 = hbar^2 t/mb on [10, 1e3] tau_m."""
     p, tg, tr = _zero_T_inertial(quick)
     tau = p.tau_m
     law = p.hbar ** 2 * tg / (p.mass * p.friction)
@@ -206,16 +235,13 @@ def criterion_7(quick=False) -> CriterionResult:
     law_pde = p.hbar ** 2 * res.times[m] / (p.mass * p.friction)
     meas = res.sigma2[m] ** 2 - res.sigma2[0] ** 2
     err_pde = float(np.max(np.abs(meas - law_pde) / law_pde))
-    ok = err_ode <= 0.02 and err_pde <= 0.02
-    return _result(7, "zero-T-overdamped-law", ok,
-                   f"sigma^4 max rel err: ODE {err_ode:.2e}, PDE {err_pde:.2e}"
-                   f"; required <= 2e-2 over [10, 1e3] tau_m", t0,
-                   err_ode=err_ode, err_pde=err_pde)
+    return dict(err_ode=err_ode, err_pde=err_pde)
 
 
-def criterion_8(quick=False) -> CriterionResult:
+@_criterion("heisenberg-monitor", min_product=(1.0 - 1e-12, None),
+            einstein_violates=True)
+def criterion_8(quick=False) -> dict:
     """Heisenberg monitor: quantum models satisfy it, Einstein violates it."""
-    t0 = time.perf_counter()
     p = _NATURAL
     sc = derived_scales(p)
     tg = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, 121)
@@ -229,23 +255,19 @@ def criterion_8(quick=False) -> CriterionResult:
     tr = solve_overdamped_bounded(p, 0.0, tg)
     product = tr.sigma_x2 * tr.sigma_p2
     worst = min(worst, float(np.min(product / quarter)))
-    satisfied = worst >= 1.0 - 1e-12
 
     # Einstein with the classical equilibrium momentum m k_B T
     e = eval_closed_form(ClosedForm.EINSTEIN, tg, p)
     product_e = e * (p.mass * p.k_B * p.temperature)
     before = tg < sc.t_c * (1.0 - 1e-12)
     violates = bool(np.all(product_e[before] < quarter))
-    ok = satisfied and violates
-    return _result(8, "heisenberg-monitor", ok,
-                   f"quantum min product {worst:.6f} hbar^2/4 (>= 1 required);"
-                   f" einstein violates for t < t_c: {violates}", t0,
-                   min_product=worst, einstein_violates=violates)
+    return dict(min_product=worst, einstein_violates=violates)
 
 
-def criterion_9(quick=False) -> CriterionResult:
-    """Semiclassical log correction: size within 10%, elementary form above."""
-    t0 = time.perf_counter()
+@_criterion("semiclassical-correction", rel=(None, 0.10), above=True)
+def criterion_9(quick=False) -> dict:
+    """Semiclassical log correction: the excess over 2Dt at 100 t_c, in
+    lambda_T^2, against ln(2Dt/lambda_T^2)/3; elementary form above."""
     p, sc, t_grid, _, traj = _full_surface(quick)
     i = int(np.argmin(np.abs(t_grid - 100.0 * sc.t_c)))
     lam2 = sc.lambda_T ** 2
@@ -256,17 +278,13 @@ def criterion_9(quick=False) -> CriterionResult:
     semi = eval_closed_form(ClosedForm.SEMICLASSICAL_LOG, t_grid[i], p)
     elem = eval_closed_form(ClosedForm.ELEMENTARY_LOG_APPROX, t_grid[i], p)
     above = bool(elem >= semi)
-    ok = rel <= 0.10 and above
-    return _result(9, "semiclassical-correction", ok,
-                   f"excess/lambda_T^2 = {excess:.4f} vs ln(2Dt/lambda_T^2)/3 "
-                   f"= {target:.4f} (rel dev {rel:.2f}, required <= 0.10); "
-                   f"elementary >= semiclassical: {above}", t0,
-                   excess=excess, target=target, rel=rel, above=above)
+    return dict(excess=excess, target=target, rel=rel, above=above)
 
 
-def criterion_10(quick=False) -> CriterionResult:
+@_criterion("coth-interpolation-limits", err_early=(None, 1e-4),
+            err_late=(None, 1e-3))
+def criterion_10(quick=False) -> dict:
     """Coth interpolation limits: pure quantum early, offset Einstein late."""
-    t0 = time.perf_counter()
     p = _NATURAL
     sc = derived_scales(p)
     lam2 = sc.lambda_T ** 2
@@ -278,16 +296,13 @@ def criterion_10(quick=False) -> CriterionResult:
     c_late = float(eval_closed_form(ClosedForm.COTH_INTERPOLATION, t_late, p))
     ref = 2.0 * sc.D * t_late + 2.0 * lam2 / 3.0
     err_late = abs(c_late - ref) / ref
-    ok = err_early <= 1e-4 and err_late <= 1e-3
-    return _result(10, "coth-interpolation-limits", ok,
-                   f"early dev {err_early:.2e} (<= 1e-4), late dev "
-                   f"{err_late:.2e} (<= 1e-3)", t0,
-                   err_early=err_early, err_late=err_late)
+    return dict(err_early=err_early, err_late=err_late)
 
 
-def criterion_11(quick=False) -> CriterionResult:
-    """Mass conservation and Ehrenfest mean motion for every PDE model."""
-    t0 = time.perf_counter()
+@_criterion("pde-conservation-ehrenfest", mass=(None, 1e-10),
+            mu=(None, 5e-3))
+def criterion_11(quick=False) -> dict:
+    """Mass drift per 1e3 steps and Ehrenfest mean motion, every PDE model."""
     f = 0.5
     worst_mass = 0.0
     worst_mu = 0.0
@@ -314,16 +329,13 @@ def criterion_11(quick=False) -> CriterionResult:
         m = t >= 0.1 * t_final
         worst_mu = max(worst_mu, float(np.max(
             np.abs(res.mu[m] - mu_exact[m]) / np.abs(mu_exact[m]))))
-    ok = worst_mass <= 1e-10 and worst_mu <= 5e-3
-    return _result(11, "pde-conservation-ehrenfest", ok,
-                   f"mass drift per 1e3 steps {worst_mass:.2e} (<= 1e-10); "
-                   f"mean-motion max rel err {worst_mu:.2e} (<= 5e-3)", t0,
-                   mass=worst_mass, mu=worst_mu)
+    return dict(mass=worst_mass, mu=worst_mu)
 
 
-def criterion_12(quick=False) -> CriterionResult:
+@_criterion("equilibrium-route-equivalence", rho=(None, 1e-6),
+            z=(None, 1e-3), semiclassical=(None, 5e-3))
+def criterion_12(quick=False) -> dict:
     """Equilibrium route equivalence and semiclassical consistency."""
-    t0 = time.perf_counter()
     worst_rho = worst_z = 0.0
     cases = [(PotentialSpec.harmonic(1.0),
               PhysicalParams.natural(omega0=1.0, temperature=0.5),
@@ -348,17 +360,12 @@ def criterion_12(quick=False) -> CriterionResult:
     rho_e, _, _ = eigen_density(PotentialSpec.harmonic(1.0), p, bho, g)
     s_e = moments(rho_e).dispersion
     dev_sc = abs(s_sc - s_e) / s_e
-    ok = worst_rho <= 1e-6 and worst_z <= 1e-3 and dev_sc <= 5e-3
-    return _result(12, "equilibrium-route-equivalence", ok,
-                   f"max |drho| {worst_rho:.2e} (<= 1e-6), Z rel dev "
-                   f"{worst_z:.2e} (<= 1e-3), semiclassical sigma2 dev "
-                   f"{dev_sc:.2e} (<= 5e-3)", t0,
-                   rho=worst_rho, z=worst_z, semiclassical=dev_sc)
+    return dict(rho=worst_rho, z=worst_z, semiclassical=dev_sc)
 
 
-def criterion_13(quick=False) -> CriterionResult:
+@_criterion("telegraph-moments", err=(None, 0.02))
+def criterion_13(quick=False) -> dict:
     """Classical telegraph dispersion follows 2D[t - tau(1 - e^-t/tau)]."""
-    t0 = time.perf_counter()
     p = _NATURAL
     g = Grid1D(-30.0, 30.0, 1601 if quick else 2401)
     s0 = 0.01
@@ -370,15 +377,7 @@ def criterion_13(quick=False) -> CriterionResult:
     exact = s0 + 2.0 * D * (res.times - tau * (1.0 - np.exp(-res.times / tau)))
     m = res.times >= 1.0
     err = float(np.max(np.abs(res.sigma2[m] - exact[m]) / exact[m]))
-    return _result(13, "telegraph-moments", err <= 0.02,
-                   f"dispersion max rel err {err:.2e}; required <= 2e-2", t0,
-                   err=err)
-
-
-ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
-                criterion_5, criterion_6, criterion_7, criterion_8,
-                criterion_9, criterion_10, criterion_11, criterion_12,
-                criterion_13]
+    return dict(err=err)
 
 
 def run_all(quick: bool = False):

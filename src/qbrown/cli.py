@@ -29,8 +29,8 @@ from .equilibrium import (ImaginaryTimeConfig, check_beta_steps,
                           quantum_entropy, semiclassical_density)
 from .numerics import ConvergenceError
 from .params import (PhysicalParams, ScalesUndefinedError, derived_scales)
-from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec, evolve,
-                  quantum_potential, record_times)
+from .pde import (DensityField, Grid1D, PdeModel, PotentialSpec,
+                  effective_potential, evolve, quantum_potential, record_times)
 
 
 class ConfigError(Exception):
@@ -538,10 +538,13 @@ _PDE_CHECKS = (
                                     cfg.options["pde.n_records"])),
     _Check(2, "initial density", ("mu0", "sigma0_sq", *_GRID, "pde.boundary"),
            _initial_density))
-# the semiclassical effective potential reads beta
+# the semiclassical run builds U + beta hbar^2 [3 U'' - beta U'^2] / 24m
 _SEMICLASSICAL_PDE_CHECKS = (*_PDE_CHECKS, _Check(
-    1, "the effective potential's beta", ("params.k_B", "params.temperature"),
-    lambda cfg: cfg.params.beta))
+    2, "the effective potential", (
+        *_POTENTIAL_KEYS, *_GRID, "params.k_B", "params.temperature",
+        "params.hbar", "params.mass"),
+    lambda cfg: effective_potential(_potential(cfg), cfg.params.beta,
+                                    cfg.params, _grid(cfg))))
 _EQUILIBRIUM_CHECKS = (
     _GRID_CHECK, _POTENTIAL_CHECK,
     _Check(1, "the entropy beta nodes",

@@ -758,9 +758,15 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                     if fault is None:
                         break
                     if halvings == max_halvings:
-                        note = (f"; it survived refinement by {halvings} "
-                                f"halvings of the step, to dt = {dt:.3e}"
-                                if halvings else "")
+                        if halvings:
+                            note = (f"; it survived refinement by {halvings}"
+                                    f" halvings of the step, to dt = {dt:.3e}")
+                        elif fault.startswith("density fell"):
+                            note = ("; the linear telegraph equation does not "
+                                    "keep the density non-negative, so the "
+                                    "step is not refined")
+                        else:
+                            note = ""
                         raise ConvergenceError(
                             f"{fault} at step {stats['n_steps'] + n_sub} "
                             f"(t = {t:.6g}){note}")

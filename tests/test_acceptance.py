@@ -11,19 +11,59 @@ import pytest
 
 from qbrown import acceptance
 
+_XFAIL_REASONS = {
+    1: "the exact bounded law approaches 2Dt only logarithmically: at "
+       "t = 100 t_c the measured ratios are 1.023 (self-consistent) and "
+       "1.047 (closed form) against a 1.02 cap",
+    7: "the inertial ODE carries a slowly decaying transient from any "
+       "on-law anchor: the best principled start (t0 = 10 tau_m) leaves "
+       "a 2.9% peak sigma^4 deviation against the 2% cap; the PDE clause "
+       "of the same law passes at 0.03%",
+    9: "the self-consistent excess over 2Dt at t = 100 t_c measures "
+       "2.28 lambda_T^2 while ln(2Dt/lambda_T^2)/3 gives 1.54, a 49% "
+       "relative gap against the 10% cap; the ordering clause passes",
+}
 
-def _check(result):
-    print(result.verdict_line)
-    assert result.passed, result.details
+
+def _verdict_test(criterion):
+    def test():
+        result = criterion()
+        print(result.verdict_line)
+        assert result.passed, result.details
+
+    reason = _XFAIL_REASONS.get(criterion.number)
+    if reason:
+        test = pytest.mark.xfail(strict=True, reason=reason)(test)
+    return test
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the exact bounded law approaches 2Dt only logarithmically: at "
-           "t = 100 t_c the measured ratios are 1.023 (self-consistent) and "
-           "1.047 (closed form) against a 1.02 cap")
-def test_criterion_1_einstein_asymptote():
-    _check(acceptance.criterion_1())
+# test_criterion_<number>_<name>, one per registered criterion
+for _criterion in acceptance.ALL_CRITERIA:
+    _name = _criterion.name.replace("-", "_")
+    _test = _verdict_test(_criterion)
+    globals()[f"test_criterion_{_criterion.number}_{_name}"] = _test
+
+
+def test_gate_names_each_clause_with_its_bound():
+    passed, details = acceptance._gate(
+        {"err": 0.025, "ratio": 1.0, "above": True, "target": 1.53506},
+        {"err": (None, 0.02), "ratio": (1.0 - 1e-12, None), "above": True})
+    assert not passed
+    assert details == ("err = 0.025 (required <= 0.02), "
+                       "ratio = 1 (required >= 0.999999999999), "
+                       "above = True (required True), target = 1.53506")
+    assert acceptance._gate({"above": False, "r": 1.01},
+                            {"above": True, "r": (0.99, 1.02)}) == (
+        False, "above = False (required True), "
+               "r = 1.01 (required [0.99, 1.02])")
+    assert acceptance._gate({"r": 1.01}, {"r": (0.99, 1.02)}) == (
+        True, "r = 1.01 (required [0.99, 1.02])")
+    assert len(acceptance.ALL_CRITERIA) == 13
+
+
+def test_criteria_are_numbered_in_order():
+    assert [(fn.__name__, fn.number) for fn in acceptance.ALL_CRITERIA] == [
+        (f"criterion_{n}", n) for n in range(1, 14)]
 
 
 def test_shared_surface_is_solved_once_and_read_only():
@@ -39,62 +79,3 @@ def test_shared_surface_is_solved_once_and_read_only():
     for a in (tg, tr.sigma_x2, tr.sigma_p2, tr.mu):
         with pytest.raises(ValueError):
             a[0] = 1.0
-
-
-def test_criterion_2_pure_quantum_diffusion():
-    _check(acceptance.criterion_2())
-
-
-def test_criterion_3_lambert_exactness():
-    _check(acceptance.criterion_3())
-
-
-def test_criterion_4_upper_bound_ordering():
-    _check(acceptance.criterion_4())
-
-
-def test_criterion_5_harmonic_equilibrium_coth():
-    _check(acceptance.criterion_5())
-
-
-def test_criterion_6_vacuum_spreading():
-    _check(acceptance.criterion_6())
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the inertial ODE carries a slowly decaying transient from any "
-           "on-law anchor: the best principled start (t0 = 10 tau_m) leaves "
-           "a 2.9% peak sigma^4 deviation against the 2% cap; the PDE clause "
-           "of the same law passes at 0.4%")
-def test_criterion_7_zero_T_overdamped_law():
-    _check(acceptance.criterion_7())
-
-
-def test_criterion_8_heisenberg_monitor():
-    _check(acceptance.criterion_8())
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the self-consistent excess over 2Dt at t = 100 t_c measures "
-           "2.28 lambda_T^2 while ln(2Dt/lambda_T^2)/3 gives 1.54, a 49% "
-           "relative gap against the 10% cap; the ordering clause passes")
-def test_criterion_9_semiclassical_correction():
-    _check(acceptance.criterion_9())
-
-
-def test_criterion_10_coth_interpolation_limits():
-    _check(acceptance.criterion_10())
-
-
-def test_criterion_11_pde_conservation_ehrenfest():
-    _check(acceptance.criterion_11())
-
-
-def test_criterion_12_equilibrium_route_equivalence():
-    _check(acceptance.criterion_12())
-
-
-def test_criterion_13_telegraph_moments():
-    _check(acceptance.criterion_13())

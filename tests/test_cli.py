@@ -224,9 +224,17 @@ def test_time_span_must_be_ordered(tmp_path):
     # the semiclassical effective potential reads beta = 1/(k_B T), which
     # overflows; the run exited 1 naming beta
     ("scenario = semiclassical-pde\nparams.k_B = 5e-324\n", 2,
-     ("the effective potential's beta: beta = 1/(k_B T) is not a finite "
-      "float", "params.k_B = 5e-324 (line 2)",
-      "params.temperature = 1.0 (default)")),
+     ("the effective potential: beta = 1/(k_B T) is not a finite float",
+      "params.k_B = 5e-324 (line 2)", "params.temperature = 1.0 (default)",
+      "potential.variant = free (default)", "grid.n = 401 (default)")),
+    # a finite beta = 1e300 whose beta^2 U'^2 overflows in the harmonic
+    # well; the run exited 1 with "float division by zero"
+    ("scenario = semiclassical-pde\nparams.omega0 = 1\n"
+     "potential.variant = harmonic\npotential.omega0 = 1\ngrid.n = 81\n"
+     "pde.t_final = 1\nparams.k_B = 1e-300\n", 7,
+     ("the effective potential: overflow", "params.k_B = 1e-300 (line 7)",
+      "potential.variant = harmonic (line 3)", "grid.n = 81 (line 5)",
+      "params.hbar = 1.0 (default)", "params.mass = 1.0 (default)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -244,6 +252,15 @@ def test_classical_telegraph_reads_no_beta():
     # the k_B that semiclassical-pde refuses for its beta
     cfg = parse_config("scenario = classical-telegraph\nparams.k_B = 5e-324\n")
     assert cfg.params.k_B == 5e-324
+
+
+def test_free_effective_potential_takes_a_huge_beta(tmp_path):
+    # the k_B that the harmonic well refuses: with U = 0 the effective
+    # potential stays 0 at beta = 1e300, and the run completes
+    cfg_path = tmp_path / "free.cfg"
+    cfg_path.write_text("scenario = semiclassical-pde\ngrid.n = 81\n"
+                        "pde.t_final = 1\nparams.k_B = 1e-300\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
 # options that no scenario needed: the steppers pick their own step, time

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.linalg import lu_factor, lu_solve, solve
 
@@ -82,6 +84,42 @@ def test_periodic_routes_agree():
     assert np.max(np.abs(rho_it.rho - rho_box.rho)) > 1e-2
     with pytest.raises(ValueError):
         eigen_density(U, p, 1.0, g, boundary="reflecting")
+
+
+@settings(max_examples=25, deadline=2000)
+@given(periodic=st.booleans(), n=st.integers(33, 65),
+       a=st.floats(0.0, 1.0), c=st.floats(0.0, 0.2), d=st.floats(-1.0, 1.0),
+       k=st.integers(1, 3), temperature=st.floats(0.3, 5.0))
+def test_routes_agree_on_random_smooth_potentials(periodic, n, a, c, d, k,
+                                                   temperature):
+    # a rippled confining well a x^2 + c x^4 + d cos(kx) in a box, a cos/sin
+    # mixture on a ring; N = 256 keeps rho within 5e-5 of the peak there
+    # (an inverted well, which presses the density on the walls, reaches
+    # 1e-3)
+    if periodic:
+        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n)
+        u = a * np.cos(g.x) + d * np.sin(k * g.x) + c * np.cos(2.0 * g.x)
+    else:
+        g = Grid1D(-4.0, 4.0, n)
+        u = a * g.x ** 2 + c * g.x ** 4 + d * np.cos(k * g.x)
+    p = PhysicalParams.natural(temperature=temperature)
+    U = PotentialSpec.tabulated(u)
+    boundary = "periodic" if periodic else "box"
+    rho_e, z_e, _ = eigen_density(U, p, p.beta, g, boundary=boundary)
+
+    def deviations(steps):
+        cfg = ImaginaryTimeConfig(beta_final=p.beta, grid=g,
+                                  n_beta_steps=steps, boundary=boundary)
+        rho_it, z_it = imaginary_time_density(U, p, cfg)
+        return np.max(np.abs(rho_it.rho - rho_e.rho)), abs(z_it - z_e) / z_e
+
+    n_steps = max(256, min_beta_steps(p, g.h, p.beta))
+    d_rho, d_z = deviations(n_steps)
+    assert d_rho <= 1e-4 * np.max(rho_e.rho)
+    assert d_z <= 1e-3
+    # the Strang splitting is second order in dbeta
+    if d_rho > 1e-9:
+        assert 3.9 <= d_rho / deviations(2 * n_steps)[0] <= 4.1
 
 
 def test_high_temperature_is_boltzmann():

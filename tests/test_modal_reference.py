@@ -119,7 +119,9 @@ def test_telegraph_abort_is_the_equations_own():
     model = PdeModel.CLASSICAL_TELEGRAPH
     floor = -1e-9 * np.max(RHO0.rho)
     with pytest.raises(ConvergenceError, match=(
-            r"density fell to -5\.267e-04 at step 684 \(t = 2\.88\)")):
+            r"density fell to -5\.267e-04 at step 684 \(t = 2\.88\); the "
+            r"linear telegraph equation does not keep the density "
+            r"non-negative, so the step is not refined$")):
         evolve(RHO0, model, U, P, 8.0, n_records=101)
     assert np.min(_reference_at(model, 2.80)) >= floor
     exact_min = np.min(_reference_at(model, 2.88))
