@@ -321,7 +321,8 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
     so (S, S') of every column and the mean are one ODE system, marched
     once by solve_ode in omega0 t with S in units of sigma0_sq.  A column
-    reaching S <= 0 raises ConvergenceError naming t and beta, and an
+    whose solution crosses S = 0 (a weakly damped swing can) raises
+    ConvergenceError naming t, beta, omega0 and b/m, and an
     integral that overflows at the start raises OverflowError
     (quantum_coefficient).
     Returns (BetaGridFunction, trajectory at the physical beta).
@@ -355,8 +356,10 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
         if not np.all(s > 0):
             j = int(np.argmin(s))  # the first NaN, if any
             raise ConvergenceError(
-                f"sigma_x^2 reached {s[j] * sigma0_sq:.3e} at t = "
-                f"{x / w0:.6g}, beta = {beta_grid[j + 1]:.6g}")
+                f"the harmonic dispersion equation's own solution sigma_x^2 "
+                f"crossed zero (to {s[j] * sigma0_sq:.3e}) at t = "
+                f"{x / w0:.6g}, beta = {beta_grid[j + 1]:.6g}, "
+                f"omega0 = {w0:.6g}, b/m = {p.friction / p.mass:.6g}")
         spring = np.maximum(1.0 - kT_w * _beta_integral(q_coef, s, half_widths),
                             1e-8)
         return np.concatenate(((y[1], f_s - y[0] - damp * y[1]), v,

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .numerics import ConvergenceError
 from .params import PhysicalParams
@@ -287,53 +287,36 @@ class EvolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _divergence(flux_half, h, boundary, flux_in=None):
-    """Conservative divergence: cell updates from half-node fluxes.
-
-    Reflecting boundaries use half-size end cells so that the trapezoid
-    mass is conserved exactly; periodic wraps the last edge around.
-    flux_in is the flux through each face as the cell to its right sees
-    it, where a flux is scaled per cell; it defaults to flux_half.
-    Stacked fluxes are differenced along their last axis.
-    """
-    if flux_in is None:
-        flux_in = flux_half
-    nf = flux_half.shape[-1]
-    n = nf + 1 if boundary == "reflecting" else nf
-    out = np.empty(flux_half.shape[:-1] + (n,))
-    if boundary == "reflecting":
-        out[..., 1:-1] = (flux_half[..., 1:] - flux_in[..., :-1]) / h
-        out[..., 0] = flux_half[..., 0] / (0.5 * h)
-        out[..., -1] = -flux_in[..., -1] / (0.5 * h)
-    else:
-        out[...] = (flux_half - np.roll(flux_in, 1, axis=-1)) / h
-    return out
-
-
 def _ring(a, boundary):
     """Node values whose faces lie between a[:-1] and a[1:]: a periodic
     ring appends its wrap node."""
     return a if boundary == "reflecting" else np.append(a, a[0])
 
 
-def _flux(rho, dphi, h, boundary, p):
-    """Half-node flux rho d(Phi + Q)/dx of the explicit quantum telegraph
-    model: static gradient dphi at the faces, Q the Bohm potential of
-    rho.  Below 1e-6 of the peak the floored tails of Q produce spurious
-    spikes, so its term is tapered off there and the drift upwinded (donor
-    cell), since the centered scheme would seed wiggles around the Q-floor
-    kink.
+def _flux(dphi, h, boundary, p, k):
+    """flux(rr, out) writes into out k times the half-node flux rho d(Phi
+    + Q)/dx of the explicit quantum telegraph model for the density rr (a
+    ring appends its wrap node), dPhi/dx = dphi and Q the Bohm potential.
+    Below 1e-6 of the peak the floored tails of Q produce spurious spikes,
+    so its term is tapered off there and the drift upwinded (donor cell),
+    since the centered scheme would seed wiggles around the Q-floor kink.
     """
-    r = _ring(rho, boundary)
-    r_half = 0.5 * (r[1:] + r[:-1])
-    peak = float(np.max(rho))
-    cutoff = 1e-6 * peak
-    taper = np.minimum(np.maximum(r_half / (10.0 * cutoff) - 0.1, 0.0), 1.0)
-    r_up = np.where(dphi < 0.0, r[:-1], r[1:])
-    r_adv = taper * r_half + (1.0 - taper) * r_up
-    q = _ring(_quantum_potential_raw(rho, h, p, boundary, peak), boundary)
-    dq = (q[1:] - q[:-1]) / h
-    return r_adv * dphi + r_half * dq * taper
+    n = dphi.size + (boundary == "reflecting")
+    upwind = dphi < 0.0
+    k_drift, k_bohm = k * dphi, 0.5 * k / h
+
+    def flux(rr, out):
+        r_sum = rr[1:] + rr[:-1]                    # twice rho at the faces
+        peak = float(np.max(rr))
+        taper = np.minimum(np.maximum(r_sum * (5e4 / peak) - 0.1, 0.0), 1.0)
+        r_up = np.where(upwind, rr[:-1], rr[1:])
+        q = _ring(_quantum_potential_raw(rr[:n], h, p, boundary, peak),
+                  boundary)
+        # k (r_up + taper (rho - r_up)) dPhi/dx + k taper rho dQ/dx
+        np.multiply(k_bohm * r_sum * (q[1:] - q[:-1])
+                    + k_drift * (0.5 * r_sum - r_up), taper, out=out)
+        out += k_drift * r_up
+    return flux
 
 
 def _bernoulli(z):
@@ -354,109 +337,139 @@ class _LogDensityRate:
     zero-T quantum Smoluchowski model adds rho dQ/dx = -(hbar^2/4m)
     d/dx(rho d^2y/dx^2): c = hbar^2/4m, w = rho * (second difference of
     y), mirror ghosts at reflecting walls; c = 0 otherwise.
-    flux(rho) is G for c = 0 (the explicit telegraph step).
-    rate_and_jacobian(y) gives div G / rho, so tails where rho underflows
-    stay finite (row i keeps only exp(y_j - y_i)), and d rate_i / d y_(i+d)
-    for d = -2..2.  The products of s = c / h^3 with the second-difference
-    coefficients depend only on the grid and are made once, and the
-    derivatives go into two buffers that the instance owns.  solve()
-    solves with such diagonals as one band, the ring ordered 0, n-1, 1,
-    n-2, ... so that its corners fall inside it: the diagonals are
-    scattered straight into LAPACK gbsv's band storage, b rows for the LU
-    fill-in above the 2b + 1 rows of the band, which one gbsv call
-    factors and solves in place.
+    flux(k) gives k G for c = 0 (the explicit telegraph step).
+
+    rate_and_jacobian(y) gives div G / rho, each face entering through e =
+    exp(y_right - y_left) only, so tails where rho underflows stay finite,
+    and d rate / dy: 3 diagonals from e alone for c = 0, 5 with the second
+    difference of y for c > 0, rows summing to zero (the rate sees only
+    differences of y).  Each diagonal goes straight into the LAPACK band
+    storage that solve() reads, entry (i, j) at row off + p_i - p_j,
+    column p_j, p node order on a box and 0, n-1, 1, n-2, ... on a ring
+    (which puts its corners inside the band).  solve() picks the routine
+    by the band's half-width b: gtsv (off = 1) for b = 1, c = 0 on a box,
+    else gbsv (off = 2b, below its b rows of LU fill-in); either factors
+    and solves in one call.
     """
 
     def __init__(self, dphi, kT, c, h, boundary, n):
         self.c, self.h, self.boundary = c, h, boundary
         ap = kT / h * _bernoulli(h * dphi / kT) if kT > 0 else -0.5 * dphi
         self._am, self._ap = ap + dphi, ap
-        # second difference L_i = (c- y_(i-1) + c0 y_i + c+ y_(i+1)) / h^2
-        self._cl = np.array([np.ones(n), np.full(n, -2.0), np.ones(n)])
-        if boundary == "reflecting":
-            self._cl[:, 0] = (0.0, -2.0, 2.0)     # mirror ghost y_-1 = y_1
-            self._cl[:, -1] = (2.0, -2.0, 0.0)
-            order = np.arange(n)
-        else:
+        ring, nf = boundary == "periodic", dphi.size
+        # cell widths, half cells at a box's walls, and their inverses at
+        # each face's left and right node
+        self._width = np.full(n, h)
+        if not ring:
+            self._width[[0, -1]] = 0.5 * h
+        inv = 1.0 / self._width
+        self._inv = inv_l, inv_r = inv[:nf], _ring(inv, boundary)[1:]
+        self._apw = inv_r * ap
+        # face values padded to n + 1: [1:] is the face right of each node,
+        # [:-1] the face left of it, zero beyond a box's walls
+        self._fs, self._pad = slice(1, nf + 1), np.zeros((4, n + 1))
+        # c > 0: y with ghost nodes (mirror images at a box's walls); s =
+        # c/h^3 times its second difference, whose coefficients (cm, -2, cp)
+        # make the +-2 diagonals' factors and the +-1 ones' constant parts
+        self._ghosted = np.r_[n - 1 if ring else 1, 0:n, 0 if ring else n - 2]
+        s = self._s = c / h ** 3
+        self._lx = np.zeros(n + 1)
+        cm, cp = np.ones(n), np.ones(n)
+        if not ring:
+            cm[0], cp[0], cm[-1], cp[-1] = 0.0, 2.0, 2.0, 0.0
+        cm_r, cp_r = _ring(cm, boundary)[1:], _ring(cp, boundary)[1:]
+        self._bohm = (-s * inv_l * cp_r, -s * inv_r * cm[:nf],
+                      2.0 * s / h * cp[:nf], 2.0 * s / h * cm_r)
+        # the band's half-width b, its storage, and where diagonal d of face
+        # f goes: entry (f, f + d) for d > 0, (f + 1, f + 1 + d) for d < 0
+        half = 2 if c else 1
+        pos = np.arange(n)
+        self._order = self._pos = None
+        if ring:
             order = np.empty(n, dtype=int)
             order[0::2] = np.arange((n + 1) // 2)
             order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
-        # L's coefficients at each face's left node (cm, c0, cp) and at its
-        # right node (dm, d0, dp), and their products with s = c / h^3
-        cl_faces = np.stack([_ring(a, boundary) for a in self._cl])
-        self._d = cl_faces[:, 1:]
-        self._s = c / h ** 3
-        self._sc, self._sd = self._s * cl_faces[:, :-1], self._s * self._d
-        # derivatives of a and a/e by y at offsets -2..2 from the left
-        # node; the rows that do not depend on y are filled here
-        self._da = np.zeros((5, cl_faces.shape[1] - 1))
-        self._db = np.zeros_like(self._da)
-        self._da[1] = self._sc[0]
-        self._db[3] = -self._sd[2]
-        self._nb = (np.arange(-1, n - 1), np.arange(1, n + 1) % n)
-        self._order = order
-        self._pos = np.argsort(order)
-        rows = np.repeat(np.arange(n)[None, :], 5, axis=0)
-        cols = rows + np.arange(-2, 3)[:, None]
-        if boundary == "periodic":
-            cols %= n
-        self._keep = ((cols >= 0) & (cols < n)).ravel()
-        pr = self._pos[rows.ravel()[self._keep]]
-        pc = self._pos[cols.ravel()[self._keep]]
-        self.bands = b = int(np.max(np.abs(pr - pc)))
-        # entry (pr, pc) sits at row 2b + pr - pc, column pc of the
-        # column-major (3b + 1, n) band storage
-        self._flat = pc * (3 * b + 1) + 2 * b + pr - pc
-        self._n = n
+            pos = np.argsort(order)
+            self._order, self._pos = order, pos
+        self.bands = b = half if not ring else max(
+            int(np.max(np.abs(pos - np.roll(pos, -d))))
+            for d in range(1, half + 1))
+        self._ab = (np.zeros((3, n)) if b == 1 else
+                    np.zeros((3 * b + 1, n), order="F"))
+        off = self._ab.shape[0] - 1 - b
+        self._at = []
+        for d in (1, -1, 2, -2)[:2 * half]:
+            if ring:
+                row = pos[(np.arange(nf) + (d < 0)) % n]
+                col = np.roll(row, -d)
+                self._at.append((slice(None), (off + row - col, col)))
+            else:
+                self._at.append((slice(max(0, -1 - d), n - max(1, d)),
+                                 (off - d, slice(max(0, d), n + min(0, d)))))
+        self.diagonal = (off, pos if ring else slice(None))
 
-    def _faces(self, y):
-        h = self.h
-        cm, c0, cp = self._cl
-        prev, after = self._nb
-        lap = _ring((cm * y[prev] + c0 * y + cp * y[after]) / h ** 2,
-                    self.boundary)
-        yr = _ring(y, self.boundary)
-        e = np.exp(yr[1:] - yr[:-1])            # rho_right / rho_left
-        # the face flux over the density of its left node
-        a = (self._am * e - self._ap
-             - self.c / h * (e * lap[1:] - lap[:-1]))
-        return lap, e, a
+    def flux(self, k):
+        """flux(rr, out) writes k G for c = 0 into out, as _flux does."""
+        am, ap, tmp = k * self._am, k * self._ap, np.empty_like(self._am)
 
-    def flux(self, rho):
-        r = _ring(rho, self.boundary)
-        return self._am * r[1:] - self._ap * r[:-1]
+        def flux(rr, out):
+            np.multiply(am, rr[1:], out=out)
+            out -= np.multiply(ap, rr[:-1], out=tmp)
+        return flux
 
     def rate_and_jacobian(self, y):
-        h = self.h
-        lap, e, a = self._faces(y)
-        dm, d0, dp = self._d
-        scm, sc0, scp = self._sc
-        sdm, sd0, _ = self._sd
-        se = self._s * e
-        p = e * (self._am - self.c / h * lap[1:])         # da / dy_right
-        q = (p - a) / e                                   # d(a/e) / dy_right
-        # rate row i takes face i's a and face i-1's a/e, so the offset d
-        # of a pairs with offset d + 1 of a/e
-        da, db = self._da, self._db
-        da[2] = -p + sc0 - se * dm
-        da[3] = p + scp - se * d0
-        np.multiply(-se, dp, out=da[4])
-        np.divide(scm, e, out=db[0])
-        db[1] = -q + sc0 / e - sdm
-        db[2] = q + scp / e - sd0
-        return (_divergence(a, h, self.boundary, a / e),
-                _divergence(da, h, self.boundary, db))
+        """(div G / rho, its Jacobian in the band storage solve() uses)."""
+        fs, lx, (inv_l, inv_r) = self._fs, self._lx, self._inv
+        a, b, out, into = pad = self._pad
+        am, ap = self._am, self._ap
+        if self.c:
+            # y_i - y_(i-1), i = 0 .. n, and s times the second difference
+            dys = np.diff(y[self._ghosted])
+            np.multiply(np.diff(dys), self._s, out=lx[:-1])
+            lx[-1] = lx[0]                      # a ring's wrap node
+            am = am - lx[1:fs.stop]
+            ap = ap - lx[:fs.stop - 1]
+        e = np.exp(dys[fs] if self.c else np.diff(_ring(y, self.boundary)))
+        p = am * e
+        # the face flux over rho at its left node, a, and at its right, b
+        np.subtract(p, ap, out=a[fs])
+        np.divide(a[fs], e, out=b[fs])
+        # per face: d rate / dy_right in the left node's row, d rate /
+        # dy_left in the right node's row, then the +-2 diagonals
+        if self.c:
+            out2, in2, c1, c_1 = self._bohm
+            diags = ((p + 2.0 * self._s * e) * inv_l + c1,
+                     (ap + 2.0 * self._s) / e * inv_r + c_1, out2 * e, in2 / e)
+            np.add(diags[0], diags[2], out=out[fs])
+            np.add(diags[1], diags[3], out=into[fs])
+        else:
+            np.multiply(p, inv_l, out=out[fs])
+            np.divide(self._apw, e, out=into[fs])
+            diags = (out[fs], into[fs])
+        ab = self._ab
+        if self._pos is not None:               # a ring
+            pad[:, 0] = pad[:, -1]
+            ab.fill(0.0)
+        rate = a[1:] - b[:-1]
+        rate /= self._width
+        ab[self.diagonal] = -(out[1:] + into[:-1])
+        for (sel, at), diag in zip(self._at, diags):
+            ab[at] = diag[sel]
+        return rate, ab
 
-    def solve(self, diagonals, rhs):
-        n, b = self._n, self.bands
-        ab = np.zeros((3 * b + 1) * n)
-        ab[self._flat] = diagonals.ravel()[self._keep]
-        _, _, z, info = dgbsv(b, b, ab.reshape(n, 3 * b + 1).T,
-                              rhs[self._order], overwrite_ab=True,
-                              overwrite_b=True)
+    def solve(self, ab, rhs):
+        """Solve the system in band storage ab for rhs; ab is overwritten."""
+        b = self.bands
+        if self._order is not None:
+            rhs = rhs[self._order]
+        if b == 1:
+            x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True,
+                            True)[3:]
+        else:
+            x, info = dgbsv(b, b, ab, rhs, overwrite_ab=True)[2:]
         if info > 0:
             raise LinAlgError("singular matrix")
-        return z[self._pos]
+        return x if self._pos is None else x[self._pos]
 
 
 # Newton stops once max |dy| max(rho / rho_max, _NEWTON_WEIGHT_FLOOR)
@@ -487,16 +500,17 @@ def _newton(rate_of, y_guess, a0, history, k):
         r, jac = rate_of.rate_and_jacobian(y)
         past = sum(aj * np.exp(yj - y) for aj, yj in history)
         jac *= -k
-        jac[2] -= past
+        jac[rate_of.diagonal] -= past
         try:
             dy = rate_of.solve(jac, k * r - a0 - past)
         except LinAlgError:
             return None, it
-        if not np.all(np.isfinite(dy)):
-            return None, it
         y += dy
         weight = np.maximum(np.exp(y - np.max(y)), _NEWTON_WEIGHT_FLOOR)
-        if float(np.max(np.abs(dy) * weight)) < _NEWTON_TOL:
+        change = float(np.max(np.abs(dy) * weight))   # not finite with dy
+        if not math.isfinite(change):
+            return None, it
+        if change < _NEWTON_TOL:
             return y, it
     return None, _NEWTON_MAX_ITER
 
@@ -633,7 +647,9 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     the Bohm potential of the zero-T quantum models, else 0.  The flux
     conserves the trapezoid mass on a reflecting box and h * sum(rho) on
     a periodic ring; the mass check, records and moments use that
-    quadrature.
+    quadrature.  The result's density is the final state as stepped,
+    negative round-off clipped to 0 but not rescaled, so on a ring too its
+    mass and moments are those of the last record.
 
     Every model's stepper lands on the record times t_final j /
     (n_records - 1), j = 0 .. n_records - 1, where the density is checked
@@ -645,35 +661,38 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     bound, t_final / 10); the diagnostics dt_min and dt_max are the
     smallest and largest steps taken, and n_steps counts accepted steps.
 
-    The three Smoluchowski models step y = ln rho implicitly on the flux
-    of _LogDensityRate, exponentially fitted for T > 0 as in the linear
+    The three Smoluchowski models step y = ln rho implicitly on the flux of
+    _LogDensityRate, exponentially fitted for T > 0 as in the linear
     telegraph models, so the discrete Boltzmann density is stationary:
-    variable-step BDF2 (backward Euler first), a Newton solve on a banded
-    Jacobian per step, local error control, and a halved step where Newton
-    fails.  rho = exp(y) stays positive with no density floor.  Where rho0
-    underflows at the walls, y starts on the line through the last two
-    normal nodes; each Newton guess moves no node by more than 1; and
-    Newton, allowed 12 iterations, converges once max |dy| max(rho /
-    rho_max, 1e-6) < 1e-9, so the tails need ln rho only to 1e-3.  There dt
-    is only the first step tried, and the steps taken are not bounded;
-    n_steps counts accepted steps and the diagnostics rejected_steps, of
-    which newton_failures were rejected because Newton failed.
+    variable-step BDF2 (backward Euler first), local error control, a halved
+    step where Newton fails, and per step a Newton solve on a band of 3
+    diagonals (T > 0) or 5 (the Bohm term), by LAPACK gtsv where it is
+    tridiagonal (T > 0 on a box), else by gbsv.  rho = exp(y) stays positive
+    with no density floor.  Where rho0 underflows at the walls, y starts on
+    the line through the last two normal nodes; each Newton guess moves no
+    node by more than 1; and Newton, allowed 12 iterations, converges once
+    max |dy| max(rho / rho_max, 1e-6) < 1e-9, so the tails need ln rho only
+    to 1e-3.  There dt is only the first step tried, and the steps taken are
+    not bounded; n_steps counts accepted steps and the diagnostics
+    rejected_steps, of which newton_failures were rejected because Newton
+    failed.
 
-    The three telegraph models step explicitly: the second-order-in-time
-    form as a (rho, drho/dt) system with semi-implicit damping and
-    drho/dt(0) = 0, the quantum one on the tapered _flux, recomputing its
-    floored Bohm potential every step.  Their step is the wave bound
-    0.25 h sqrt(m / scale), which buys accuracy; the quantum one's is at
-    most 0.9 m h^2 / hbar, just inside the stability limit m h^2 / hbar
-    of the Bohm term linearized about a constant density.  Each record
-    interval takes ceil(interval / dt) equal steps and is checked at its
-    end as a record is.  Where the quantum model's interval fails, it is
-    redone from the saved (rho, drho/dt) at half the step, which the run
-    keeps, down to 1/64 of the first step; its discarded steps count into
-    rejected_steps, and a failure at 1/64 aborts, saying that it survived
-    that refinement.  A linear telegraph's failure is its equation's (the
-    exact semi-discrete solution goes negative too), so it aborts at
-    once.
+    The three telegraph models share one explicit loop over (rho, g =
+    drho/dt) from g = 0, with semi-implicit damping: g <- (g + dt div G / m)
+    / (1 + dt b/m), rho <- rho + dt g, G the fitted flux or the quantum
+    model's tapered _flux (its floored Bohm potential recomputed every
+    step), scaled by dt / (m (1 + dt b/m)) once per step size.  Their step
+    is the wave bound 0.25 h sqrt(m / scale), which buys accuracy; the
+    quantum one's is at most 0.9 m h^2 / hbar, just inside the stability
+    limit m h^2 / hbar of the Bohm term linearized about a constant density.
+    Each record interval takes ceil(interval / dt) equal steps and is
+    checked at its end as a record is.  Where the quantum model's interval
+    fails, it is redone from the saved (rho, drho/dt) at half the step,
+    which the run keeps, down to 1/64 of the first step; its discarded steps
+    count into rejected_steps, and a failure at 1/64 aborts, saying that it
+    survived that refinement.  A linear telegraph's failure is its
+    equation's (the exact semi-discrete solution goes negative too), so it
+    aborts at once.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -702,11 +721,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     dphi = np.diff(_ring(phi_static, boundary)) / h
     c = p.hbar ** 2 / (4.0 * p.mass) if model.quantum else 0.0
     rate_of = _LogDensityRate(dphi, kT, c, h, boundary, grid.n)
-
-    def rate(r):
-        """div G(r): the telegraph right-hand side before division by m."""
-        G = _flux(r, dphi, h, boundary, p) if model.quantum else rate_of.flux(r)
-        return _divergence(G, h, boundary)
 
     # time step from the stability bound (the first step tried if implicit)
     if model.quantum:
@@ -741,20 +755,35 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         # test_modal_reference.py); the quantum step halves up to 64x
         max_halvings = 6 if model.quantum else 0
 
-        def explicit_states(rho, n_sub):
-            g = np.zeros_like(rho)  # drho/dt
-            halvings = 0
+        def explicit_states(n_sub):
+            # rho with a ring's wrap node, g, padded face fluxes, an update
+            n, width, made, halvings = grid.n, rate_of._width, None, 0
+            rr, g, pad, step = (_ring(rho, boundary).copy(), np.zeros(n),
+                                np.zeros(n + 1), np.empty(n))
+            state, faces = rr[:n], pad[1:dphi.size + 1]
             for t in t_records[1:]:
+                saved = rr.copy(), g.copy()
                 while True:
-                    dt = interval / n_sub
-                    damping = 1.0 + dt * p.friction / p.mass
-                    r, gr = rho, g
+                    if made != n_sub:       # the flux times dt / (m damping)
+                        made, dt = n_sub, interval / n_sub
+                        damping = 1.0 + dt * p.friction / p.mass
+                        k = dt / (p.mass * damping)
+                        flux = (_flux(dphi, h, boundary, p, k)
+                                if model.quantum else rate_of.flux(k))
+                    # g <- (g + dt div G / m) / damping, rho <- rho + dt g;
                     # a blow-up shows as a failed check of the interval
                     with np.errstate(over="ignore", invalid="ignore"):
                         for _ in range(n_sub):
-                            gr = (gr + dt * rate(r) / p.mass) / damping
-                            r = r + dt * gr
-                    fault = _record_fault(r, mass0, neg_tol, h, boundary)
+                            flux(rr, faces)
+                            pad[0] = pad[-1]        # a ring's wrap face
+                            np.subtract(pad[1:], pad[:-1], out=step)
+                            step /= width
+                            g /= damping
+                            g += step
+                            np.multiply(g, dt, out=step)
+                            state += step
+                            rr[n:] = rr[0]          # a ring's wrap node
+                    fault = _record_fault(state, mass0, neg_tol, h, boundary)
                     if fault is None:
                         break
                     if halvings == max_halvings:
@@ -774,11 +803,11 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                     halvings += 1
                     n_sub *= 2
                     stats["dt_min"] = interval / n_sub
-                rho, g = r, gr
+                    rr[:], g[:] = saved
                 stats["n_steps"] += n_sub
-                yield rho
+                yield state.copy()
 
-        states = explicit_states(rho, n_sub)
+        states = explicit_states(n_sub)
 
     x = grid.x
     rows = []       # (mean, dispersion, mass) at each record time
@@ -792,6 +821,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     n_steps = stats.pop("n_steps")
 
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))
+    final.rho = np.maximum(rho, 0.0)        # as stepped, not rescaled
     diagnostics = {"stability_scale": scale, "boundary": boundary,
                    "min_density": float(np.min(rho)), **stats}
     if model.quantum and model.inertial:

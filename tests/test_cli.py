@@ -717,7 +717,20 @@ def test_harmonic_slope_through_zero_names_t(tmp_path):
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
     assert "status = numerical failure" in manifest
-    assert "cause = sigma_x^2 reached" in manifest and "at t = 0.0" in manifest
+    assert ("cause = the harmonic dispersion equation's own solution "
+            "sigma_x^2 crossed zero" in manifest and "at t = 0.0" in manifest)
+
+
+def test_harmonic_swing_through_zero_names_the_equation(tmp_path):
+    # a weakly damped swing (b/m = 1 against omega0 = 266) carries the
+    # equation's own solution below zero; the integrator is not at fault
+    code, out = _run(tmp_path, "scenario = harmonic\nparams.omega0 = 266\n"
+                               "sigma0_sq = 3.01e-5\n")
+    assert code == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert ("own solution sigma_x^2 crossed zero (to -8.179e-07) at "
+            "t = 0.0262562, beta = 0.127756, omega0 = 266, b/m = 1"
+            in manifest)
 
 
 def test_bounded_from_zero_keeps_the_lambert_law_early(tmp_path):

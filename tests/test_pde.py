@@ -244,6 +244,21 @@ def test_periodic_ring_conserves_mass_across_the_seam(model):
     assert res.diagnostics["min_density"] >= 0.0
 
 
+def test_periodic_final_density_is_the_last_record():
+    # a ring conserves h * sum(rho), here 1.02398 since DensityField
+    # normalizes by the box trapezoid; the final density is the stepper's
+    # state, not rescaled to unit box mass (which gave 1.01884)
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64)
+    rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
+    res = evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
+                 NAT, 1.0, boundary="periodic", n_records=5)
+    mean, sigma2, mass = _moments(res.density.rho, g.x, g.h, "periodic")
+    assert mass == pytest.approx(1.02398, abs=1e-5)
+    np.testing.assert_allclose([mean, sigma2, mass],
+                               [res.mu[-1], res.sigma2[-1], res.mass[-1]],
+                               rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("n_records", [21, 101])
 def test_records_n_rows_ending_at_t_final(n_records):
     # on this 32-node ring the classical telegraph stability bound alone
@@ -335,6 +350,65 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
 
 
+def _telegraph_reference(rho, phi, grid, p, boundary, quantum, dt, n_steps):
+    """n_steps of the documented explicit step from rest, g <- (g + dt div
+    G / m) / (1 + dt b/m), rho <- rho + dt g, with the face flux G written
+    out: alpha_- rho_+ - alpha_+ rho, alpha_+ = (kT/h) B(h Phi' / kT) for
+    T > 0; at T = 0 the drift upwinded and the Bohm term tapered off below
+    1e-6 of the peak."""
+    h, ring = grid.h, boundary == "periodic"
+    kT = p.k_B * p.temperature
+    dphi = np.diff(np.append(phi, phi[0]) if ring else phi) / h
+    if not quantum:
+        z = h * dphi / kT
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ap = kT / h * np.where(z == 0.0, 1.0, z / np.expm1(z))
+    g = np.zeros_like(rho)
+    for _ in range(n_steps):
+        r = np.append(rho, rho[0]) if ring else rho
+        if quantum:
+            r_half = 0.5 * (r[1:] + r[:-1])
+            taper = np.clip(r_half / (1e-5 * np.max(rho)) - 0.1, 0.0, 1.0)
+            r_up = np.where(dphi < 0.0, r[:-1], r[1:])
+            q = pde._quantum_potential_raw(rho, h, p, boundary)
+            q = np.append(q, q[0]) if ring else q
+            G = ((taper * r_half + (1.0 - taper) * r_up) * dphi
+                 + r_half * taper * np.diff(q) / h)
+        else:
+            G = (ap + dphi) * r[1:] - ap * r[:-1]
+        if ring:
+            div = (G - np.roll(G, 1)) / h
+        else:
+            div = np.concatenate(([2.0 * G[0]], np.diff(G),
+                                  [-2.0 * G[-1]])) / h
+        g = (g + dt * div / p.mass) / (1.0 + dt * p.friction / p.mass)
+        rho = rho + dt * g
+    return rho
+
+
+@pytest.mark.parametrize("boundary", ["reflecting", "periodic"])
+@pytest.mark.parametrize("model", [m for m in PdeModel if m.inertial],
+                         ids=lambda m: m.value)
+def test_telegraph_interval_matches_the_documented_step(model, boundary):
+    # one record interval of the buffered loop, whose flux carries the
+    # factor dt / (m (1 + dt b/m)), against the step as written, in a tilted
+    # cosine well that is periodic on the ring
+    g = Grid1D(-5.0, 5.0 - (10.0 / 80 if boundary == "periodic" else 0.0),
+               80 if boundary == "periodic" else 81)
+    p = PhysicalParams.natural(friction=2.0, temperature=(
+        0.0 if model.quantum else 1.0))
+    U = PotentialSpec.tabulated(0.5 * np.cos(2.0 * math.pi * g.x / 10.0))
+    phi = (effective_potential(U, p.beta, p, g) if model.semiclassical
+           else U.energy(g, p))
+    rho0 = DensityField.gaussian(g, 0.5, 0.5)
+    res = evolve(rho0, model, U, p, 0.2, boundary=boundary, n_records=2)
+    assert res.diagnostics["rejected_steps"] == 0 and res.n_steps >= 5
+    ref = _telegraph_reference(rho0.rho, phi, g, p, boundary, model.quantum,
+                               res.diagnostics["dt_max"], res.n_steps)
+    np.testing.assert_allclose(res.density.rho, np.maximum(ref, 0.0),
+                               rtol=0, atol=1e-13 * np.max(ref))
+
+
 def test_quantum_smoluchowski_stays_positive_at_its_step_bound():
     # on this coarse grid an explicit Euler step at the biharmonic bound
     # dt = h^4 m b / 4 hbar^2 drives the density to -2.6e-3
@@ -386,18 +460,20 @@ def _log_density_rate(kT, c, boundary, n=32):
     return rate_of, y
 
 
-def _dense(diagonals, boundary):
-    """The n x n matrix whose row i holds diagonals[d + 2, i] at column
-    i + d, d = -2..2; a ring wraps the columns, a box drops them."""
-    n = diagonals.shape[1]
+def _dense(rate_of, ab):
+    """The n x n matrix that LAPACK reads from the band storage ab: entry
+    (i, j) at row off + p_i - p_j, column p_j, for |p_i - p_j| <= b, with b
+    the band's half-width, off = rows - 1 - b (gbsv keeps b rows for its
+    fill-in above the band, gtsv none) and p_i the position of node i in
+    the solve order (node order on a box)."""
+    n, b = ab.shape[1], rate_of.bands
+    pos = np.arange(n) if rate_of._pos is None else rate_of._pos
+    off = ab.shape[0] - 1 - b
     a = np.zeros((n, n))
-    for d, row in zip(range(-2, 3), diagonals):
-        for i in range(n):
-            j = i + d
-            if boundary == "periodic":
-                a[i, j % n] = row[i]
-            elif 0 <= j < n:
-                a[i, j] = row[i]
+    for i in range(n):
+        for j in range(n):
+            if abs(pos[i] - pos[j]) <= b:
+                a[i, j] = ab[off + pos[i] - pos[j], pos[j]]
     return a
 
 
@@ -411,7 +487,7 @@ _newton_cases = pytest.mark.parametrize("kT, c, boundary", [
 @_newton_cases
 def test_log_density_jacobian_matches_central_differences(kT, c, boundary):
     rate_of, y = _log_density_rate(kT, c, boundary)
-    jac = _dense(rate_of.rate_and_jacobian(y)[1], boundary)
+    jac = _dense(rate_of, rate_of.rate_and_jacobian(y)[1])
     eps = 1e-6
     fd = np.empty_like(jac)
     for j in range(y.size):
@@ -428,13 +504,13 @@ def test_log_density_solve_matches_a_dense_solve(kT, c, boundary):
     # the Newton matrix 1 - k J of a backward Euler step; on a ring its
     # corner entries couple the first and last nodes
     rate_of, y = _log_density_rate(kT, c, boundary)
-    diagonals = -1e-2 * rate_of.rate_and_jacobian(y)[1]
-    diagonals[2] += 1.0
-    a = _dense(diagonals, boundary)
+    ab = -1e-2 * rate_of.rate_and_jacobian(y)[1]
+    ab[rate_of.diagonal] += 1.0
+    a = _dense(rate_of, ab)
     if boundary == "periodic":
         assert a[0, -1] != 0.0 and a[-1, 0] != 0.0
     rhs = np.sin(np.arange(y.size) + 0.5)
-    np.testing.assert_allclose(rate_of.solve(diagonals, rhs),
+    np.testing.assert_allclose(rate_of.solve(ab, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(rhs)))
 
