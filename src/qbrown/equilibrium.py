@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, solve
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal, solve
+from scipy.linalg.lapack import dgtsv
 
 from .numerics import ConvergenceError
 from .params import PhysicalParams
@@ -127,17 +128,19 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     Propagates the full thermal kernel exp(-beta H) from the identity at
     beta = 0 (infinite temperature: every state uniformly weighted) via
     Strang splitting: half-step potential, Crank-Nicolson kinetic step,
-    half-step potential.  The step is one matrix S, so the kernel S^N is
-    formed by square-and-multiply over the bits of N = n_beta_steps,
-    about log2(N) dense products, each rescaled to unit peak with its
-    scale carried as a logarithm.  After each rescale, entries below
-    sqrt(tiny) ~ 1.5e-154 are set to zero, so that no product forms a
-    subnormal number, which runs several times slower than a normal one;
-    such entries lie 153 decades below the peak and move neither Z nor a
-    moment of rho.  The kernel diagonal is the thermal
-    mixture of all states, its trace the partition sum over the discrete
-    spectrum; this matches the eigen-expansion route on the same grid
-    exactly up to the O(dbeta^2) splitting error.  check_beta_steps
+    half-step potential.  The step is one matrix S = P (2 A^-1 - I) P,
+    A = I + dbeta/2 T, A^-1 P by one tridiagonal solve on a box.  The
+    kernel S^N is formed by square-and-multiply over the bits of N =
+    n_beta_steps, about log2(N) dense products, each rescaled to unit
+    peak with its scale carried as a logarithm, the last formed only on
+    its diagonal (a row times a column per node).  After each rescale,
+    entries below sqrt(tiny) ~ 1.5e-154 are set to zero, so that no
+    product forms a subnormal number, which runs several times slower
+    than a normal one; such entries lie 153 decades below the peak and
+    move neither Z nor a moment of rho.  The kernel diagonal is the
+    thermal mixture of all states, its trace the partition sum over the
+    discrete spectrum; this matches the eigen-expansion route on the same
+    grid exactly up to the O(dbeta^2) splitting error.  check_beta_steps
     refuses an n_beta_steps below min_beta_steps.
 
     Returns (DensityField, Z).
@@ -154,35 +157,46 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     u = U.energy(grid, p)
     half_pot = np.exp(-0.5 * db * (u - np.min(u)))
 
-    # one Strang step S = P K P, P = diag(half_pot), Crank-Nicolson factor
-    # K = (I + dbeta/2 T)^-1 (I - dbeta/2 T); a periodic T adds two corners
+    # one Strang step S = P K P, P = diag(half_pot), with the Crank-Nicolson
+    # factor K = A^-1 (2I - A) = 2 A^-1 - I, A = I + dbeta/2 T: so S = P X -
+    # P^2, X = A^-1 (2P), by gtsv on a box; a periodic T adds two corners,
+    # which the dense solve takes
     half_kin = 0.5 * db * p.hbar ** 2 / (2.0 * p.mass * grid.h ** 2)
-    A = np.zeros((n, n))
-    A.flat[1::n + 1] = A.flat[n::n + 1] = -half_kin
+    rhs = np.diag(2.0 * half_pot)
     if cfg.boundary == "periodic":
+        A = np.zeros((n, n))
+        A.flat[1::n + 1] = A.flat[n::n + 1] = -half_kin
         A[0, -1] = A[-1, 0] = -half_kin
-    B = -A
-    A.flat[::n + 1] = 1.0 + 2.0 * half_kin      # I + dbeta/2 T
-    B.flat[::n + 1] = 1.0 - 2.0 * half_kin      # I - dbeta/2 T
-    S = solve(A, B, overwrite_a=True, overwrite_b=True)
-    del A, B                    # only S and its powers stay alive
-    S *= np.outer(half_pot, half_pot)
+        A.flat[::n + 1] = 1.0 + 2.0 * half_kin
+        X = solve(A, rhs, overwrite_a=True, overwrite_b=True)
+        del A
+    else:
+        off = np.full(n - 1, -half_kin)
+        X, info = dgtsv(off, np.full(n, 1.0 + 2.0 * half_kin), off.copy(),
+                        rhs.T, True, True, True, True)[3:]
+        if info:
+            raise LinAlgError("singular Crank-Nicolson matrix")
+    S = half_pot[:, None] * X
+    S.flat[::n + 1] -= half_pot ** 2
+    del X, rhs                  # only S and its powers stay alive
 
     # the product of two entries at or above sqrt(tiny) is a normal float
     flush = math.sqrt(np.finfo(float).tiny)
 
     def unit_peak(M, power):
-        peak = max(float(M.max()), -float(M.min()))
+        size = np.abs(M)
+        peak = float(size.max())
         if not math.isfinite(peak) or peak == 0.0:
             raise ConvergenceError(
                 f"kernel norm exploded at S^{power} (dbeta = {db:.3e})")
         M /= peak
-        M[np.abs(M) < flush] = 0.0
+        M[size < flush * peak] = 0.0
         return math.log(peak)
 
     log_s = unit_peak(S, 1)
     M, log_m, power = S, log_s, 1
-    for bit in bin(cfg.n_beta_steps)[3:]:
+    *bits, last = bin(cfg.n_beta_steps)[3:]
+    for bit in bits:
         M = M @ M
         power *= 2
         log_m = 2.0 * log_m + unit_peak(M, power)
@@ -190,7 +204,15 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
             M = M @ S
             power += 1
             log_m += log_s + unit_peak(M, power)
-    if not np.all(np.isfinite(M)):
+    # of the last squaring, or of the last product, only the diagonal
+    if last == "1":
+        M = M @ M
+        power *= 2
+        log_m = 2.0 * log_m + unit_peak(M, power)
+        diag, log_m = np.einsum("ij,ji->i", M, S), log_m + log_s
+    else:
+        diag, log_m = np.einsum("ij,ji->i", M, M), 2.0 * log_m
+    if not np.all(np.isfinite(diag)):
         raise ConvergenceError(f"kernel not finite after propagation "
                                f"(dbeta = {db:.3e})")
     log_scale = log_m - cfg.beta_final * float(np.min(u))
@@ -199,9 +221,8 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
                cfg.n_beta_steps.bit_length() - 1,
                bin(cfg.n_beta_steps).count("1") - 1, log_scale)
 
-    diag = np.maximum(np.diag(M), 0.0)
-    Z = float(np.trace(M)) * math.exp(log_scale)
-    rho = DensityField(grid=grid, rho=diag)
+    Z = float(np.sum(diag)) * math.exp(log_scale)
+    rho = DensityField(grid=grid, rho=np.maximum(diag, 0.0))
     return rho, Z
 
 

@@ -8,7 +8,6 @@ Smoluchowski steps are implicit in ln rho, telegraph steps explicit.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import warnings
@@ -203,25 +202,37 @@ def quantum_potential(rho: DensityField, p: PhysicalParams) -> np.ndarray:
 
 
 def _quantum_potential_raw(rho_arr: np.ndarray, h: float, p: PhysicalParams,
-                           boundary: str, peak: float | None = None
-                           ) -> np.ndarray:
-    """quantum_potential on a bare array; a periodic ring wraps the ends.
+                           boundary: str) -> np.ndarray:
+    """quantum_potential on a bare array; a periodic ring wraps the ends."""
+    rr = _ring(rho_arr, boundary)
+    curv = np.empty(rr.size)
+    _sqrt_curvature(rr, _RHO_FLOOR_FACTOR * float(np.max(rr)),
+                    boundary == "periodic", np.empty(rr.size + 2),
+                    np.empty(rr.size + 1), curv)
+    return (-p.hbar ** 2 / (2.0 * p.mass * h ** 2)) * curv[:rho_arr.size]
 
-    peak is max(rho_arr), for a caller that has taken it already.
+
+def _sqrt_curvature(rr, floor, ring, ag, fd, out):
+    """Write a''/a into out, a = sqrt(max(rr, floor)) and a'' its second
+    difference (times h^2) at each node of rr, which on a ring ends with
+    its wrap node.  a goes into ag with one ghost node per end, so that one
+    second difference serves every node: the wrap node on a ring, 4 a_0 -
+    6 a_1 + 4 a_2 - a_3 at a box's wall, which gives the one-sided stencil
+    2 a_0 - 5 a_1 + 4 a_2 - a_3.  fd takes the first differences.
     """
-    if peak is None:
-        peak = float(np.max(rho_arr))
-    floor = _RHO_FLOOR_FACTOR * peak
-    a = np.sqrt(np.maximum(rho_arr, floor))
-    d2 = np.empty_like(a)
-    d2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h ** 2
-    if boundary == "periodic":
-        d2[0] = (a[1] - 2.0 * a[0] + a[-1]) / h ** 2
-        d2[-1] = (a[0] - 2.0 * a[-1] + a[-2]) / h ** 2
+    a = ag[1:-1]
+    np.maximum(rr, floor, out=a)
+    np.sqrt(a, out=a)
+    if ring:
+        ag[0], ag[-1] = ag[-3], ag[2]
     else:
-        d2[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h ** 2
-        d2[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h ** 2
-    return -p.hbar ** 2 * d2 / (2.0 * p.mass * a)
+        a0, a1, a2, a3 = ag[1:5].tolist()
+        ag[0] = 4.0 * (a0 + a2) - 6.0 * a1 - a3
+        a0, a1, a2, a3 = ag[-2:-6:-1].tolist()
+        ag[-1] = 4.0 * (a0 + a2) - 6.0 * a1 - a3
+    np.subtract(ag[1:], ag[:-1], out=fd)
+    np.subtract(fd[1:], fd[:-1], out=out)
+    np.divide(out, a, out=out)
 
 
 def effective_potential(U: PotentialSpec, beta: float, p: PhysicalParams,
@@ -240,35 +251,48 @@ class Moments:
     norm: float
 
 
-def moments(rho: DensityField) -> Moments:
+def moments(rho: DensityField, boundary: str = "reflecting") -> Moments:
     """Trapezoid-rule mean, dispersion and norm of a density field.
 
-    Emits a warning when the norm strays from 1 by more than 1e-6.
+    boundary is evolve's: a periodic ring gives every node full weight, as
+    its records do.  On a box, the rule DensityField normalizes by, a
+    warning is emitted when the norm strays from 1 by more than 1e-6; a
+    ring's norm of a DensityField is 1 + h (rho_0 + rho_(n-1)) / 2, so
+    there is nothing to compare it with.
     """
-    mean, dispersion, norm = _moments(rho.rho, rho.grid.x, rho.grid.h)
-    if abs(norm - 1.0) > 1e-6:
+    mean, dispersion, norm = _moments(_moment_weights(rho.grid, boundary),
+                                      rho.rho)
+    if boundary == "reflecting" and abs(norm - 1.0) > 1e-6:
         warnings.warn(f"density norm {norm} deviates from 1", stacklevel=2)
     return Moments(mean=mean, dispersion=dispersion, norm=norm)
 
 
-def _moments(r, x, h, boundary="reflecting"):
-    """(mean, dispersion, norm) of the density r at nodes x."""
-    norm = _trapz(r, h, boundary)
-    mean = _trapz(x * r, h, boundary) / norm
-    return mean, _trapz(x ** 2 * r, h, boundary) / norm - mean ** 2, norm
+def _moment_weights(grid, boundary):
+    """The (3, n) matrix whose product with a density gives its trapezoid
+    mass, first and second moments: weight h, half at a box's walls."""
+    w = np.full(grid.n, grid.h)
+    if boundary == "reflecting":
+        w[[0, -1]] *= 0.5
+    x = grid.x
+    return np.stack([w, w * x, w * x * x])
 
 
-def _record_fault(r, mass0, neg_tol, h, boundary):
-    """The first record check that the density r fails, or None: a
-    non-finite value, a trapezoid mass more than 1e-8 from mass0, a
-    minimum below -neg_tol, in this order."""
-    if not np.all(np.isfinite(r)):
+def _moments(weights, r):
+    """(mean, dispersion, norm) of the density r by _moment_weights."""
+    norm, first, second = (weights @ r).tolist()
+    mean = first / norm
+    return mean, second / norm - mean ** 2, norm
+
+
+def _record_fault(r, mass, mass0, neg_tol):
+    """The first record check that the density r, of trapezoid mass mass,
+    fails, or None: a non-finite value, a mass more than 1e-8 from mass0,
+    a minimum below -neg_tol, in this order."""
+    if not np.isfinite(r).all():
         return "density not finite"
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass = _trapz(r, h, boundary)
     if not abs(mass - mass0) <= 1e-8:
         return f"mass drift {mass - mass0:.3e}"
-    lowest = float(np.min(r))
+    lowest = float(r.min())
     if lowest < -neg_tol:
         return f"density fell to {lowest:.3e}"
     return None
@@ -294,28 +318,53 @@ def _ring(a, boundary):
 
 
 def _flux(dphi, h, boundary, p, k):
-    """flux(rr, out) writes into out k times the half-node flux rho d(Phi
-    + Q)/dx of the explicit quantum telegraph model for the density rr (a
-    ring appends its wrap node), dPhi/dx = dphi and Q the Bohm potential.
-    Below 1e-6 of the peak the floored tails of Q produce spurious spikes,
-    so its term is tapered off there and the drift upwinded (donor cell),
-    since the centered scheme would seed wiggles around the Q-floor kink.
+    """flux(rr, out) writes into out k times the half-node flux of the
+    explicit quantum telegraph model for the density rr (a ring appends
+    its wrap node), dPhi/dx = dphi and Q the Bohm potential:
+
+        k [(r_up + taper (rho_f - r_up)) dPhi/dx + taper rho_f dQ/dx],
+
+    rho_f = (rho_i + rho_(i+1)) / 2, r_up the donor node (rho_i where
+    dPhi/dx < 0, else rho_(i+1)), taper = clip(rho_f / (1e-5 peak) - 0.1,
+    0, 1), dQ/dx = (Q_(i+1) - Q_i) / h and Q = -hbar^2 a'' / (2 m a), a =
+    sqrt(max(rho, 1e-12 peak)), a'' its central second difference over
+    h^2: one-sided, (2 a_0 - 5 a_1 + 4 a_2 - a_3) / h^2, at a box's walls,
+    wrapped on a ring (_sqrt_curvature).  Below 1e-6 of the peak the
+    floored tails of Q produce spurious spikes, so its term is tapered off
+    there and the drift upwinded (donor cell), since the centered scheme
+    would seed wiggles around the Q-floor kink.
     """
-    n = dphi.size + (boundary == "reflecting")
+    m = dphi.size + 1                       # nodes of rr
+    ring = boundary == "periodic"
+    k_bohm = -k * p.hbar ** 2 / (4.0 * p.mass * h ** 3)
+    k_drift, half_drift = k * dphi, 0.5 * k * dphi
     upwind = dphi < 0.0
-    k_drift, k_bohm = k * dphi, 0.5 * k / h
+    # the donor node is rr[side + i] at face i where dPhi/dx has one sign
+    side = 0 if upwind.all() else None if upwind.any() else 1
+    ag, fd, curv = np.empty(m + 2), np.empty(m + 1), np.empty(m)
+    r_sum, taper, drift = np.empty(m - 1), np.empty(m - 1), np.empty(m - 1)
 
     def flux(rr, out):
-        r_sum = rr[1:] + rr[:-1]                    # twice rho at the faces
-        peak = float(np.max(rr))
-        taper = np.minimum(np.maximum(r_sum * (5e4 / peak) - 0.1, 0.0), 1.0)
-        r_up = np.where(upwind, rr[:-1], rr[1:])
-        q = _ring(_quantum_potential_raw(rr[:n], h, p, boundary, peak),
-                  boundary)
-        # k (r_up + taper (rho - r_up)) dPhi/dx + k taper rho dQ/dx
-        np.multiply(k_bohm * r_sum * (q[1:] - q[:-1])
-                    + k_drift * (0.5 * r_sum - r_up), taper, out=out)
-        out += k_drift * r_up
+        np.add(rr[1:], rr[:-1], out=r_sum)          # twice rho at the faces
+        peak = rr.max()
+        # -2 m h^2 Q / hbar^2
+        _sqrt_curvature(rr, _RHO_FLOOR_FACTOR * peak, ring, ag, fd, curv)
+        r_up = (rr[side:side + m - 1] if side is not None
+                else np.where(upwind, rr[:-1], rr[1:]))
+        # taper (2 rho_f (k_bohm dcurv + k dPhi/dx / 2) - k r_up dPhi/dx)
+        # + k r_up dPhi/dx
+        np.subtract(curv[1:], curv[:-1], out=out)
+        out *= k_bohm
+        out += half_drift
+        out *= r_sum
+        np.multiply(k_drift, r_up, out=drift)
+        out -= drift
+        np.multiply(r_sum, 5e4 / peak, out=taper)
+        np.subtract(taper, 0.1, out=taper)
+        np.maximum(taper, 0.0, out=taper)
+        np.minimum(taper, 1.0, out=taper)
+        out *= taper
+        out += drift
     return flux
 
 
@@ -374,6 +423,8 @@ class _LogDensityRate:
         self._ghosted = np.r_[n - 1 if ring else 1, 0:n, 0 if ring else n - 2]
         s = self._s = c / h ** 3
         self._lx = np.zeros(n + 1)
+        # y at the ghosted nodes and its first differences y_i - y_(i-1)
+        self._yg, self._dys = np.empty(n + 2), np.empty(n + 1)
         cm, cp = np.ones(n), np.ones(n)
         if not ring:
             cm[0], cp[0], cm[-1], cp[-1] = 0.0, 2.0, 2.0, 0.0
@@ -422,14 +473,22 @@ class _LogDensityRate:
         fs, lx, (inv_l, inv_r) = self._fs, self._lx, self._inv
         a, b, out, into = pad = self._pad
         am, ap = self._am, self._ap
+        dys = self._dys
         if self.c:
             # y_i - y_(i-1), i = 0 .. n, and s times the second difference
-            dys = np.diff(y[self._ghosted])
-            np.multiply(np.diff(dys), self._s, out=lx[:-1])
+            yg = np.take(y, self._ghosted, out=self._yg)
+            np.subtract(yg[1:], yg[:-1], out=dys)
+            np.subtract(dys[1:], dys[:-1], out=lx[:-1])
+            lx[:-1] *= self._s
             lx[-1] = lx[0]                      # a ring's wrap node
             am = am - lx[1:fs.stop]
             ap = ap - lx[:fs.stop - 1]
-        e = np.exp(dys[fs] if self.c else np.diff(_ring(y, self.boundary)))
+        else:
+            # y_(i+1) - y_i across each face
+            np.subtract(y[1:], y[:-1], out=dys[1:y.size])
+            if self._pos is not None:
+                dys[-1] = y[0] - y[-1]          # a ring's wrap face
+        e = np.exp(dys[fs])
         p = am * e
         # the face flux over rho at its left node, a, and at its right, b
         np.subtract(p, ap, out=a[fs])
@@ -487,27 +546,35 @@ def _newton(rate_of, y_guess, a0, history, k):
     """Solve a0 + sum_j a_j rho_j / rho = k rate(y) for y, by Newton.
 
     history holds (a_j, y_j) of the earlier states of the BDF formula;
-    dividing by rho = exp(y) leaves exp(y_j - y).  The test is weighted by
-    the density: an update dy converges once max |dy| max(rho / rho_max,
-    1e-6) < 1e-9, so the core is solved to 1e-9 in ln rho and nodes below
-    1e-6 of the peak, where ln rho changes no moment, to 1e-3.  Returns
-    (y, iterations) or (None, iterations) when the iteration fails, leaves
-    the floats or has not converged after _NEWTON_MAX_ITER (12)
-    iterations.
+    dividing by rho = exp(y) leaves exp(y_j - y), formed once from the
+    guess and multiplied by exp(-dy) after each update dy.  The test is
+    weighted by the density of the guess: dy converges once max |dy|
+    max(rho / rho_max, 1e-6) < 1e-9, so the core is solved to 1e-9 in ln
+    rho and nodes below 1e-6 of the peak, where ln rho changes no moment,
+    to 1e-3.  Returns (y, iterations) or (None, iterations) when the
+    iteration fails, leaves the floats or has not converged after
+    _NEWTON_MAX_ITER (12) iterations.
     """
     y = y_guess.copy()
+    past = sum(aj * np.exp(yj - y) for aj, yj in history)
+    weight = np.exp(y - y.max())
+    np.maximum(weight, _NEWTON_WEIGHT_FLOOR, out=weight)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         r, jac = rate_of.rate_and_jacobian(y)
-        past = sum(aj * np.exp(yj - y) for aj, yj in history)
         jac *= -k
         jac[rate_of.diagonal] -= past
+        r *= k
+        r -= a0
+        r -= past
         try:
-            dy = rate_of.solve(jac, k * r - a0 - past)
+            dy = rate_of.solve(jac, r)
         except LinAlgError:
             return None, it
         y += dy
-        weight = np.maximum(np.exp(y - np.max(y)), _NEWTON_WEIGHT_FLOOR)
-        change = float(np.max(np.abs(dy) * weight))   # not finite with dy
+        past *= np.exp(-dy)
+        np.abs(dy, out=dy)
+        dy *= weight
+        change = float(dy.max())            # not finite with dy
         if not math.isfinite(change):
             return None, it
         if change < _NEWTON_TOL:
@@ -515,11 +582,11 @@ def _newton(rate_of, y_guess, a0, history, k):
     return None, _NEWTON_MAX_ITER
 
 
-def _extrapolate(points, t):
-    """Value at t of the polynomial through the (t_k, v_k) points."""
-    return sum(vk * math.prod((t - tm) / (tk - tm)
-                              for tm, _ in points if tm != tk)
-               for tk, vk in points)
+def _lagrange(nodes, t):
+    """The weights at t of the values at the nodes in the polynomial
+    through them."""
+    return [math.prod((t - tm) / (tk - tm) for tm in nodes if tm != tk)
+            for tk in nodes]
 
 
 def _log_start(rho):
@@ -583,8 +650,11 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                 w = dt / (t1 - t0)
                 a0, order = (1.0 + 2.0 * w) / (1.0 + w), 2
                 past = [(-(1.0 + w), y1), (w * w / (1.0 + w), y0)]
-                guess = y1 + np.clip(_extrapolate(
-                    [(tk, yk) for tk, yk, _ in hist], t_new) - y1, -1.0, 1.0)
+                weights = _lagrange([tk for tk, _, _ in hist], t_new)
+                guess = sum(yk * wk for (_, yk, _), wk in zip(hist, weights))
+                guess -= y1
+                np.clip(guess, -1.0, 1.0, out=guess)
+                guess += y1
                 if len(hist) == 2:
                     nodes = (t0, t0, t1)
                     s = (t_new - t0) / (t1 - t0)
@@ -592,8 +662,8 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                              + (r1 - r0 - drho0 * (t1 - t0)) * s * s)
                 else:
                     nodes = tuple(tk for tk, _, _ in hist)
-                    rho_p = _extrapolate([(tk, rk) for tk, _, rk in hist],
-                                         t_new)
+                    rho_p = sum(rk * wk
+                                for (_, _, rk), wk in zip(hist, weights))
                 # BDF2 and predictor errors, both per unit third derivative
                 lte = dt ** 2 * (t_new - t0) ** 2 / (t1 - t0 + 2.0 * dt)
                 factor = lte / (lte + math.prod(t_new - tm for tm in nodes))
@@ -657,9 +727,12 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     mass drift beyond 1e-8, a minimum below -1e-9 of the initial peak
     (_record_fault).  Each aborts with ConvergenceError naming the
     quantity, the step count and t; a breakdown between two records is
-    caught at the next.  Each stepper starts from dt = min(stability
-    bound, t_final / 10); the diagnostics dt_min and dt_max are the
-    smallest and largest steps taken, and n_steps counts accepted steps.
+    caught at the next.  Each record is checked once, its mass, first and
+    second moments taken from one product with the (3, n) matrix of
+    _moment_weights, made once per call.  Each stepper starts from dt =
+    min(stability bound, t_final / 10); the diagnostics dt_min and dt_max
+    are the smallest and largest steps taken, and n_steps counts accepted
+    steps.
 
     The three Smoluchowski models step y = ln rho implicitly on the flux of
     _LogDensityRate, exponentially fitted for T > 0 as in the linear
@@ -671,11 +744,11 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     with no density floor.  Where rho0 underflows at the walls, y starts on
     the line through the last two normal nodes; each Newton guess moves no
     node by more than 1; and Newton, allowed 12 iterations, converges once
-    max |dy| max(rho / rho_max, 1e-6) < 1e-9, so the tails need ln rho only
-    to 1e-3.  There dt is only the first step tried, and the steps taken are
-    not bounded; n_steps counts accepted steps and the diagnostics
-    rejected_steps, of which newton_failures were rejected because Newton
-    failed.
+    max |dy| max(rho / rho_max, 1e-6) < 1e-9, the weight taken once per
+    solve from the guess, so the tails need ln rho only to 1e-3.  There dt
+    is only the first step tried, and the steps taken are not bounded;
+    n_steps counts accepted steps and the diagnostics rejected_steps, of
+    which newton_failures were rejected because Newton failed.
 
     The three telegraph models share one explicit loop over (rho, g =
     drho/dt) from g = 0, with semi-implicit damping: g <- (g + dt div G / m)
@@ -686,13 +759,13 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     quantum one's is at most 0.9 m h^2 / hbar, just inside the stability
     limit m h^2 / hbar of the Bohm term linearized about a constant density.
     Each record interval takes ceil(interval / dt) equal steps and is
-    checked at its end as a record is.  Where the quantum model's interval
-    fails, it is redone from the saved (rho, drho/dt) at half the step,
-    which the run keeps, down to 1/64 of the first step; its discarded steps
-    count into rejected_steps, and a failure at 1/64 aborts, saying that it
-    survived that refinement.  A linear telegraph's failure is its
-    equation's (the exact semi-discrete solution goes negative too), so it
-    aborts at once.
+    checked once, at its end, as its record.  Where the quantum model's
+    interval fails, it is redone from the saved (rho, drho/dt) at half the
+    step, which the run keeps, down to 1/64 of the first step; its
+    discarded steps count into rejected_steps, and a failure at 1/64
+    aborts, saying that it survived that refinement.  A linear telegraph's
+    failure is its equation's (the exact semi-discrete solution goes
+    negative too), so it aborts at once.
     """
     if boundary not in ("reflecting", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -740,13 +813,31 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     dt = min(dt_bound, t_final / 10.0)
 
     t_records = record_times(t_final, n_records)
+    weights = _moment_weights(grid, boundary)
     mass0 = _trapz(rho, h, boundary)
     neg_tol = 1e-9 * float(np.max(rho))
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}
+
+    def check(r):
+        """r's (mass, first, second moment) and its first record fault."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = weights @ r
+        return products, _record_fault(r, products[0], mass0, neg_tol)
+
+    def record(t, r):
+        products, fault = check(r)
+        if fault is not None:
+            raise ConvergenceError(
+                f"{fault} at step {stats['n_steps']} (t = {t:.6g})")
+        return products
+
+    rows = [record(t_records[0], rho)]      # (mass, first, second moment)
     if not model.inertial:
         states = _step_log_density(rho, rate_of, p.friction,
                                    t_records.tolist(), dt, stats)
+        for t, rho in zip(t_records[1:], states):
+            rows.append(record(t, rho))
     else:
         interval = t_final / (n_records - 1)
         n_sub = max(1, math.ceil(interval / dt))
@@ -754,70 +845,59 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         # a linear telegraph's failure is its equation's (tests/
         # test_modal_reference.py); the quantum step halves up to 64x
         max_halvings = 6 if model.quantum else 0
-
-        def explicit_states(n_sub):
-            # rho with a ring's wrap node, g, padded face fluxes, an update
-            n, width, made, halvings = grid.n, rate_of._width, None, 0
-            rr, g, pad, step = (_ring(rho, boundary).copy(), np.zeros(n),
-                                np.zeros(n + 1), np.empty(n))
-            state, faces = rr[:n], pad[1:dphi.size + 1]
-            for t in t_records[1:]:
-                saved = rr.copy(), g.copy()
-                while True:
-                    if made != n_sub:       # the flux times dt / (m damping)
-                        made, dt = n_sub, interval / n_sub
-                        damping = 1.0 + dt * p.friction / p.mass
-                        k = dt / (p.mass * damping)
-                        flux = (_flux(dphi, h, boundary, p, k)
-                                if model.quantum else rate_of.flux(k))
-                    # g <- (g + dt div G / m) / damping, rho <- rho + dt g;
-                    # a blow-up shows as a failed check of the interval
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        for _ in range(n_sub):
-                            flux(rr, faces)
-                            pad[0] = pad[-1]        # a ring's wrap face
-                            np.subtract(pad[1:], pad[:-1], out=step)
-                            step /= width
-                            g /= damping
-                            g += step
-                            np.multiply(g, dt, out=step)
-                            state += step
-                            rr[n:] = rr[0]          # a ring's wrap node
-                    fault = _record_fault(state, mass0, neg_tol, h, boundary)
-                    if fault is None:
-                        break
-                    if halvings == max_halvings:
-                        if halvings:
-                            note = (f"; it survived refinement by {halvings}"
-                                    f" halvings of the step, to dt = {dt:.3e}")
-                        elif fault.startswith("density fell"):
-                            note = ("; the linear telegraph equation does not "
-                                    "keep the density non-negative, so the "
-                                    "step is not refined")
-                        else:
-                            note = ""
-                        raise ConvergenceError(
-                            f"{fault} at step {stats['n_steps'] + n_sub} "
-                            f"(t = {t:.6g}){note}")
-                    stats["rejected_steps"] += n_sub
-                    halvings += 1
-                    n_sub *= 2
-                    stats["dt_min"] = interval / n_sub
-                    rr[:], g[:] = saved
-                stats["n_steps"] += n_sub
-                yield state.copy()
-
-        states = explicit_states(n_sub)
-
-    x = grid.x
-    rows = []       # (mean, dispersion, mass) at each record time
-    for t, rho in zip(t_records, itertools.chain([rho], states)):
-        fault = _record_fault(rho, mass0, neg_tol, h, boundary)
-        if fault is not None:
-            raise ConvergenceError(
-                f"{fault} at step {stats['n_steps']} (t = {t:.6g})")
-        rows.append(_moments(rho, x, h, boundary))
-    mu, sigma2, masses = map(np.array, zip(*rows))
+        # rho with a ring's wrap node, g, padded face fluxes, an update
+        n, width, made, halvings = grid.n, rate_of._width, None, 0
+        rr, g, pad, step = (_ring(rho, boundary).copy(), np.zeros(n),
+                            np.zeros(n + 1), np.empty(n))
+        rho, faces = rr[:n], pad[1:dphi.size + 1]
+        for t in t_records[1:]:
+            saved = rr.copy(), g.copy()
+            while True:
+                if made != n_sub:       # the flux times dt / (m damping)
+                    made, dt = n_sub, interval / n_sub
+                    damping = 1.0 + dt * p.friction / p.mass
+                    k = dt / (p.mass * damping)
+                    flux = (_flux(dphi, h, boundary, p, k)
+                            if model.quantum else rate_of.flux(k))
+                # g <- (g + dt div G / m) / damping, rho <- rho + dt g; a
+                # blow-up shows as a failed check of the interval
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(n_sub):
+                        flux(rr, faces)
+                        pad[0] = pad[-1]            # a ring's wrap face
+                        np.subtract(pad[1:], pad[:-1], out=step)
+                        step /= width
+                        g /= damping
+                        g += step
+                        np.multiply(g, dt, out=step)
+                        rho += step
+                        rr[n:] = rr[0]              # a ring's wrap node
+                products, fault = check(rho)
+                if fault is None:
+                    break
+                if halvings == max_halvings:
+                    if halvings:
+                        note = (f"; it survived refinement by {halvings}"
+                                f" halvings of the step, to dt = {dt:.3e}")
+                    elif fault.startswith("density fell"):
+                        note = ("; the linear telegraph equation does not "
+                                "keep the density non-negative, so the "
+                                "step is not refined")
+                    else:
+                        note = ""
+                    raise ConvergenceError(
+                        f"{fault} at step {stats['n_steps'] + n_sub} "
+                        f"(t = {t:.6g}){note}")
+                stats["rejected_steps"] += n_sub
+                halvings += 1
+                n_sub *= 2
+                stats["dt_min"] = interval / n_sub
+                rr[:], g[:] = saved
+            stats["n_steps"] += n_sub
+            rows.append(products)
+    masses, first, second = np.stack(rows, axis=1)
+    mu = first / masses
+    sigma2 = second / masses - mu ** 2
     n_steps = stats.pop("n_steps")
 
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))

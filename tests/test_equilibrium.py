@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
-from scipy.linalg import lu_factor, lu_solve, solve
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgtsv
 
 from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
                     PotentialSpec, eigen_density, imaginary_time_density,
@@ -189,7 +190,7 @@ def test_squared_kernel_matches_stepped_loop(boundary, n_steps):
 
 def test_kernel_flush_leaves_rho_and_z_bit_identical():
     # the same square-and-multiply with no flush, on criterion 5's
-    # beta = 0.1 box: S^256 by 8 squarings
+    # beta = 0.1 box: S^256 by 7 squarings and the diagonal of the eighth
     p, g, _ = _harmonic_setup(0.1)
     U = PotentialSpec.harmonic(1.0)
     cfg = ImaginaryTimeConfig(beta_final=0.1, grid=g, n_beta_steps=256)
@@ -199,11 +200,12 @@ def test_kernel_flush_leaves_rho_and_z_bit_identical():
     u = U.energy(g, p)
     half_pot = np.exp(-0.5 * db * (u - np.min(u)))
     half_kin = 0.5 * db * p.hbar ** 2 / (2.0 * p.mass * g.h ** 2)
-    off = np.eye(g.n, k=1) + np.eye(g.n, k=-1)
-    A = np.eye(g.n) * (1.0 + 2.0 * half_kin) - half_kin * off
-    B = np.eye(g.n) * (1.0 - 2.0 * half_kin) + half_kin * off
-    M = solve(A, B, overwrite_a=True, overwrite_b=True)
-    M *= np.outer(half_pot, half_pot)
+    off = np.full(g.n - 1, -half_kin)
+    # S = P (2 A^-1 - I) P, A = I + dbeta/2 T
+    X = dgtsv(off, np.full(g.n, 1.0 + 2.0 * half_kin), off,
+              np.diag(2.0 * half_pot).T)[3]
+    M = half_pot[:, None] * X
+    M.flat[::g.n + 1] -= half_pot ** 2
     subnormal = []
 
     def unit_peak(M):
@@ -214,12 +216,14 @@ def test_kernel_flush_leaves_rho_and_z_bit_identical():
         return math.log(peak)
 
     log_m = unit_peak(M)
-    for _ in range(8):
+    for _ in range(7):
         M = M @ M
         log_m = 2.0 * log_m + unit_peak(M)
     assert sum(subnormal) > 0
-    z_ref = float(np.trace(M)) * math.exp(log_m - 0.1 * float(np.min(u)))
-    rho_ref = DensityField(grid=g, rho=np.maximum(np.diag(M), 0.0))
+    diag = np.einsum("ij,ji->i", M, M)
+    z_ref = float(np.sum(diag)) * math.exp(2.0 * log_m
+                                           - 0.1 * float(np.min(u)))
+    rho_ref = DensityField(grid=g, rho=np.maximum(diag, 0.0))
     np.testing.assert_array_equal(rho.rho, rho_ref.rho)
     assert z == z_ref
 

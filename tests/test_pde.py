@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from qbrown import (ConvergenceError, DensityField, Grid1D, PdeModel,
                     PhysicalParams, PotentialSpec, derived_scales,
                     effective_potential, evolve, moments, quantum_potential)
 from qbrown import pde
-from qbrown.pde import _LogDensityRate, _log_start, _moments
+from qbrown.pde import (_LogDensityRate, _log_start, _moment_weights,
+                        _moments)
 
 NAT = PhysicalParams.natural()
 
@@ -252,11 +254,30 @@ def test_periodic_final_density_is_the_last_record():
     rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
     res = evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
                  NAT, 1.0, boundary="periodic", n_records=5)
-    mean, sigma2, mass = _moments(res.density.rho, g.x, g.h, "periodic")
-    assert mass == pytest.approx(1.02398, abs=1e-5)
-    np.testing.assert_allclose([mean, sigma2, mass],
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no norm warning on a ring
+        m = moments(res.density, "periodic")
+    assert m.norm == pytest.approx(1.02398, abs=1e-5)
+    assert m.dispersion == pytest.approx(3.65626, abs=1e-5)
+    np.testing.assert_allclose([m.mean, m.dispersion, m.norm],
                                [res.mu[-1], res.sigma2[-1], res.mass[-1]],
                                rtol=1e-12, atol=0)
+
+
+def test_moments_on_a_ring_weight_every_node_fully():
+    # the box rule halves the end nodes, so a DensityField's ring mass is
+    # 1 + h (rho_0 + rho_(n-1)) / 2; a uniform ring density has the mean
+    # and variance of the uniform distribution on its n nodes
+    g = Grid1D(0.0, 15.0, 16)
+    f = DensityField.uniform(g)
+    m = moments(f, "periodic")
+    assert m.norm == pytest.approx(g.h * np.sum(f.rho), rel=1e-15)
+    assert m.norm == pytest.approx(1.0 + g.h * f.rho[0], rel=1e-15)
+    assert m.mean == pytest.approx(7.5, rel=1e-14)
+    assert m.dispersion == pytest.approx((16 ** 2 - 1) / 12.0, rel=1e-14)
+    box = moments(f)
+    assert box.norm == pytest.approx(1.0, rel=1e-15)
+    assert box.dispersion < m.dispersion
 
 
 @pytest.mark.parametrize("n_records", [21, 101])
@@ -409,6 +430,61 @@ def test_telegraph_interval_matches_the_documented_step(model, boundary):
                                rtol=0, atol=1e-13 * np.max(ref))
 
 
+def _bohm_flux_reference(rho, dphi, h, ring, p, k):
+    """k [(r_up + taper (rho_f - r_up)) dPhi/dx + taper rho_f dQ/dx] face
+    by face, as the docstring of pde._flux writes it."""
+    n = rho.size
+    peak = max(rho)
+    a = [math.sqrt(max(r, 1e-12 * peak)) for r in rho]
+
+    def curvature(i):                       # a'' h^2
+        if ring or 0 < i < n - 1:
+            return a[(i + 1) % n] - 2.0 * a[i] + a[i - 1]
+        s = 1 if i == 0 else -1
+        return 2.0 * a[i] - 5.0 * a[i + s] + 4.0 * a[i + 2 * s] - a[i + 3 * s]
+
+    q = [-p.hbar ** 2 * curvature(i) / h ** 2 / (2.0 * p.mass * a[i])
+         for i in range(n)]
+    flux = []
+    for i in range(n if ring else n - 1):
+        j = (i + 1) % n
+        rho_f = 0.5 * (rho[i] + rho[j])
+        r_up = rho[i] if dphi[i] < 0.0 else rho[j]
+        taper = min(max(rho_f / (1e-5 * peak) - 0.1, 0.0), 1.0)
+        flux.append(k * ((r_up + taper * (rho_f - r_up)) * dphi[i]
+                         + taper * rho_f * (q[j] - q[i]) / h))
+    return np.array(flux)
+
+
+@pytest.mark.parametrize("boundary", ["reflecting", "periodic"])
+@pytest.mark.parametrize("potential", [
+    PotentialSpec.linear(0.5), PotentialSpec.linear(-0.5),
+    PotentialSpec.harmonic(1.0)], ids=["pull", "push", "harmonic"])
+def test_bohm_flux_matches_its_formula(potential, boundary):
+    # random positive densities whose tails fall below the 1e-12 floor of
+    # the Bohm potential and the 1e-6 start of its taper; dPhi/dx of one
+    # sign (either, on a box: a ring's wrap face reverses a tilt's) and of
+    # both signs
+    ring = boundary == "periodic"
+    rng = np.random.default_rng(7)
+    g = Grid1D(-6.0, 6.0 - (12.0 / 96 if ring else 0.0), 96 if ring else 97)
+    p = PhysicalParams.natural(omega0=1.0, temperature=0.0)
+    phi = potential.energy(g, p)
+    dphi = np.diff(np.append(phi, phi[0]) if ring else phi) / g.h
+    for _ in range(5):
+        sigma2 = rng.uniform(0.3, 1.5)
+        rho = (np.exp(-(g.x - rng.uniform(-1.0, 1.0)) ** 2 / (2.0 * sigma2))
+               * rng.uniform(0.5, 1.5, g.n))
+        rho = np.maximum(rho, 1e-40)
+        k = rng.uniform(1e-4, 1e-2)
+        out = np.empty(dphi.size)
+        pde._flux(dphi, g.h, boundary, p, k)(
+            np.append(rho, rho[0]) if ring else rho, out)
+        ref = _bohm_flux_reference(rho, dphi, g.h, ring, p, k)
+        np.testing.assert_allclose(out, ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_quantum_smoluchowski_stays_positive_at_its_step_bound():
     # on this coarse grid an explicit Euler step at the biharmonic bound
     # dt = h^4 m b / 4 hbar^2 drives the density to -2.6e-3
@@ -541,7 +617,8 @@ def test_record_checks_come_before_the_moments(monkeypatch, kind, message):
     rho0 = DensityField.gaussian(g, 0.0, 1.0)
     if kind == "huge":
         with pytest.raises(ZeroDivisionError):
-            _moments(_spoiled(kind, rho0.rho), g.x, g.h)
+            _moments(_moment_weights(g, "reflecting"),
+                     _spoiled(kind, rho0.rho))
     monkeypatch.setattr(
         pde, "_step_log_density",
         lambda rho, *args: iter([_spoiled(kind, rho)]))
