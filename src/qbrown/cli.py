@@ -73,13 +73,11 @@ _GRID_KEYS = {
     "grid.x_min": (float, -8.0, None),
     "grid.x_max": (float, 8.0, None),
     "grid.n": (int, 401, ("must be at least 16", lambda v: v >= 16)),
+    "grid.boundary": (str, "box", None),    # Grid1D refuses another
 }
 _PDE_KEYS = {
     "pde.t_final": (float, 10.0, _POSITIVE),
     "pde.n_records": (int, 101, ("must be at least 2", lambda v: v >= 2)),
-    "pde.boundary": (str, "reflecting",
-                     ("must be 'reflecting' or 'periodic'",
-                      lambda v: v in ("reflecting", "periodic"))),
 }
 _POTENTIAL_KEYS = {
     "potential.variant": (str, "free",
@@ -297,7 +295,8 @@ class Manifest:
 
 def _grid(cfg) -> Grid1D:
     o = cfg.options
-    return Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"])
+    return Grid1D(o["grid.x_min"], o["grid.x_max"], o["grid.n"],
+                  o["grid.boundary"])
 
 
 def _potential(cfg) -> PotentialSpec:
@@ -315,7 +314,7 @@ def _initial_density(cfg) -> DensityField:
     node takes its minimum-image distance to mu0 on the n h ring."""
     o, grid = cfg.options, _grid(cfg)
     d = grid.x - o["mu0"]
-    if o["pde.boundary"] == "periodic":
+    if grid.boundary == "periodic":
         d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
     return DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
 
@@ -355,10 +354,10 @@ def _tc_times(cfg):
 def _imaginary_time(cfg) -> ImaginaryTimeConfig:
     """The propagation of the equilibrium run, refused when its beta step
     is too coarse for the grid (equilibrium.check_beta_steps)."""
-    o, p = cfg.options, cfg.params
-    it = ImaginaryTimeConfig(beta_final=p.beta, grid=_grid(cfg),
-                             n_beta_steps=o["eq.n_beta_steps"],
-                             boundary=o["eq.boundary"])
+    p, grid = cfg.params, _grid(cfg)
+    it = ImaginaryTimeConfig(beta_final=p.beta, grid=grid,
+                             n_beta_steps=cfg.options["eq.n_beta_steps"],
+                             boundary=grid.boundary)
     check_beta_steps(p, it)
     return it
 
@@ -435,7 +434,7 @@ def _run_pde(first_order, inertial, cfg, out, man):
     model = inertial if o.get("inertial") else first_order
     rho0 = _initial_density(cfg)
     res = evolve(rho0, model, _potential(cfg), p, o["pde.t_final"],
-                 boundary=o["pde.boundary"], n_records=o["pde.n_records"])
+                 n_records=o["pde.n_records"])
     write_csv(out / "trajectory.csv",
               ["t [time]", "mu [length]", "sigma_x2 [length^2]",
                "mass [1]"],
@@ -464,8 +463,7 @@ def _run_equilibrium(cfg, out, man):
     it_cfg = _imaginary_time(cfg)
     grid, U, beta = it_cfg.grid, _potential(cfg), p.beta
     rho_it, z_it = imaginary_time_density(U, p, it_cfg)
-    rho_e, z_e, energies = eigen_density(U, p, beta, grid,
-                                         boundary=o["eq.boundary"])
+    rho_e, z_e, energies = eigen_density(U, p, beta, grid)
     rho_sc = semiclassical_density(U, p, beta, grid)
     q = quantum_potential(rho_it, p)
     headers = ["x [length]", "rho_imaginary_time [1/length]",
@@ -476,7 +474,7 @@ def _run_equilibrium(cfg, out, man):
         # the eigen route is exact for the same Hamiltonian at every node
         betas = _entropy_betas(cfg)
         fields = [DensityField.uniform(grid)] + [
-            eigen_density(U, p, b, grid, boundary=o["eq.boundary"])[0]
+            eigen_density(U, p, b, grid)[0]
             for b in betas[1:]]
         s_q = quantum_entropy(fields, p, betas)
         headers.append("S_Q [entropy]")
@@ -536,7 +534,7 @@ _PDE_CHECKS = (
     _Check(1, "the record times", ("pde.t_final", "pde.n_records"),
            lambda cfg: record_times(cfg.options["pde.t_final"],
                                     cfg.options["pde.n_records"])),
-    _Check(2, "initial density", ("mu0", "sigma0_sq", *_GRID, "pde.boundary"),
+    _Check(2, "initial density", ("mu0", "sigma0_sq", *_GRID),
            _initial_density))
 # the semiclassical run builds U + beta hbar^2 [3 U'' - beta U'^2] / 24m
 _SEMICLASSICAL_PDE_CHECKS = (*_PDE_CHECKS, _Check(
@@ -553,7 +551,7 @@ _EQUILIBRIUM_CHECKS = (
     _Check(2, "grid nodes", _GRID, lambda cfg: _grid(cfg).x),
     _Check(3, "the Crank-Nicolson beta step", (
         "eq.n_beta_steps", *_GRID, "params.temperature", "params.hbar",
-        "params.k_B", "params.mass", "eq.boundary"),
+        "params.k_B", "params.mass"),
         lambda cfg: _imaginary_time(cfg).dbeta))
 _HARMONIC_CHECKS = (_LINEAR_TIMES, _Check(
     1, "the quantum coefficient", ("params.hbar", "params.mass", "sigma0_sq",
@@ -627,9 +625,6 @@ _TABLE = {
         **_GRID_KEYS, **_POTENTIAL_KEYS,
         "eq.n_beta_steps": (int, 512,
                             ("must be at least 16", lambda v: v >= 16)),
-        "eq.boundary": (str, "box",
-                        ("must be 'box' or 'periodic'",
-                         lambda v: v in ("box", "periodic"))),
         "eq.entropy_nodes": (int, 0,
                              ("must be 0 or at least 2",
                               lambda v: v == 0 or v >= 2)),

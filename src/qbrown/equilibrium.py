@@ -35,7 +35,10 @@ class ImaginaryTimeConfig:
     The kernel is S^N, S one Strang step (split potential / Crank-Nicolson
     kinetic) of dbeta = beta_final / N, formed by repeated squaring in
     about log2(N) dense n x n products.  N = n_beta_steps sets the
-    O(dbeta^2) splitting error and must reach min_beta_steps.
+    O(dbeta^2) splitting error and must reach min_beta_steps.  boundary
+    picks the kinetic stencil, "box" or "periodic"; the density is
+    normalized by the grid's own rule (Grid1D.boundary), so a caller that
+    propagates on a ring passes boundary=grid.boundary.
     """
 
     beta_final: float
@@ -59,8 +62,8 @@ class ImaginaryTimeConfig:
 def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
     """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box.
 
-    The box stencil only: eigen_density couples a periodic ring's two end
-    nodes by off[0] itself."""
+    The box stencil only: eigen_density couples a ring's two end nodes by
+    off[0] itself."""
     h = grid.h
     kin = p.hbar ** 2 / (2.0 * p.mass * h ** 2)
     diag = 2.0 * kin + U.energy(grid, p)
@@ -227,23 +230,22 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
 
 
 def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
-                  grid: Grid1D, boundary: str = "box"):
+                  grid: Grid1D):
     """Equilibrium density from the spectrum of the discretized Hamiltonian.
 
     rho = sum_n exp(-beta E_n) phi_n^2 / Z with Z = sum_n exp(-beta E_n);
     states are retained until the Boltzmann tail weight falls below
-    1e-12 of the ground term.  boundary takes ImaginaryTimeConfig's
-    values: a periodic ring adds the two corner entries of the kinetic
-    stencil and is diagonalized densely.
+    1e-12 of the ground term.  On a periodic grid (Grid1D.boundary) the
+    two corner entries of the kinetic stencil join the ends, and the
+    Hamiltonian is diagonalized densely.
 
     Returns (DensityField, Z, the retained energies).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if boundary not in ("box", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
+    ring = grid.boundary == "periodic"
     diag, off = _hamiltonian_tridiag(U, p, grid)
-    if boundary == "periodic":
+    if ring:
         H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         H[0, -1] = H[-1, 0] = off[0]
         energies, vecs = eigh(H)
@@ -266,7 +268,7 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     gram = v.T @ v
     if float(np.max(np.abs(gram - np.eye(n_check)))) > 1e-8:
         raise ArithmeticError("eigenfunctions lost orthonormality")
-    bond = np.append(off, off[0] if boundary == "periodic" else 0.0)
+    bond = np.append(off, off[0] if ring else 0.0)
     Hv = (diag[:, None] * v + bond[:, None] * np.roll(v, -1, axis=0)
           + np.roll(bond, 1)[:, None] * np.roll(v, 1, axis=0))
     resid = np.linalg.norm(Hv - energies[:n_check] * v, axis=0)

@@ -26,17 +26,27 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform spatial grid with both endpoints included."""
+    """Uniform spatial grid with both endpoints included, on a box or a ring.
+
+    boundary is "box" (walls at x_min and x_max; quadratures take the
+    trapezoid rule, half weight at the walls) or "periodic" (a ring of
+    length n h, on which x_max + h is x_min again; every node has full
+    weight).  DensityField, moments, quantum_potential, evolve and
+    eigen_density read it from here.
+    """
 
     x_min: float
     x_max: float
     n: int
+    boundary: str = "box"
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be less than x_max")
         if self.n < 16:
             raise ValueError("grid needs at least 16 nodes")
+        if self.boundary not in ("box", "periodic"):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
     def h(self) -> float:
@@ -47,16 +57,18 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n)
 
 
-def _trapz(values: np.ndarray, h: float, boundary: str = "reflecting") -> float:
-    """Trapezoid rule on a box; on a periodic ring every node has full weight."""
-    if boundary == "periodic":
-        return float(h * np.sum(values))
-    return float(h * (np.sum(values) - 0.5 * (values[0] + values[-1])))
+def _trapz(values: np.ndarray, grid: Grid1D) -> float:
+    """The grid's quadrature: the trapezoid rule on a box, every node at
+    full weight on a ring."""
+    if grid.boundary == "periodic":
+        return float(grid.h * np.sum(values))
+    return float(grid.h * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
 @dataclass
 class DensityField:
-    """Probability density on a Grid1D, normalized to unit trapezoid mass."""
+    """Probability density on a Grid1D, normalized to unit mass by the
+    grid's quadrature (_trapz): h sum(rho) = 1 on a ring."""
 
     grid: Grid1D
     rho: np.ndarray
@@ -67,7 +79,7 @@ class DensityField:
             raise ValueError("rho length must match the grid")
         if np.any(self.rho < 0):
             raise ValueError("rho must be non-negative")
-        mass = _trapz(self.rho, self.grid.h)
+        mass = _trapz(self.rho, self.grid)
         if mass <= 0:
             raise ValueError("density has no mass")
         self.rho = self.rho / mass
@@ -194,22 +206,16 @@ def quantum_potential(rho: DensityField, p: PhysicalParams) -> np.ndarray:
     """Bohm quantum potential -hbar^2 (d^2 sqrt(rho)/dx^2) / (2 m sqrt(rho)).
 
     rho is clamped from below at 1e-12 of its peak before the square
-    root (0/0 tails); second-order central stencil inside, one-sided at
-    the ends.  A DensityField carries no boundary, so the ends take the
-    one-sided stencil on periodic grids too; evolve wraps them on a ring.
+    root (0/0 tails); second-order central stencil inside, and at the
+    ends one-sided on a box and wrapped on a ring.
     """
-    return _quantum_potential_raw(rho.rho, rho.grid.h, p, "reflecting")
-
-
-def _quantum_potential_raw(rho_arr: np.ndarray, h: float, p: PhysicalParams,
-                           boundary: str) -> np.ndarray:
-    """quantum_potential on a bare array; a periodic ring wraps the ends."""
-    rr = _ring(rho_arr, boundary)
+    grid = rho.grid
+    ring = grid.boundary == "periodic"
+    rr = _ring(rho.rho, grid)
     curv = np.empty(rr.size)
-    _sqrt_curvature(rr, _RHO_FLOOR_FACTOR * float(np.max(rr)),
-                    boundary == "periodic", np.empty(rr.size + 2),
-                    np.empty(rr.size + 1), curv)
-    return (-p.hbar ** 2 / (2.0 * p.mass * h ** 2)) * curv[:rho_arr.size]
+    _sqrt_curvature(rr, _RHO_FLOOR_FACTOR * float(np.max(rr)), ring,
+                    np.empty(rr.size + 2), np.empty(rr.size + 1), curv)
+    return (-p.hbar ** 2 / (2.0 * p.mass * grid.h ** 2)) * curv[:grid.n]
 
 
 def _sqrt_curvature(rr, floor, ring, ag, fd, out):
@@ -251,27 +257,23 @@ class Moments:
     norm: float
 
 
-def moments(rho: DensityField, boundary: str = "reflecting") -> Moments:
-    """Trapezoid-rule mean, dispersion and norm of a density field.
-
-    boundary is evolve's: a periodic ring gives every node full weight, as
-    its records do.  On a box, the rule DensityField normalizes by, a
-    warning is emitted when the norm strays from 1 by more than 1e-6; a
-    ring's norm of a DensityField is 1 + h (rho_0 + rho_(n-1)) / 2, so
-    there is nothing to compare it with.
-    """
-    mean, dispersion, norm = _moments(_moment_weights(rho.grid, boundary),
-                                      rho.rho)
-    if boundary == "reflecting" and abs(norm - 1.0) > 1e-6:
+def moments(rho: DensityField) -> Moments:
+    """Mean, dispersion and norm of a density field by its grid's
+    quadrature (_trapz), the rule DensityField normalizes by and evolve
+    records by; a warning is emitted when the norm strays from 1 by more
+    than 1e-6."""
+    mean, dispersion, norm = _moments(_moment_weights(rho.grid), rho.rho)
+    if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"density norm {norm} deviates from 1", stacklevel=2)
     return Moments(mean=mean, dispersion=dispersion, norm=norm)
 
 
-def _moment_weights(grid, boundary):
-    """The (3, n) matrix whose product with a density gives its trapezoid
-    mass, first and second moments: weight h, half at a box's walls."""
+def _moment_weights(grid):
+    """The (3, n) matrix whose product with a density gives its mass,
+    first and second moments by the grid's quadrature: weight h, half at
+    a box's walls."""
     w = np.full(grid.n, grid.h)
-    if boundary == "reflecting":
+    if grid.boundary == "box":
         w[[0, -1]] *= 0.5
     x = grid.x
     return np.stack([w, w * x, w * x * x])
@@ -311,13 +313,13 @@ class EvolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _ring(a, boundary):
+def _ring(a, grid):
     """Node values whose faces lie between a[:-1] and a[1:]: a periodic
     ring appends its wrap node."""
-    return a if boundary == "reflecting" else np.append(a, a[0])
+    return a if grid.boundary == "box" else np.append(a, a[0])
 
 
-def _flux(dphi, h, boundary, p, k):
+def _flux(dphi, grid, p, k):
     """flux(rr, out) writes into out k times the half-node flux of the
     explicit quantum telegraph model for the density rr (a ring appends
     its wrap node), dPhi/dx = dphi and Q the Bohm potential:
@@ -335,8 +337,8 @@ def _flux(dphi, h, boundary, p, k):
     would seed wiggles around the Q-floor kink.
     """
     m = dphi.size + 1                       # nodes of rr
-    ring = boundary == "periodic"
-    k_bohm = -k * p.hbar ** 2 / (4.0 * p.mass * h ** 3)
+    ring = grid.boundary == "periodic"
+    k_bohm = -k * p.hbar ** 2 / (4.0 * p.mass * grid.h ** 3)
     k_drift, half_drift = k * dphi, 0.5 * k * dphi
     upwind = dphi < 0.0
     # the donor node is rr[side + i] at face i where dPhi/dx has one sign
@@ -385,7 +387,8 @@ class _LogDensityRate:
     centred where dPhi/dx = 0.  At kT = 0, alpha_+ = -dPhi/dx / 2.  The
     zero-T quantum Smoluchowski model adds rho dQ/dx = -(hbar^2/4m)
     d/dx(rho d^2y/dx^2): c = hbar^2/4m, w = rho * (second difference of
-    y), mirror ghosts at reflecting walls; c = 0 otherwise.
+    y), mirror ghosts at a box's walls; c = 0 otherwise.  The grid gives
+    h, n and the boundary.
     flux(k) gives k G for c = 0 (the explicit telegraph step).
 
     rate_and_jacobian(y) gives div G / rho, each face entering through e =
@@ -401,18 +404,19 @@ class _LogDensityRate:
     and solves in one call.
     """
 
-    def __init__(self, dphi, kT, c, h, boundary, n):
-        self.c, self.h, self.boundary = c, h, boundary
+    def __init__(self, dphi, kT, c, grid):
+        self.c, self.grid = c, grid
+        h, n = grid.h, grid.n
         ap = kT / h * _bernoulli(h * dphi / kT) if kT > 0 else -0.5 * dphi
         self._am, self._ap = ap + dphi, ap
-        ring, nf = boundary == "periodic", dphi.size
+        ring, nf = grid.boundary == "periodic", dphi.size
         # cell widths, half cells at a box's walls, and their inverses at
         # each face's left and right node
         self._width = np.full(n, h)
         if not ring:
             self._width[[0, -1]] = 0.5 * h
         inv = 1.0 / self._width
-        self._inv = inv_l, inv_r = inv[:nf], _ring(inv, boundary)[1:]
+        self._inv = inv_l, inv_r = inv[:nf], _ring(inv, grid)[1:]
         self._apw = inv_r * ap
         # face values padded to n + 1: [1:] is the face right of each node,
         # [:-1] the face left of it, zero beyond a box's walls
@@ -428,7 +432,7 @@ class _LogDensityRate:
         cm, cp = np.ones(n), np.ones(n)
         if not ring:
             cm[0], cp[0], cm[-1], cp[-1] = 0.0, 2.0, 2.0, 0.0
-        cm_r, cp_r = _ring(cm, boundary)[1:], _ring(cp, boundary)[1:]
+        cm_r, cp_r = _ring(cm, grid)[1:], _ring(cp, grid)[1:]
         self._bohm = (-s * inv_l * cp_r, -s * inv_r * cm[:nf],
                       2.0 * s / h * cp[:nf], 2.0 * s / h * cm_r)
         # the band's half-width b, its storage, and where diagonal d of face
@@ -626,7 +630,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
     asks for, and the step after a failure does not grow.
     """
     def mass_of(r):
-        return _trapz(r, rate_of.h, rate_of.boundary)
+        return _trapz(r, rate_of.grid)
 
     y = _log_start(rho0)
     mass0 = mass_of(rho0)
@@ -709,17 +713,18 @@ def record_times(t_final: float, n_records: int) -> np.ndarray:
 
 def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
            p: PhysicalParams, t_final: float,
-           boundary: str = "reflecting", n_records: int = 201) -> EvolveResult:
+           n_records: int = 201) -> EvolveResult:
     """Advance the chosen density equation to t_final.
 
     Every model solves b drho/dt = d/dx(rho dPhi/dx + k_B T drho/dx
     + rho dQ/dx): Phi is U or the semiclassical effective potential, Q
-    the Bohm potential of the zero-T quantum models, else 0.  The flux
-    conserves the trapezoid mass on a reflecting box and h * sum(rho) on
-    a periodic ring; the mass check, records and moments use that
-    quadrature.  The result's density is the final state as stepped,
-    negative round-off clipped to 0 but not rescaled, so on a ring too its
-    mass and moments are those of the last record.
+    the Bohm potential of the zero-T quantum models, else 0, on the box
+    or the ring of rho0.grid.  The flux conserves the mass by the grid's
+    quadrature (_trapz: the trapezoid rule on a box, h * sum(rho) on a
+    ring), which the mass check, records and moments use.  The result's
+    density is the final state as stepped, negative round-off clipped to
+    0 but not rescaled, so its mass and moments are those of the last
+    record.
 
     Every model's stepper lands on the record times t_final j /
     (n_records - 1), j = 0 .. n_records - 1, where the density is checked
@@ -767,8 +772,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     failure is its equation's (the exact semi-discrete solution goes
     negative too), so it aborts at once.
     """
-    if boundary not in ("reflecting", "periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
     if model.quantum:
         if p.temperature != 0:
             raise ValueError("quantum zero-T models require T = 0")
@@ -791,13 +794,13 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         phi_static = effective_potential(U, p.beta, p, grid)
     else:
         phi_static = U.energy(grid, p)
-    dphi = np.diff(_ring(phi_static, boundary)) / h
+    dphi = np.diff(_ring(phi_static, grid)) / h
     c = p.hbar ** 2 / (4.0 * p.mass) if model.quantum else 0.0
-    rate_of = _LogDensityRate(dphi, kT, c, h, boundary, grid.n)
+    rate_of = _LogDensityRate(dphi, kT, c, grid)
 
     # time step from the stability bound (the first step tried if implicit)
     if model.quantum:
-        phi0 = phi_static + _quantum_potential_raw(rho, h, p, boundary)
+        phi0 = phi_static + quantum_potential(rho0, p)
         core = rho >= 1e-6 * float(np.max(rho))
         scale = max(float(np.ptp(phi0[core])), 1e-300)
     else:
@@ -813,8 +816,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     dt = min(dt_bound, t_final / 10.0)
 
     t_records = record_times(t_final, n_records)
-    weights = _moment_weights(grid, boundary)
-    mass0 = _trapz(rho, h, boundary)
+    weights = _moment_weights(grid)
+    mass0 = _trapz(rho, grid)
     neg_tol = 1e-9 * float(np.max(rho))
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}
@@ -847,7 +850,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         max_halvings = 6 if model.quantum else 0
         # rho with a ring's wrap node, g, padded face fluxes, an update
         n, width, made, halvings = grid.n, rate_of._width, None, 0
-        rr, g, pad, step = (_ring(rho, boundary).copy(), np.zeros(n),
+        rr, g, pad, step = (_ring(rho, grid).copy(), np.zeros(n),
                             np.zeros(n + 1), np.empty(n))
         rho, faces = rr[:n], pad[1:dphi.size + 1]
         for t in t_records[1:]:
@@ -857,7 +860,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
                     made, dt = n_sub, interval / n_sub
                     damping = 1.0 + dt * p.friction / p.mass
                     k = dt / (p.mass * damping)
-                    flux = (_flux(dphi, h, boundary, p, k)
+                    flux = (_flux(dphi, grid, p, k)
                             if model.quantum else rate_of.flux(k))
                 # g <- (g + dt div G / m) / damping, rho <- rho + dt g; a
                 # blow-up shows as a failed check of the interval
@@ -900,9 +903,12 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     sigma2 = second / masses - mu ** 2
     n_steps = stats.pop("n_steps")
 
+    # DensityField rescales to unit mass, which the stepped state misses by
+    # its mass drift (up to 1e-8); the result keeps the state as stepped,
+    # so that its moments and mass are the last record's
     final = DensityField(grid=grid, rho=np.maximum(rho, 0.0))
-    final.rho = np.maximum(rho, 0.0)        # as stepped, not rescaled
-    diagnostics = {"stability_scale": scale, "boundary": boundary,
+    final.rho = np.maximum(rho, 0.0)
+    diagnostics = {"stability_scale": scale,
                    "min_density": float(np.min(rho)), **stats}
     if model.quantum and model.inertial:
         floor = _RHO_FLOOR_FACTOR * float(np.max(final.rho))

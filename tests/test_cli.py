@@ -235,6 +235,14 @@ def test_time_span_must_be_ordered(tmp_path):
      ("the effective potential: overflow", "params.k_B = 1e-300 (line 7)",
       "potential.variant = harmonic (line 3)", "grid.n = 81 (line 5)",
       "params.hbar = 1.0 (default)", "params.mass = 1.0 (default)")),
+    # the boundary is the grid's, one key for every scenario on a grid
+    ("scenario = classical-telegraph\npde.boundary = periodic\n", 2,
+     ("unknown key 'pde.boundary'",)),
+    ("scenario = equilibrium\neq.boundary = periodic\n", 2,
+     ("unknown key 'eq.boundary'",)),
+    ("scenario = semiclassical-pde\ngrid.n = 81\n\ngrid.boundary = open\n", 4,
+     ("the grid: unknown boundary 'open'", "grid.boundary = open (line 4)",
+      "grid.n = 81 (line 2)")),
 ])
 def test_config_checks_exit_2_with_line(tmp_path, capsys, text, line, words):
     with pytest.raises(ConfigError) as exc:
@@ -483,7 +491,7 @@ def test_periodic_pde_scenario_conserves_mass(tmp_path):
     code, out = _run(tmp_path,
                      "scenario = semiclassical-pde\n"
                      "mu0 = 7.5\n"
-                     "pde.boundary = periodic\n"
+                     "grid.boundary = periodic\n"
                      "pde.t_final = 1.0\n")
     assert code == 0
     assert "mass_conserved [PASS]" in (out / "manifest.txt").read_text()
@@ -589,7 +597,7 @@ def test_periodic_gaussian_wraps_across_the_seam(tmp_path):
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
                      "params.temperature = 0\n"
-                     "pde.boundary = periodic\n"
+                     "grid.boundary = periodic\n"
                      "grid.x_min = 0\n"
                      "grid.x_max = 6.185840\n"
                      "grid.n = 121\n"
@@ -612,7 +620,7 @@ def test_periodic_equilibrium_compares_ring_routes(tmp_path):
                      "grid.x_max = 6.185840\n"
                      "grid.n = 64\n"
                      "eq.n_beta_steps = 64\n"
-                     "eq.boundary = periodic\n")
+                     "grid.boundary = periodic\n")
     assert code == 0
     assert "route_equivalence [PASS]" in (out / "manifest.txt").read_text()
 

@@ -72,19 +72,19 @@ def test_periodic_routes_agree():
     # a 128-node ring: the kernel's corner entries against a dense
     # eigen-solve of the same ring Hamiltonian
     p = PhysicalParams.natural()
-    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128)
+    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128, "periodic")
     U = PotentialSpec.tabulated(np.cos(g.x))
     cfg = ImaginaryTimeConfig(beta_final=1.0, grid=g, n_beta_steps=256,
                               boundary="periodic")
     rho_it, z_it = imaginary_time_density(U, p, cfg)
-    rho_e, z_e, _ = eigen_density(U, p, 1.0, g, boundary="periodic")
+    rho_e, z_e, _ = eigen_density(U, p, 1.0, g)
     assert np.max(np.abs(rho_it.rho - rho_e.rho)) <= 1e-6
     assert abs(z_it - z_e) / z_e <= 1e-3
     # the box spectrum misses the ring's translation symmetry
-    rho_box, _, _ = eigen_density(U, p, 1.0, g)
+    rho_box, _, _ = eigen_density(U, p, 1.0, Grid1D(g.x_min, g.x_max, g.n))
     assert np.max(np.abs(rho_it.rho - rho_box.rho)) > 1e-2
     with pytest.raises(ValueError):
-        eigen_density(U, p, 1.0, g, boundary="reflecting")
+        Grid1D(g.x_min, g.x_max, g.n, boundary="reflecting")
 
 
 @settings(max_examples=25, deadline=2000)
@@ -98,19 +98,18 @@ def test_routes_agree_on_random_smooth_potentials(periodic, n, a, c, d, k,
     # (an inverted well, which presses the density on the walls, reaches
     # 1e-3)
     if periodic:
-        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n)
+        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n, "periodic")
         u = a * np.cos(g.x) + d * np.sin(k * g.x) + c * np.cos(2.0 * g.x)
     else:
         g = Grid1D(-4.0, 4.0, n)
         u = a * g.x ** 2 + c * g.x ** 4 + d * np.cos(k * g.x)
     p = PhysicalParams.natural(temperature=temperature)
     U = PotentialSpec.tabulated(u)
-    boundary = "periodic" if periodic else "box"
-    rho_e, z_e, _ = eigen_density(U, p, p.beta, g, boundary=boundary)
+    rho_e, z_e, _ = eigen_density(U, p, p.beta, g)
 
     def deviations(steps):
         cfg = ImaginaryTimeConfig(beta_final=p.beta, grid=g,
-                                  n_beta_steps=steps, boundary=boundary)
+                                  n_beta_steps=steps, boundary=g.boundary)
         rho_it, z_it = imaginary_time_density(U, p, cfg)
         return np.max(np.abs(rho_it.rho - rho_e.rho)), abs(z_it - z_e) / z_e
 
@@ -178,7 +177,7 @@ def test_squared_kernel_matches_stepped_loop(boundary, n_steps):
         U, g = PotentialSpec.harmonic(1.0), Grid1D(-8.0, 8.0, 121)
     else:
         p = PhysicalParams.natural()
-        g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32)
+        g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32, "periodic")
         U = PotentialSpec.tabulated(np.cos(g.x))
     cfg = ImaginaryTimeConfig(beta_final=p.beta, grid=g, n_beta_steps=n_steps,
                               boundary=boundary)
@@ -297,7 +296,7 @@ def test_coarse_beta_step_is_refused():
     # x = dbeta 2 hbar^2/(m h^2) = 48.8: the top Crank-Nicolson factor
     # is -0.92 per step, and S^17 has a negative diagonal
     p = PhysicalParams.natural()
-    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128)
+    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128, "periodic")
     U = PotentialSpec.tabulated(np.cos(g.x))
     assert min_beta_steps(p, g.h, 1.0) == 76
     with pytest.raises(ValueError, match=r"x = .* = 48\.8 > 2.*2\.48e-01; "
@@ -322,7 +321,7 @@ def test_coarse_beta_step_is_refused():
 
 def test_periodic_free_particle_is_uniform():
     p = PhysicalParams.natural()
-    g = Grid1D(0.0, 10.0, 64)
+    g = Grid1D(0.0, 10.0 * 63 / 64, 64, "periodic")
     cfg = ImaginaryTimeConfig(beta_final=1.0, grid=g, n_beta_steps=64,
                               boundary="periodic")
     rho, _ = imaginary_time_density(PotentialSpec.free(), p, cfg)

@@ -31,6 +31,12 @@ def test_grid_validation():
         Grid1D(-1.0, 1.0, 8)
 
 
+def test_grid_refuses_an_unknown_boundary():
+    assert Grid1D(-1.0, 1.0, 32).boundary == "box"
+    with pytest.raises(ValueError, match="unknown boundary 'absorbing'"):
+        Grid1D(-1.0, 1.0, 32, boundary="absorbing")
+
+
 def test_density_field_normalizes():
     g = Grid1D(-5.0, 5.0, 101)
     f = DensityField(grid=g, rho=np.ones(101) * 7.0)
@@ -227,9 +233,9 @@ def _params_for(model):
 
 @pytest.mark.parametrize("model", PdeModel, ids=lambda m: m.value)
 def test_periodic_uniform_is_stationary(model):
-    g = Grid1D(0.0, 2.0 * math.pi, 65)
+    g = Grid1D(0.0, 2.0 * math.pi * 64 / 65, 65, "periodic")
     res = evolve(DensityField.uniform(g), model, PotentialSpec.free(),
-                 _params_for(model), 1.0, boundary="periodic", n_records=5)
+                 _params_for(model), 1.0, n_records=5)
     np.testing.assert_allclose(res.density.rho, 1.0 / (2.0 * math.pi),
                                atol=1e-13)
 
@@ -238,26 +244,25 @@ def test_periodic_uniform_is_stationary(model):
 def test_periodic_ring_conserves_mass_across_the_seam(model):
     # a ring of 64 nodes: node 63 neighbours node 0, so every node
     # carries full weight in the conserved mass
-    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64)
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64, "periodic")
     rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
     res = evolve(rho0, model, PotentialSpec.free(), _params_for(model), 1.0,
-                 boundary="periodic", n_records=5)
+                 n_records=5)
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-14
     assert res.diagnostics["min_density"] >= 0.0
 
 
 def test_periodic_final_density_is_the_last_record():
-    # a ring conserves h * sum(rho), here 1.02398 since DensityField
-    # normalizes by the box trapezoid; the final density is the stepper's
-    # state, not rescaled to unit box mass (which gave 1.01884)
-    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64)
+    # a ring conserves h * sum(rho), 1 from a ring DensityField; the final
+    # density is the stepper's state, not rescaled
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64, "periodic")
     rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
     res = evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
-                 NAT, 1.0, boundary="periodic", n_records=5)
+                 NAT, 1.0, n_records=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no norm warning on a ring
-        m = moments(res.density, "periodic")
-    assert m.norm == pytest.approx(1.02398, abs=1e-5)
+        m = moments(res.density)
+    assert m.norm == pytest.approx(1.0, abs=1e-12)
     assert m.dispersion == pytest.approx(3.65626, abs=1e-5)
     np.testing.assert_allclose([m.mean, m.dispersion, m.norm],
                                [res.mu[-1], res.sigma2[-1], res.mass[-1]],
@@ -265,31 +270,51 @@ def test_periodic_final_density_is_the_last_record():
 
 
 def test_moments_on_a_ring_weight_every_node_fully():
-    # the box rule halves the end nodes, so a DensityField's ring mass is
-    # 1 + h (rho_0 + rho_(n-1)) / 2; a uniform ring density has the mean
-    # and variance of the uniform distribution on its n nodes
-    g = Grid1D(0.0, 15.0, 16)
+    # the box rule halves the end nodes, the ring's does not; a uniform
+    # ring density has the mean and variance of the uniform distribution
+    # on its n nodes
+    g = Grid1D(0.0, 15.0, 16, "periodic")
     f = DensityField.uniform(g)
-    m = moments(f, "periodic")
+    m = moments(f)
     assert m.norm == pytest.approx(g.h * np.sum(f.rho), rel=1e-15)
-    assert m.norm == pytest.approx(1.0 + g.h * f.rho[0], rel=1e-15)
+    assert m.norm == pytest.approx(1.0, rel=1e-15)
     assert m.mean == pytest.approx(7.5, rel=1e-14)
     assert m.dispersion == pytest.approx((16 ** 2 - 1) / 12.0, rel=1e-14)
-    box = moments(f)
+    box = moments(DensityField.uniform(Grid1D(0.0, 15.0, 16)))
     assert box.norm == pytest.approx(1.0, rel=1e-15)
     assert box.dispersion < m.dispersion
+
+
+def test_ring_density_field_has_unit_mass():
+    # normalized by the box trapezoid, this start had h sum(rho) = 1.02398
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64, "periodic")
+    f = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
+    assert g.h * np.sum(f.rho) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_quantum_potential_wraps_on_a_ring():
+    # the wrapped central stencil at every node, the ends included; the
+    # one-sided box stencil missed it at node 0 by 1.6e-3 of the peak
+    g = Grid1D(0.0, 2.0 * math.pi * 63 / 64, 64, "periodic")
+    f = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
+    a = np.sqrt(f.rho)
+    lap = (np.roll(a, -1) - 2.0 * a + np.roll(a, 1)) / g.h ** 2
+    ref = -NAT.hbar ** 2 * lap / (2.0 * NAT.mass * a)
+    q = quantum_potential(f, NAT)
+    np.testing.assert_allclose(q, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n_records", [21, 101])
 def test_records_n_rows_ending_at_t_final(n_records):
     # on this 32-node ring the classical telegraph stability bound alone
     # gives fewer steps than the 100 record intervals
-    g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32)
+    g = Grid1D(0.0, 2.0 * math.pi * 31 / 32, 32, "periodic")
     rho0 = DensityField(grid=g, rho=1.0 + 0.5 * np.cos(g.x))
     n = n_records
     for model in PdeModel:
         res = evolve(rho0, model, PotentialSpec.free(), _params_for(model),
-                     1.0, boundary="periodic", n_records=n)
+                     1.0, n_records=n)
         assert res.mu.size == res.sigma2.size == res.mass.size == n, model
         assert np.array_equal(res.times, 1.0 * np.arange(n) / (n - 1)), model
         if model.inertial:
@@ -307,7 +332,8 @@ def test_quantum_evolve_reports_floored_fraction():
     assert 0.0 < res.diagnostics["floored_fraction"] < 1.0
 
 
-_PROPERTY_GRID = Grid1D(0.0, 2.0 * math.pi * 47 / 48, 48)
+def _property_grid(boundary):
+    return Grid1D(0.0, 2.0 * math.pi * 47 / 48, 48, boundary)
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,19 +348,19 @@ _PROPERTY_GRID = Grid1D(0.0, 2.0 * math.pi * 47 / 48, 48)
        model=st.sampled_from([PdeModel.CLASSICAL_SMOLUCHOWSKI,
                               PdeModel.SEMICLASSICAL_SMOLUCHOWSKI,
                               PdeModel.QUANTUM_ZERO_T_SMOLUCHOWSKI]),
-       boundary=st.sampled_from(["reflecting", "periodic"]))
+       boundary=st.sampled_from(["box", "periodic"]))
 def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
                                               boundary):
     # the telegraph models are left out: they lose positivity in wells
     # (ROADMAP item 6)
-    x = _PROPERTY_GRID.x
+    g = _property_grid(boundary)
+    x = g.x
     u = sum(a * np.cos(k * x + ph)
             for k, (a, ph) in enumerate(zip(amp, phase), start=1))
     p = PhysicalParams.natural(friction=20.0,
                                temperature=0.0 if model.quantum else 1.0)
-    res = evolve(DensityField.gaussian(_PROPERTY_GRID, mu, sigma2), model,
-                 PotentialSpec.tabulated(u), p, 0.5, boundary=boundary,
-                 n_records=5)
+    res = evolve(DensityField.gaussian(g, mu, sigma2), model,
+                 PotentialSpec.tabulated(u), p, 0.5, n_records=5)
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
     assert res.diagnostics["min_density"] >= 0.0
 
@@ -342,14 +368,14 @@ def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
 @settings(max_examples=20, deadline=2000)
 # the first rejects 35 steps and completes, the second aborts at the cap
 @example(n=32, half_width=8.0, mu=0.0, sigma2=0.05, well=False,
-         model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="reflecting")
+         model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="box")
 @example(n=24, half_width=8.0, mu=1.0, sigma2=0.02, well=False,
          model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="periodic")
 @given(n=st.integers(24, 48), half_width=st.floats(5.0, 8.0),
        mu=st.floats(-1.0, 1.0), sigma2=st.floats(0.02, 0.5),
        well=st.booleans(),
        model=st.sampled_from([m for m in PdeModel if m.inertial]),
-       boundary=st.sampled_from(["reflecting", "periodic"]))
+       boundary=st.sampled_from(["box", "periodic"]))
 def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
                                          model, boundary):
     # mass only: a telegraph equation's own solution can go negative, so a
@@ -357,13 +383,13 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
     # halves its step where a record interval fails, and aborts only once
     # the failure survives 64x refinement (on these grids, with sigma0^2
     # below 0.1, about 4 in 9 quantum runs refine and 1 in 7 aborts)
-    g = Grid1D(-half_width, half_width, n)
+    g = Grid1D(-half_width, half_width, n, boundary)
     p = PhysicalParams.natural(omega0=1.0 if well else 0.0,
                                temperature=0.0 if model.quantum else 1.0)
     U = PotentialSpec.harmonic(1.0) if well else PotentialSpec.free()
     try:
         res = evolve(DensityField.gaussian(g, mu, sigma2), model, U, p, 0.5,
-                     boundary=boundary, n_records=5)
+                     n_records=5)
     except ConvergenceError as exc:
         assert ("survived refinement by 6 halvings" in str(exc)
                 if model.quantum else str(exc).startswith("density fell to"))
@@ -371,13 +397,13 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
 
 
-def _telegraph_reference(rho, phi, grid, p, boundary, quantum, dt, n_steps):
+def _telegraph_reference(rho, phi, grid, p, quantum, dt, n_steps):
     """n_steps of the documented explicit step from rest, g <- (g + dt div
     G / m) / (1 + dt b/m), rho <- rho + dt g, with the face flux G written
     out: alpha_- rho_+ - alpha_+ rho, alpha_+ = (kT/h) B(h Phi' / kT) for
     T > 0; at T = 0 the drift upwinded and the Bohm term tapered off below
     1e-6 of the peak."""
-    h, ring = grid.h, boundary == "periodic"
+    h, ring = grid.h, grid.boundary == "periodic"
     kT = p.k_B * p.temperature
     dphi = np.diff(np.append(phi, phi[0]) if ring else phi) / h
     if not quantum:
@@ -391,7 +417,7 @@ def _telegraph_reference(rho, phi, grid, p, boundary, quantum, dt, n_steps):
             r_half = 0.5 * (r[1:] + r[:-1])
             taper = np.clip(r_half / (1e-5 * np.max(rho)) - 0.1, 0.0, 1.0)
             r_up = np.where(dphi < 0.0, r[:-1], r[1:])
-            q = pde._quantum_potential_raw(rho, h, p, boundary)
+            q = quantum_potential(DensityField(grid=grid, rho=rho), p)
             q = np.append(q, q[0]) if ring else q
             G = ((taper * r_half + (1.0 - taper) * r_up) * dphi
                  + r_half * taper * np.diff(q) / h)
@@ -407,7 +433,8 @@ def _telegraph_reference(rho, phi, grid, p, boundary, quantum, dt, n_steps):
     return rho
 
 
-@pytest.mark.parametrize("boundary", ["reflecting", "periodic"])
+@pytest.mark.parametrize("boundary", ["box", "periodic"],
+                         ids=["reflecting", "periodic"])  # a box reflects
 @pytest.mark.parametrize("model", [m for m in PdeModel if m.inertial],
                          ids=lambda m: m.value)
 def test_telegraph_interval_matches_the_documented_step(model, boundary):
@@ -415,16 +442,16 @@ def test_telegraph_interval_matches_the_documented_step(model, boundary):
     # factor dt / (m (1 + dt b/m)), against the step as written, in a tilted
     # cosine well that is periodic on the ring
     g = Grid1D(-5.0, 5.0 - (10.0 / 80 if boundary == "periodic" else 0.0),
-               80 if boundary == "periodic" else 81)
+               80 if boundary == "periodic" else 81, boundary)
     p = PhysicalParams.natural(friction=2.0, temperature=(
         0.0 if model.quantum else 1.0))
     U = PotentialSpec.tabulated(0.5 * np.cos(2.0 * math.pi * g.x / 10.0))
     phi = (effective_potential(U, p.beta, p, g) if model.semiclassical
            else U.energy(g, p))
     rho0 = DensityField.gaussian(g, 0.5, 0.5)
-    res = evolve(rho0, model, U, p, 0.2, boundary=boundary, n_records=2)
+    res = evolve(rho0, model, U, p, 0.2, n_records=2)
     assert res.diagnostics["rejected_steps"] == 0 and res.n_steps >= 5
-    ref = _telegraph_reference(rho0.rho, phi, g, p, boundary, model.quantum,
+    ref = _telegraph_reference(rho0.rho, phi, g, p, model.quantum,
                                res.diagnostics["dt_max"], res.n_steps)
     np.testing.assert_allclose(res.density.rho, np.maximum(ref, 0.0),
                                rtol=0, atol=1e-13 * np.max(ref))
@@ -456,7 +483,8 @@ def _bohm_flux_reference(rho, dphi, h, ring, p, k):
     return np.array(flux)
 
 
-@pytest.mark.parametrize("boundary", ["reflecting", "periodic"])
+@pytest.mark.parametrize("boundary", ["box", "periodic"],
+                         ids=["reflecting", "periodic"])  # a box reflects
 @pytest.mark.parametrize("potential", [
     PotentialSpec.linear(0.5), PotentialSpec.linear(-0.5),
     PotentialSpec.harmonic(1.0)], ids=["pull", "push", "harmonic"])
@@ -467,7 +495,8 @@ def test_bohm_flux_matches_its_formula(potential, boundary):
     # both signs
     ring = boundary == "periodic"
     rng = np.random.default_rng(7)
-    g = Grid1D(-6.0, 6.0 - (12.0 / 96 if ring else 0.0), 96 if ring else 97)
+    g = Grid1D(-6.0, 6.0 - (12.0 / 96 if ring else 0.0), 96 if ring else 97,
+               boundary)
     p = PhysicalParams.natural(omega0=1.0, temperature=0.0)
     phi = potential.energy(g, p)
     dphi = np.diff(np.append(phi, phi[0]) if ring else phi) / g.h
@@ -478,7 +507,7 @@ def test_bohm_flux_matches_its_formula(potential, boundary):
         rho = np.maximum(rho, 1e-40)
         k = rng.uniform(1e-4, 1e-2)
         out = np.empty(dphi.size)
-        pde._flux(dphi, g.h, boundary, p, k)(
+        pde._flux(dphi, g, p, k)(
             np.append(rho, rho[0]) if ring else rho, out)
         ref = _bohm_flux_reference(rho, dphi, g.h, ring, p, k)
         np.testing.assert_allclose(out, ref, rtol=0,
@@ -525,13 +554,13 @@ def test_quantum_smoluchowski_takes_steps_beyond_the_explicit_bound(caplog):
 def _log_density_rate(kT, c, boundary, n=32):
     """_LogDensityRate on a tilted cosine potential, with a smooth ln rho."""
     if boundary == "periodic":
-        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n)
+        g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n, boundary)
     else:
         g = Grid1D(0.0, 2.0 * math.pi, n)
     phi = np.cos(g.x) - 0.5 * np.sin(2.0 * g.x)
     if boundary == "periodic":
         phi = np.append(phi, phi[0])
-    rate_of = _LogDensityRate(np.diff(phi) / g.h, kT, c, g.h, boundary, n)
+    rate_of = _LogDensityRate(np.diff(phi) / g.h, kT, c, g)
     y = np.cos(g.x) + np.log1p(0.3 * np.sin(3.0 * g.x))
     return rate_of, y
 
@@ -555,8 +584,8 @@ def _dense(rate_of, ab):
 
 # c = 0 with kT > 0 (the fitted flux) and c > 0 with kT = 0 (the Bohm term)
 _newton_cases = pytest.mark.parametrize("kT, c, boundary", [
-    (1.0, 0.0, "reflecting"), (1.0, 0.0, "periodic"),
-    (0.0, 0.25, "reflecting"), (0.0, 0.25, "periodic"),
+    (1.0, 0.0, "box"), (1.0, 0.0, "periodic"),
+    (0.0, 0.25, "box"), (0.0, 0.25, "periodic"),
 ], ids=["kT-box", "kT-ring", "c-box", "c-ring"])
 
 
@@ -617,7 +646,7 @@ def test_record_checks_come_before_the_moments(monkeypatch, kind, message):
     rho0 = DensityField.gaussian(g, 0.0, 1.0)
     if kind == "huge":
         with pytest.raises(ZeroDivisionError):
-            _moments(_moment_weights(g, "reflecting"),
+            _moments(_moment_weights(g),
                      _spoiled(kind, rho0.rho))
     monkeypatch.setattr(
         pde, "_step_log_density",
@@ -700,9 +729,6 @@ def test_evolve_guards():
     with pytest.raises(ValueError):
         evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
                cold, 1.0)
-    with pytest.raises(ValueError):
-        evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
-               NAT, 1.0, boundary="absorbing")
 
 
 def test_translation_invariance():
