@@ -356,8 +356,7 @@ def _imaginary_time(cfg) -> ImaginaryTimeConfig:
     is too coarse for the grid (equilibrium.check_beta_steps)."""
     p, grid = cfg.params, _grid(cfg)
     it = ImaginaryTimeConfig(beta_final=p.beta, grid=grid,
-                             n_beta_steps=cfg.options["eq.n_beta_steps"],
-                             boundary=grid.boundary)
+                             n_beta_steps=cfg.options["eq.n_beta_steps"])
     check_beta_steps(p, it)
     return it
 

@@ -254,7 +254,10 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
     m mu'' + b mu' = f and m sigma'' + b sigma' = hbar^2 / (4 m sigma^3),
     as a 4-component first-order system.  sigma0 must be positive: the
     dispersion equation is singular at sigma = 0 and those initial states
-    are served by the closed forms.
+    are served by the closed forms.  The march is in s = sigma / sigma0
+    and mu / sigma0 against t / t_s, t_s = m sigma0^2 / hbar, where the
+    dispersion equation reads s'' = 1 / (4 s^3) - (b sigma0^2 / hbar) s':
+    unit-free variables keep the tolerances relative in any units.
     """
     if p.temperature != 0:
         raise ModelCompatibilityError("inertial zero-T solver requires T = 0")
@@ -262,36 +265,40 @@ def solve_inertial_zero_T(p: PhysicalParams, sigma0: float, dsigma0: float,
         raise ValueError("sigma0 must be positive (sigma = 0 is singular)")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    h2_4m2 = p.hbar ** 2 / (4.0 * p.mass ** 2)
-    b_m = p.friction / p.mass
-    f_m = p.force / p.mass
+    t_s = p.mass * sigma0 ** 2 / p.hbar
+    damp = p.friction * t_s / p.mass
+    f_s = p.force * t_s ** 2 / (p.mass * sigma0)
 
-    def rhs(t, y):
-        mu, dmu, sig, dsig = y
-        if sig <= 0:
+    # Python floats: cheaper than numpy scalars, and 0.25 / s / s / s
+    # neither raises nor warns where s ** 3 would leave the float range
+    def rhs(tau, y):
+        mu, dmu, s, ds = y.tolist()
+        if s <= 0:
             raise ConvergenceError(
-                f"sigma reached {sig} at t = {t}; integrator misconfigured")
-        return np.array([dmu, f_m - b_m * dmu,
-                         dsig, h2_4m2 / sig ** 3 - b_m * dsig])
+                f"sigma reached {s * sigma0} at t = {tau * t_s}; integrator "
+                f"misconfigured")
+        return np.array([dmu, f_s - damp * dmu, ds, 0.25 / s / s / s - damp * ds])
 
-    y = solve_ode(rhs, [mu0, dmu0, sigma0, dsigma0], t_grid)
-    return DispersionTrajectory.from_sigma(t_grid, y[:, 2] ** 2, p,
-                                           mu=y[:, 0])
+    y = solve_ode(rhs, [mu0 / sigma0, dmu0 * t_s / sigma0, 1.0,
+                        dsigma0 * t_s / sigma0], t_grid / t_s)
+    return DispersionTrajectory.from_sigma(t_grid, sigma0 ** 2 * y[:, 2] ** 2,
+                                           p, mu=sigma0 * y[:, 0])
 
 
 # ---------------------------------------------------------------------------
 # Harmonic oscillator with temperature self-consistency
 
 
-def _beta_integral(coef, S, half_widths):
-    """int_0^beta coef / S(beta')^2 dbeta' at every node beta > 0 by
-    cumulative trapezoid with half_widths = diff(beta_grid) / 2; S holds
-    the columns beta > 0 (the beta = 0 integrand is zero: S is infinite
-    there)."""
-    f = coef / S ** 2
-    pair = f.copy()
-    pair[1:] += f[:-1]
-    return np.cumsum(half_widths * pair)
+def _trapezoid_weights(beta_grid):
+    """The lower-triangular W with (W @ f)_k = int_0^beta_k f dbeta' by
+    cumulative trapezoid, for f sampled at the columns beta > 0 (the
+    beta = 0 integrand is zero: S is infinite there).  Row k weighs each
+    f_j, j < k, by the half widths on both sides of beta_j, and f_k by
+    the one below it."""
+    hw = 0.5 * np.diff(beta_grid)
+    W = np.tril(np.broadcast_to(hw + np.append(hw[1:], 0.0), (hw.size,) * 2))
+    np.fill_diagonal(W, hw)
+    return W
 
 
 def quantum_coefficient(p: PhysicalParams, sigma0_sq: float,
@@ -320,7 +327,10 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     I = int_0^beta hbar^2 / (4 m^2 S(t, beta')^2) dbeta' softens the spring
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
     so (S, S') of every column and the mean are one ODE system, marched
-    once by solve_ode in omega0 t with S in units of sigma0_sq.  A column
+    once by solve_ode in omega0 t with S in units of sigma0_sq.  The
+    trapezoid rule of I, with k_B T and the coefficient folded in, is one
+    lower-triangular weight matrix built per solve, so a right-hand side
+    takes k_B T I at every column in one matrix-vector product.  A column
     whose solution crosses S = 0 (a weakly damped swing can) raises
     ConvergenceError naming t, beta, omega0 and b/m, and an
     integral that overflows at the start raises OverflowError
@@ -348,22 +358,23 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     damp = p.friction / (p.mass * w0)
     f_s = p.force / (p.mass * sig0 * w0 ** 2)
     drive = 2.0 * kT_w / (p.mass * sigma0_sq)
-    half_widths = 0.5 * np.diff(beta_grid)
+    # twice the spring's softening, 2 kT_w I, at every column is one matvec
+    KW = (2.0 * q_coef * kT_w)[:, None] * _trapezoid_weights(beta_grid)
 
     # y = (mu, mu', s, s') with one s and s' per column beta > 0
     def rhs(x, y):
         s, v = y[2:2 + ncol], y[2 + ncol:]
-        if not np.all(s > 0):
+        if not s.min() > 0:  # a NaN fails it too
             j = int(np.argmin(s))  # the first NaN, if any
             raise ConvergenceError(
                 f"the harmonic dispersion equation's own solution sigma_x^2 "
                 f"crossed zero (to {s[j] * sigma0_sq:.3e}) at t = "
                 f"{x / w0:.6g}, beta = {beta_grid[j + 1]:.6g}, "
                 f"omega0 = {w0:.6g}, b/m = {p.friction / p.mass:.6g}")
-        spring = np.maximum(1.0 - kT_w * _beta_integral(q_coef, s, half_widths),
-                            1e-8)
-        return np.concatenate(((y[1], f_s - y[0] - damp * y[1]), v,
-                               drive - damp * v - 2.0 * spring * s))
+        spring2 = np.maximum(2.0 - KW.dot(s ** -2), 2e-8)
+        mu, dmu = y[:2].tolist()
+        return np.concatenate(((dmu, f_s - mu - damp * dmu), v,
+                               drive - damp * v - spring2 * s))
 
     y0 = np.concatenate(([mu0 / sig0, dmu0 / (sig0 * w0)], np.ones(ncol),
                          np.full(ncol, dsigma0_sq / (sigma0_sq * w0))))
@@ -453,7 +464,10 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     superposition at 1e-8 of the first positive time t_1, where the
     small-time quantum asymptote holds; values are reported on the
     caller's grid only.  The march is in ln(S / S_anchor) against
-    ln(t / t_1), which are unit-free and keep S positive.
+    ln(t / t_1), which are unit-free and keep S positive.  The trapezoid
+    rule of the integral, with hbar^2 / 4m folded in, is one
+    lower-triangular weight matrix built per solve: a right-hand side
+    takes the integral at every column in one matrix-vector product.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.temperature <= 0 or p.friction <= 0:
@@ -472,14 +486,15 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     q_coef = p.hbar ** 2 / (4.0 * p.mass)
     superposition = (p.hbar * math.sqrt(t_anchor / (p.mass * p.friction))
                      + 2.0 * Dj * t_anchor)
-    half_widths = 0.5 * np.diff(beta_grid)
+    inv_sup = 1.0 / superposition
+    two_D_t1 = 2.0 * Dj * tp[0]
+    QW = q_coef * _trapezoid_weights(beta_grid)
 
     # unit-free variables keep the tolerances relative in any units:
-    # du/dln t = 2 D t (1 / S + int hbar^2 / (4 m S^2) dbeta')
+    # du/dln t = 2 D t (r + int hbar^2 r^2 / (4 m) dbeta'), r = 1 / S
     def rhs(log_t, u):
-        t = tp[0] * math.exp(log_t)
-        S = superposition * np.exp(u)
-        return 2.0 * Dj * t * (1.0 / S + _beta_integral(q_coef, S, half_widths))
+        r = inv_sup * np.exp(-u)
+        return (two_D_t1 * math.exp(log_t)) * (r + QW.dot(r * r))
 
     u = solve_ode(rhs, np.zeros(Dj.size), tau)
     S = superposition * np.exp(u)

@@ -36,17 +36,18 @@ class ImaginaryTimeConfig:
     kinetic) of dbeta = beta_final / N, formed by repeated squaring in
     about log2(N) dense n x n products.  N = n_beta_steps sets the
     O(dbeta^2) splitting error and must reach min_beta_steps.  boundary
-    picks the kinetic stencil, "box" or "periodic"; the density is
-    normalized by the grid's own rule (Grid1D.boundary), so a caller that
-    propagates on a ring passes boundary=grid.boundary.
+    picks the kinetic stencil, "box" or "periodic"; it defaults (None) to
+    the grid's own, Grid1D.boundary, whose rule normalizes the density.
     """
 
     beta_final: float
     grid: Grid1D
     n_beta_steps: int = 512
-    boundary: str = "box"
+    boundary: str | None = None
 
     def __post_init__(self):
+        if self.boundary is None:
+            object.__setattr__(self, "boundary", self.grid.boundary)
         if self.beta_final <= 0:
             raise ValueError("beta_final must be positive")
         if self.n_beta_steps < 16:

@@ -37,13 +37,15 @@ def lambert_w_minus1(x):
     residual |w e^w - x| / |x| below 1e-13 wherever e^w is normal.
     Initial guess from the asymptotic series w ~ L - ln(-L) with
     L = ln(-x), switched to the square-root branch-point expansion near
-    -1/e, then polished by Halley steps until every point meets
+    -1/e, then polished by Halley steps to
     |w e^w - x| <= (1e-14 + 2 eps |w|) |x|: a correctly rounded w leaves a
     residual of about eps |w| |x|, so a bound without the |w| term is out
-    of reach for w below about -100.  A point still above it after
-    _HALLEY_MAX = 50 steps raises ArithmeticError.  Each call logs its
-    point count and Halley steps at DEBUG on qbrown.numerics.  Accepts
-    scalars or arrays.
+    of reach for w below about -100.  Each point is swept until it meets
+    the bound, takes that sweep's step and leaves, so its answer does not
+    depend on the other points of the array.  A point still above the
+    bound after _HALLEY_MAX = 50 steps raises ArithmeticError.  Each call
+    logs its point count and Halley steps (the sweeps of its slowest
+    point) at DEBUG on qbrown.numerics.  Accepts scalars or arrays.
     """
     scalar = np.isscalar(x)
     z = np.atleast_1d(np.asarray(x, dtype=float))
@@ -56,30 +58,35 @@ def lambert_w_minus1(x):
     near = z + _INV_E <= 1e-15
     w[near] = -1.0
 
-    rest = ~near
-    zr = z[rest]
+    # every other point, by index, with a = -x = |x|
+    idx = np.flatnonzero(~near)
+    a = -z[idx]
     # branch-point expansion for moderate closeness, asymptotic series otherwise
-    p = -np.sqrt(np.maximum(2.0 * (1.0 + math.e * zr), 0.0))
+    p = -np.sqrt(np.maximum(2.0 * (1.0 - math.e * a), 0.0))
     w_bp = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    L = np.log(-zr)
+    L = np.log(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         w_as = L - np.log(-L)
-    guess = np.where(zr > -0.25, w_as, w_bp)
+    g = np.where(a < 0.25, w_as, w_bp)
+    del p, w_bp, L, w_as
 
-    scale = np.abs(zr)
+    # a sweep takes one Halley step at every point not yet written; a point
+    # that met the bound before the step is written after it and leaves
     for steps in range(1, _HALLEY_MAX + 1):
-        ew = np.exp(guess)
-        f = guess * ew - zr
-        done = np.all(np.abs(f) <= (1e-14 + _TWO_EPS * np.abs(guess)) * scale)
-        wp1 = guess + 1.0
-        guess = guess - f / (ew * wp1 - (guess + 2.0) * f / (2.0 * wp1))
-        if done:
+        ew = np.exp(g)
+        f = g * ew + a
+        done = np.abs(f) <= (1e-14 + _TWO_EPS * np.abs(g)) * a
+        wp1 = g + 1.0
+        g = g - f / (ew * wp1 - (g + 2.0) * f / (2.0 * wp1))
+        w[idx[done]] = g[done]
+        if done.all():
             break
+        live = np.flatnonzero(~done)
+        idx, a, g = idx[live], a[live], g[live]
     else:
         raise ArithmeticError("Lambert W_-1: Halley iteration did not "
                               f"converge in {_HALLEY_MAX} steps")
     _log.debug("lambert_w_minus1: %d points, %d Halley steps", z.size, steps)
-    w[rest] = guess
     if np.any(w > -1.0 + 1e-12):
         raise ArithmeticError("Lambert iteration left the lower branch")
     return float(w[0]) if scalar else w.reshape(np.shape(x))
@@ -126,14 +133,12 @@ _DP_A = np.array([
 # fifth- minus fourth-order weights: the local error estimate
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
-# stages 1-6 as (index, Butcher row sliced to the earlier stages, node)
-_DP_STAGES = tuple((s, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 7))
 
 
 def _norm(v, scale):
     """The root-mean-square of v / scale: the step control's error norm."""
     q = v / scale
-    return math.sqrt((q * q).sum() / q.size)
+    return math.sqrt(q.dot(q) / q.size)
 
 
 def solve_ode(rhs, y0, t_grid):
@@ -181,6 +186,15 @@ def solve_ode(rhs, y0, t_grid):
               else max(1e-6 * span, 1e-3 * h0))
         h = min(100.0 * h0, h1, span)
     steps = rejected = 0
+    # h * _DP_A is formed in place once per step; stage s reads its row of
+    # it, sliced to the earlier stages, against those stages' rates
+    hA = np.empty_like(_DP_A)
+    stages = [(hA[s, :s], k[:s], s, float(_DP_C[s])) for s in range(1, 7)]
+    # the sum of every stage's rates, one dot product, is finite unless a
+    # stage holds a NaN or an infinity (or the sum overflows, which the
+    # exact test then clears)
+    k_flat, ones = k.reshape(-1), np.ones(k.size)
+    abs_y = np.abs(y)
     # a non-finite stage flows into the later stages of its step before
     # the step's one check, which reports it: no floating-point warning
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -188,22 +202,28 @@ def solve_ode(rhs, y0, t_grid):
             t_target = t_grid[i]
             while t < t_target:
                 h = min(h, t_target - t)
-                for s, a, c in _DP_STAGES:
-                    ys = y + h * (a @ k[:s])
+                np.multiply(_DP_A, h, out=hA)
+                for a, ks, s, c in stages:
+                    ys = a.dot(ks)
+                    ys += y
                     k[s] = rhs(t + c * h, ys)
-                if not np.isfinite(k).all():
+                if (not math.isfinite(k_flat.dot(ones))
+                        and not np.isfinite(k).all()):
                     s = int(np.argmin(np.isfinite(k).all(axis=1)))
                     raise ConvergenceError(
                         f"non-finite right-hand side at t = {t + _DP_C[s] * h}")
                 # the last stage's state is the fifth-order solution
-                scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(ys))
-                err = _norm(h * (_DP_E @ k), scale)
+                abs_ys = np.abs(ys)
+                scale = np.maximum(abs_y, abs_ys)
+                scale *= _REL_TOL
+                scale += _ABS_TOL
+                err = h * _norm(_DP_E.dot(k), scale)
                 steps += 1
                 if steps > _MAX_STEPS:
                     raise ConvergenceError(f"step budget exhausted at t = {t}")
                 if err <= 1.0:
                     t += h
-                    y = ys
+                    y, abs_y = ys, abs_ys
                     k[0] = k[6]  # FSAL
                 else:
                     rejected += 1

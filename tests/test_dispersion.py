@@ -14,7 +14,7 @@ from qbrown import (ClosedForm, DispersionTrajectory, ModelCompatibilityError,
                     solve_harmonic, solve_inertial_zero_T,
                     solve_overdamped_bounded, solve_overdamped_full,
                     stationary_harmonic_dispersion)
-from qbrown.dispersion import (SemiclassicalDomainWarning, _beta_integral,
+from qbrown.dispersion import (SemiclassicalDomainWarning, _trapezoid_weights,
                                lambert_dispersion_scaled)
 from qbrown.numerics import ConvergenceError, coth
 from qbrown.params import momentum_dispersion
@@ -326,6 +326,32 @@ def test_bounded_in_any_units(mass, length, time, k_B, sigma0_sq):
     np.testing.assert_allclose(got.sigma_x2 / length ** 2, want, rtol=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(**_UNITS)
+@example(**_SI_ATOM)
+def test_inertial_zero_T_in_any_units(mass, length, time, k_B):
+    nat = PhysicalParams.natural(temperature=0.0, friction=2.0, force=0.3)
+    t = np.linspace(0.0, 5.0, 26)
+    want = solve_inertial_zero_T(nat, 1.2, 0.1, 1.0, 0.5, t)
+    p = _in_units(nat, mass, length, time, k_B)
+    got = solve_inertial_zero_T(p, 1.2 * length, 0.1 * length / time,
+                                length, 0.5 * length / time, t * time)
+    np.testing.assert_allclose(got.sigma_x2 / length ** 2, want.sigma_x2,
+                               rtol=1e-9)
+    np.testing.assert_allclose(got.mu / length, want.mu, rtol=1e-9)
+
+
+def test_inertial_vacuum_far_from_natural_units():
+    # t / t_s reaches 6.8e78 and sigma_x^2 2.2e118: sigma itself, marched
+    # with an absolute tolerance in these units, exhausted the step budget
+    p = PhysicalParams(hbar=9.12e30, k_B=1.0, mass=3.25e-14, friction=0.0,
+                       temperature=0.0)
+    t = np.linspace(0.0, 4.63e-5, 7)
+    tr = solve_inertial_zero_T(p, 4.36e-20, 0.0, 0.0, 0.0, t)
+    exact = eval_closed_form(ClosedForm.VACUUM_SPREADING, t, p, sigma0=4.36e-20)
+    np.testing.assert_allclose(tr.sigma_x2, exact, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # harmonic
 
@@ -334,8 +360,9 @@ def test_beta_integral_is_the_cumulative_trapezoid():
     beta = make_beta_grid(1.0, n=8, extend_factor=20.0)
     S = np.linspace(2.0, 0.5, beta.size - 1)
     want = cumulative_trapezoid(np.concatenate(([0.0], 0.25 / S ** 2)), beta)
-    got = _beta_integral(0.25, S, 0.5 * np.diff(beta))
-    np.testing.assert_array_equal(got, want)
+    got = (0.25 * _trapezoid_weights(beta)) @ S ** -2
+    # one matvec sums in another order than the running sum: not bit-equal
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_stationary_harmonic_matches_coth():

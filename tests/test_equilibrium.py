@@ -87,6 +87,25 @@ def test_periodic_routes_agree():
         Grid1D(g.x_min, g.x_max, g.n, boundary="reflecting")
 
 
+def test_config_boundary_defaults_to_the_grid():
+    # a ring grid with no boundary given propagates the ring kernel; the
+    # box stencil there misses the eigen route by 0.158 of the peak
+    p = PhysicalParams.natural()
+    g = Grid1D(0.0, 2.0 * math.pi * 127 / 128, 128, "periodic")
+    U = PotentialSpec.tabulated(np.cos(g.x))
+    cfg = ImaginaryTimeConfig(beta_final=1.0, grid=g, n_beta_steps=256)
+    assert cfg.boundary == "periodic"
+    assert ImaginaryTimeConfig(beta_final=1.0,
+                               grid=Grid1D(-5.0, 5.0, 65)).boundary == "box"
+    rho_e, _, _ = eigen_density(U, p, 1.0, g)
+    peak = np.max(rho_e.rho)
+    rho, _ = imaginary_time_density(U, p, cfg)
+    assert np.max(np.abs(rho.rho - rho_e.rho)) <= 1e-6 * peak
+    rho_box, _ = imaginary_time_density(U, p, ImaginaryTimeConfig(
+        beta_final=1.0, grid=g, n_beta_steps=256, boundary="box"))
+    assert np.max(np.abs(rho_box.rho - rho_e.rho)) > 0.1 * peak
+
+
 @settings(max_examples=25, deadline=2000)
 @given(periodic=st.booleans(), n=st.integers(33, 65),
        a=st.floats(0.0, 1.0), c=st.floats(0.0, 0.2), d=st.floats(-1.0, 1.0),

@@ -56,6 +56,17 @@ def test_lambert_scalar_and_domain():
         lambert_w_minus1(np.array([-0.1, math.nan]))
 
 
+def test_lambert_point_does_not_depend_on_its_neighbours():
+    # each point is swept until it converges, so the array call gives every
+    # element the scalar call's answer, bit for bit
+    rng = np.random.default_rng(7)
+    c = np.geomspace(1e-9, 600.0, 2_000) * rng.uniform(0.5, 1.0, 2_000)
+    x = -np.exp(-1.0 - c)
+    w = lambert_w_minus1(x)
+    np.testing.assert_array_equal(
+        w, [lambert_w_minus1(float(v)) for v in x])
+
+
 def test_lambert_converges_in_a_few_halley_steps(caplog, monkeypatch):
     # the benchmark's range: c from 1e-9 to 600, points near -1/e included
     rng = np.random.default_rng(7)
