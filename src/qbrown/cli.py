@@ -224,11 +224,10 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, headers, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    n = cols[0].size
+    # a Python float's repr is _fmt's, so the rows need no numpy scalars
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     lines = [",".join(headers)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -462,19 +461,19 @@ def _run_equilibrium(cfg, out, man):
     it_cfg = _imaginary_time(cfg)
     grid, U, beta = it_cfg.grid, _potential(cfg), p.beta
     rho_it, z_it = imaginary_time_density(U, p, it_cfg)
-    rho_e, z_e, energies = eigen_density(U, p, beta, grid)
+    # the eigen route is exact for the same Hamiltonian at every entropy
+    # node, so one spectrum serves beta and the nodes after beta' = 0
+    betas = _entropy_betas(cfg) if o["eq.entropy_nodes"] else [0.0]
+    (rho_e, z_e, energies), *sweep = eigen_density(
+        U, p, [beta, *betas[1:]], grid)
     rho_sc = semiclassical_density(U, p, beta, grid)
     q = quantum_potential(rho_it, p)
     headers = ["x [length]", "rho_imaginary_time [1/length]",
                "rho_eigen [1/length]", "rho_semiclassical [1/length]",
                "Q [energy]"]
     cols = [grid.x, rho_it.rho, rho_e.rho, rho_sc.rho, q]
-    if o["eq.entropy_nodes"]:
-        # the eigen route is exact for the same Hamiltonian at every node
-        betas = _entropy_betas(cfg)
-        fields = [DensityField.uniform(grid)] + [
-            eigen_density(U, p, b, grid)[0]
-            for b in betas[1:]]
+    if sweep:
+        fields = [DensityField.uniform(grid)] + [f for f, _, _ in sweep]
         s_q = quantum_entropy(fields, p, betas)
         headers.append("S_Q [entropy]")
         cols.append(s_q)

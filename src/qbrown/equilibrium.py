@@ -230,7 +230,7 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     return rho, Z
 
 
-def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
+def eigen_density(U: PotentialSpec, p: PhysicalParams, beta,
                   grid: Grid1D):
     """Equilibrium density from the spectrum of the discretized Hamiltonian.
 
@@ -240,9 +240,16 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     two corner entries of the kinetic stencil join the ends, and the
     Hamiltonian is diagonalized densely.
 
-    Returns (DensityField, Z, the retained energies).
+    beta is a scalar or a 1-D sequence.  For a scalar, returns
+    (DensityField, Z, the retained energies).  For a sequence, returns
+    one such triple per beta, in order, from one diagonalization: the
+    Hamiltonian does not depend on beta, so the betas share one spectrum,
+    and each triple is bit-identical to a scalar call at its beta.
     """
-    if beta <= 0:
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1 or betas.size == 0:
+        raise ValueError("beta must be a scalar or a non-empty 1-D sequence")
+    if np.any(betas <= 0):
         raise ValueError("beta must be positive")
     ring = grid.boundary == "periodic"
     diag, off = _hamiltonian_tridiag(U, p, grid)
@@ -253,18 +260,19 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     else:
         energies, vecs = eigh_tridiagonal(diag, off)
 
-    rel = np.exp(-beta * (energies - energies[0]))
-    keep = max(1, min(int(np.searchsorted(-rel, -1e-12)), energies.size))
-
     h = grid.h
-    phi = vecs[:, :keep] / math.sqrt(h)
-    weights = rel[:keep]
-    Z = float(np.sum(weights)) * math.exp(-beta * energies[0])
-    rho_vals = (phi ** 2) @ weights
-    rho = DensityField(grid=grid, rho=rho_vals)
+    out = []
+    for b in np.atleast_1d(betas).tolist():
+        rel = np.exp(-b * (energies - energies[0]))
+        keep = max(1, min(int(np.searchsorted(-rel, -1e-12)), energies.size))
+        phi = vecs[:, :keep] / math.sqrt(h)
+        weights = rel[:keep]
+        Z = float(np.sum(weights)) * math.exp(-b * energies[0])
+        rho = DensityField(grid=grid, rho=(phi ** 2) @ weights)
+        out.append((rho, Z, energies[:keep]))
 
-    # invariant checks on the retained states
-    n_check = min(keep, 12)
+    # invariant checks on the retained states of the largest keep
+    n_check = min(max(e.size for _, _, e in out), 12)
     v = vecs[:, :n_check]
     gram = v.T @ v
     if float(np.max(np.abs(gram - np.eye(n_check)))) > 1e-8:
@@ -278,7 +286,7 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta: float,
     h_norm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
     if np.any(resid > 1e-6 * (np.abs(energies[:n_check]) + 1e-6 * h_norm)):
         raise ArithmeticError("eigenpair residual above tolerance")
-    return rho, Z, energies[:keep]
+    return out[0] if betas.ndim == 0 else out
 
 
 def semiclassical_density(U: PotentialSpec, p: PhysicalParams, beta: float,

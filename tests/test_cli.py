@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbrown
-from qbrown import cli
+from qbrown import cli, equilibrium
 from qbrown.cli import (_SCHEMAS, SCENARIOS, ConfigError, ScenarioConfig,
                         main, parse_config, run_scenario)
 from qbrown.pde import record_times
@@ -304,6 +304,23 @@ def test_entropy_sweep_adds_no_beta_step_check(monkeypatch, n_ent):
                        f"eq.entropy_nodes = {n_ent}\neq.n_beta_steps = 100\n")
     assert cfg.options["eq.entropy_nodes"] == n_ent
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("boundary, solver", [("box", "eigh_tridiagonal"),
+                                              ("periodic", "eigh")])
+def test_entropy_sweep_diagonalizes_once(monkeypatch, tmp_path, boundary,
+                                         solver):
+    # the Hamiltonian is the same at beta and at every entropy node
+    calls, real = [], getattr(equilibrium, solver)
+    monkeypatch.setattr(equilibrium, solver,
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = parse_config(f"scenario = equilibrium\ngrid.n = 101\n"
+                       f"grid.boundary = {boundary}\neq.entropy_nodes = 9\n"
+                       f"eq.n_beta_steps = 128\n")
+    assert run_scenario(cfg, str(tmp_path)) == 0
+    assert len(calls) == 1
+    header = (tmp_path / "density_equilibrium.csv").read_text().split("\n")[0]
+    assert header.endswith("S_Q [entropy]")
 
 
 # values of each key's type, valid or not, with extremes that overflow

@@ -161,6 +161,34 @@ def test_eigen_density_positive_and_truncated():
     assert math.exp(-(energies[-1] - energies[0])) >= 1e-12
 
 
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+def test_beta_sequence_shares_one_spectrum_bit_for_bit(boundary):
+    # each beta keeps its own truncation: 0.05 keeps far more states than 3
+    p = PhysicalParams.natural()
+    g = Grid1D(-6.0, 6.0 * 95 / 96, 96, boundary)
+    U = PotentialSpec.tabulated(0.5 * g.x ** 2 + 0.3 * np.cos(2.0 * g.x))
+    betas = [1.0, 0.05, 3.0]
+    triples = eigen_density(U, p, betas, g)
+    assert len(triples) == len(betas)
+    for b, (rho, z, energies) in zip(betas, triples):
+        rho_1, z_1, energies_1 = eigen_density(U, p, b, g)
+        assert np.array_equal(rho.rho, rho_1.rho)
+        assert np.array_equal(z, z_1)
+        assert np.array_equal(energies, energies_1)
+        assert rho.grid == g
+    assert triples[1][2].size > triples[2][2].size
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, [1.0, 0.0, 2.0],
+                                  [1.0, 2.0, -0.5], [-1.0], [], [[1.0]]])
+def test_eigen_density_refuses_a_non_positive_beta(beta):
+    # a non-positive entry anywhere, as a non-positive scalar; no betas,
+    # or a table of them, is no sequence
+    p, g, _ = _harmonic_setup(1.0, n=65)
+    with pytest.raises(ValueError):
+        eigen_density(PotentialSpec.harmonic(1.0), p, beta, g)
+
+
 # ---------------------------------------------------------------------------
 # kernel by squaring against the stepped Strang loop
 
