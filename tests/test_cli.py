@@ -753,8 +753,8 @@ def test_harmonic_swing_through_zero_names_the_equation(tmp_path):
                                "sigma0_sq = 3.01e-5\n")
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
-    assert ("own solution sigma_x^2 crossed zero (to -4.963e-06) at "
-            "t = 0.0262619, beta = 0.127756, omega0 = 266, b/m = 1"
+    assert ("own solution sigma_x^2 crossed zero (to -3.032e-05) at "
+            "t = 0.0262965, beta = 0.127756, omega0 = 266, b/m = 1"
             in manifest)
 
 

@@ -175,6 +175,15 @@ def test_inertial_vacuum_matches_closed_form():
     np.testing.assert_allclose(tr.sigma_x2 * tr.sigma_p2, 0.25, rtol=1e-6)
 
 
+def test_inertial_vacuum_meets_its_law_at_roundoff():
+    # criterion 6's march: sigma^2 = sigma0^2 + (hbar t / (2 m sigma0))^2
+    p = PhysicalParams.natural(friction=0.0, temperature=0.0)
+    t = np.linspace(0.0, 10.0, 101)
+    tr = solve_inertial_zero_T(p, 1.0, 0.0, 0.0, 0.0, t)
+    law = 1.0 + (p.hbar * t / (2.0 * p.mass)) ** 2
+    assert np.max(np.abs(tr.sigma_x2 - law) / law) <= 1e-13
+
+
 def test_inertial_mean_is_damped_newton():
     p = PhysicalParams.natural(temperature=0.0, force=0.5, friction=2.0)
     t = np.linspace(0.0, 5.0, 41)
@@ -198,6 +207,15 @@ def test_bounded_matches_lambert():
     tr = solve_overdamped_bounded(NAT, 0.0, t)
     lam = eval_closed_form(ClosedForm.LAMBERT_EXACT, t, NAT)
     np.testing.assert_allclose(tr.sigma_x2, lam, rtol=1e-8)
+
+
+def test_bounded_meets_the_lambert_law_at_roundoff():
+    # criterion 3's grid, against the Lambert W_-1 closed form directly
+    sc = derived_scales(NAT)
+    t = np.geomspace(1e-3 * sc.t_c, 1e3 * sc.t_c, 61)
+    tr = solve_overdamped_bounded(NAT, 0.0, t)
+    lam = sc.lambda_T ** 2 * lambert_dispersion_scaled(t / sc.t_c)
+    assert np.max(np.abs(tr.sigma_x2 - lam) / lam) <= 1e-12
 
 
 def test_bounded_nonzero_start_monotone():
@@ -279,8 +297,8 @@ def test_full_matches_stepped_sweeps(caplog):
     ref = _march_overdamped(NAT, t, beta)
     err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
     assert err <= 1e-7
-    assert ("solve_ode: 274 accepted and 0 rejected steps, 8 components"
-            in caplog.text)
+    assert ("solve_ode: 57 accepted and 0 rejected steps, 686 "
+            "right-hand-side calls, 8 components" in caplog.text)
 
 
 def _in_units(p, mass, length, time, k_B):
@@ -432,8 +450,8 @@ def test_harmonic_matches_stepped_sweeps(caplog):
     ref = _march_harmonic(p, 1.3, 0.2, t, beta)
     err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
     assert err <= 1e-9
-    assert ("solve_ode: 207 accepted and 1 rejected steps, 18 components"
-            in caplog.text)
+    assert ("solve_ode: 44 accepted and 1 rejected steps, 542 "
+            "right-hand-side calls, 18 components" in caplog.text)
 
 
 @settings(max_examples=25, deadline=None)

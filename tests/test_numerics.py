@@ -106,13 +106,28 @@ def _harmonic_rhs(t, y):
     return np.array([y[1], -y[0]])
 
 
+def test_dormand_prince_853_tableau():
+    # the order conditions a padded tableau must meet whatever else holds:
+    # each row sums to its node, the weights b (the last row) integrate
+    # c^(q-1) exactly for q = 1..8, and both error weights vanish on a
+    # constant, so the embedded fifth- and third-order weights sum to 1
+    A, c, E = numerics._DOP_A, numerics._DOP_C, numerics._DOP_E
+    assert A.shape == (13, 13) and np.array_equal(A, np.tril(A, -1))
+    np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=5e-15)
+    b = A[12]
+    for q in range(1, 9):
+        assert b.dot(c ** (q - 1)) == pytest.approx(1.0 / q, rel=0, abs=5e-15)
+    np.testing.assert_allclose(E.sum(axis=1), 0.0, rtol=0, atol=5e-15)
+    assert E.shape == (2, 13) and not E[:, 12].any()
+
+
 def test_harmonic_oscillator_period():
     t = np.array([0.0, 2.0 * math.pi])
     y = solve_ode(_harmonic_rhs, [1.0, 0.0], t)
     np.testing.assert_allclose(y[-1], [1.0, 0.0], atol=1e-8)
 
 
-def test_rk45_lands_on_grid_times():
+def test_solve_ode_lands_on_grid_times():
     t = np.geomspace(1e-3, 10.0, 37)
     t = np.concatenate(([0.0], t))
     y = solve_ode(lambda tt, yy: -yy, [1.0], t)
