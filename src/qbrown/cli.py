@@ -309,13 +309,10 @@ def _potential(cfg) -> PotentialSpec:
 
 
 def _initial_density(cfg) -> DensityField:
-    """The Gaussian start of the PDE scenarios; on a periodic ring each
-    node takes its minimum-image distance to mu0 on the n h ring."""
-    o, grid = cfg.options, _grid(cfg)
-    d = grid.x - o["mu0"]
-    if grid.boundary == "periodic":
-        d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
-    return DensityField(grid=grid, rho=np.exp(-d ** 2 / (2 * o["sigma0_sq"])))
+    """The Gaussian start of the PDE scenarios, by minimum image on a
+    ring (DensityField.gaussian)."""
+    o = cfg.options
+    return DensityField.gaussian(_grid(cfg), o["mu0"], o["sigma0_sq"])
 
 
 def _increasing(t):

@@ -8,6 +8,7 @@ Smoluchowski steps are implicit in ln rho, telegraph steps explicit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -86,10 +87,14 @@ class DensityField:
 
     @classmethod
     def gaussian(cls, grid: Grid1D, mu: float, sigma2: float) -> "DensityField":
+        """exp(-d^2 / 2 sigma2), d = x - mu, normalized; on a ring d is
+        each node's minimum-image distance to mu on the n h ring."""
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        rho = np.exp(-((grid.x - mu) ** 2) / (2.0 * sigma2))
-        return cls(grid=grid, rho=rho)
+        d = grid.x - mu
+        if grid.boundary == "periodic":
+            d -= grid.n * grid.h * np.round(d / (grid.n * grid.h))
+        return cls(grid=grid, rho=np.exp(-d ** 2 / (2.0 * sigma2)))
 
     @classmethod
     def uniform(cls, grid: Grid1D) -> "DensityField":
@@ -763,14 +768,16 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     is the wave bound 0.25 h sqrt(m / scale), which buys accuracy; the
     quantum one's is at most 0.9 m h^2 / hbar, just inside the stability
     limit m h^2 / hbar of the Bohm term linearized about a constant density.
-    Each record interval takes ceil(interval / dt) equal steps and is
-    checked once, at its end, as its record.  Where the quantum model's
-    interval fails, it is redone from the saved (rho, drho/dt) at half the
-    step, which the run keeps, down to 1/64 of the first step; its
-    discarded steps count into rejected_steps, and a failure at 1/64
-    aborts, saying that it survived that refinement.  A linear telegraph's
-    failure is its equation's (the exact semi-discrete solution goes
-    negative too), so it aborts at once.
+    Each record interval takes ceil(interval / dt) equal steps, and the
+    march yields each record to the same check as the implicit models.
+    Where a quantum telegraph run fails a check, the whole run restarts
+    from t = 0 at half the step, at most 3 times (to 1/8 of the first
+    step), so the run kept has one step, dt_min == dt_max, and no record
+    starts from a state that coarser steps spoiled; the steps of the
+    discarded runs count into rejected_steps, and a failure at 1/8 aborts,
+    saying that it survived that refinement.  A linear telegraph's failure
+    is its equation's (the exact semi-discrete solution goes negative
+    too), so it aborts at once.
     """
     if model.quantum:
         if p.temperature != 0:
@@ -787,7 +794,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     grid = rho0.grid
     h = grid.h
     kT = p.k_B * p.temperature
-    rho = rho0.rho.copy()
+    rho = rho0.rho
 
     # static part of the advected potential
     if model.semiclassical:
@@ -821,83 +828,70 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     neg_tol = 1e-9 * float(np.max(rho))
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}
+    interval = t_final / (n_records - 1)
+    n_sub = max(1, math.ceil(interval / dt))
 
-    def check(r):
-        """r's (mass, first, second moment) and its first record fault."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = weights @ r
-        return products, _record_fault(r, products[0], mass0, neg_tol)
-
-    def record(t, r):
-        products, fault = check(r)
-        if fault is not None:
-            raise ConvergenceError(
-                f"{fault} at step {stats['n_steps']} (t = {t:.6g})")
-        return products
-
-    rows = [record(t_records[0], rho)]      # (mass, first, second moment)
-    if not model.inertial:
-        states = _step_log_density(rho, rate_of, p.friction,
-                                   t_records.tolist(), dt, stats)
-        for t, rho in zip(t_records[1:], states):
-            rows.append(record(t, rho))
-    else:
-        interval = t_final / (n_records - 1)
-        n_sub = max(1, math.ceil(interval / dt))
-        stats.update(dt_min=interval / n_sub, dt_max=interval / n_sub)
-        # a linear telegraph's failure is its equation's (tests/
-        # test_modal_reference.py); the quantum step halves up to 64x
-        max_halvings = 6 if model.quantum else 0
+    def march(n_sub):
+        """The telegraph states at each record after the first: n_sub
+        equal steps per record interval from rho0 at rest."""
+        dt = interval / n_sub
+        stats.update(dt_min=dt, dt_max=dt)
+        damping = 1.0 + dt * p.friction / p.mass
+        k = dt / (p.mass * damping)         # the flux times dt / (m damping)
+        flux = _flux(dphi, grid, p, k) if model.quantum else rate_of.flux(k)
         # rho with a ring's wrap node, g, padded face fluxes, an update
-        n, width, made, halvings = grid.n, rate_of._width, None, 0
-        rr, g, pad, step = (_ring(rho, grid).copy(), np.zeros(n),
+        n, width = grid.n, rate_of._width
+        rr, g, pad, step = (_ring(rho0.rho, grid).copy(), np.zeros(n),
                             np.zeros(n + 1), np.empty(n))
         rho, faces = rr[:n], pad[1:dphi.size + 1]
-        for t in t_records[1:]:
-            saved = rr.copy(), g.copy()
-            while True:
-                if made != n_sub:       # the flux times dt / (m damping)
-                    made, dt = n_sub, interval / n_sub
-                    damping = 1.0 + dt * p.friction / p.mass
-                    k = dt / (p.mass * damping)
-                    flux = (_flux(dphi, grid, p, k)
-                            if model.quantum else rate_of.flux(k))
-                # g <- (g + dt div G / m) / damping, rho <- rho + dt g; a
-                # blow-up shows as a failed check of the interval
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(n_sub):
-                        flux(rr, faces)
-                        pad[0] = pad[-1]            # a ring's wrap face
-                        np.subtract(pad[1:], pad[:-1], out=step)
-                        step /= width
-                        g /= damping
-                        g += step
-                        np.multiply(g, dt, out=step)
-                        rho += step
-                        rr[n:] = rr[0]              # a ring's wrap node
-                products, fault = check(rho)
-                if fault is None:
-                    break
-                if halvings == max_halvings:
-                    if halvings:
-                        note = (f"; it survived refinement by {halvings}"
-                                f" halvings of the step, to dt = {dt:.3e}")
-                    elif fault.startswith("density fell"):
-                        note = ("; the linear telegraph equation does not "
-                                "keep the density non-negative, so the "
-                                "step is not refined")
-                    else:
-                        note = ""
-                    raise ConvergenceError(
-                        f"{fault} at step {stats['n_steps'] + n_sub} "
-                        f"(t = {t:.6g}){note}")
-                stats["rejected_steps"] += n_sub
-                halvings += 1
-                n_sub *= 2
-                stats["dt_min"] = interval / n_sub
-                rr[:], g[:] = saved
+        for _ in t_records[1:]:
+            # g <- (g + dt div G / m) / damping, rho <- rho + dt g; a
+            # blow-up shows as a failed check of the record
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(n_sub):
+                    flux(rr, faces)
+                    pad[0] = pad[-1]            # a ring's wrap face
+                    np.subtract(pad[1:], pad[:-1], out=step)
+                    step /= width
+                    g /= damping
+                    g += step
+                    np.multiply(g, dt, out=step)
+                    rho += step
+                    rr[n:] = rr[0]              # a ring's wrap node
             stats["n_steps"] += n_sub
+            yield rho
+
+    # a linear telegraph's failure is its equation's (tests/
+    # test_modal_reference.py); a quantum one restarts at half the step
+    max_halvings = 3 if model.quantum and model.inertial else 0
+    for halvings in range(max_halvings + 1):
+        states = (march(n_sub * 2 ** halvings) if model.inertial else
+                  _step_log_density(rho, rate_of, p.friction,
+                                    t_records.tolist(), dt, stats))
+        rows = []                           # (mass, first, second moment)
+        for t, r in zip(t_records, itertools.chain([rho], states)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = weights @ r
+            fault = _record_fault(r, products[0], mass0, neg_tol)
+            if fault is not None:
+                break
             rows.append(products)
+        else:
+            break
+        if halvings == max_halvings:
+            if halvings:
+                note = (f"; it survived refinement by {halvings} halvings "
+                        f"of the step, to dt = {stats['dt_min']:.3e}")
+            elif model.inertial and fault.startswith("density fell"):
+                note = ("; the linear telegraph equation does not keep the "
+                        "density non-negative, so the step is not refined")
+            else:
+                note = ""
+            raise ConvergenceError(
+                f"{fault} at step {stats['n_steps']} (t = {t:.6g}){note}")
+        stats["rejected_steps"] += stats["n_steps"]
+        stats["n_steps"] = 0
+    rho = r
     masses, first, second = np.stack(rows, axis=1)
     mu = first / masses
     sigma2 = second / masses - mu ** 2

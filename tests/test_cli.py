@@ -545,7 +545,7 @@ def test_pde_scenario_reports_its_stepper(tmp_path, text, sigma2):
 def test_nan_density_is_a_numerical_failure(tmp_path):
     # the ground state sigma^2 = hbar / 2 m omega0 of this well: the
     # tapered explicit quantum telegraph step loses positivity by t = 0.5
-    # at every step down to 1/64 of the first, a genuine solver failure
+    # at every step down to 1/8 of the first, a genuine solver failure
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
                      "params.omega0 = 1\n"
@@ -559,17 +559,17 @@ def test_nan_density_is_a_numerical_failure(tmp_path):
                      "pde.t_final = 1\n"
                      "pde.n_records = 5\n")
     assert code == 1
-    assert ("cause = density fell to -1.254e-07 at step 1820 (t = 0.5); it "
-            "survived refinement by 6 halvings of the step, to "
-            "dt = 1.395e-04" in (out / "manifest.txt").read_text())
+    assert ("cause = density fell to -1.241e-07 at step 448 (t = 0.5); it "
+            "survived refinement by 3 halvings of the step, to "
+            "dt = 1.116e-03" in (out / "manifest.txt").read_text())
     assert not (out / "density_final.csv").exists()
 
 
 def test_quantum_telegraph_default_box_start_completes(tmp_path):
     # the first step, 2.5e-3, breaks this narrow start down at t = 0.23;
-    # the failing record intervals are redone at half the step, down to
-    # 1/16 of it.  The step is first order: sigma^2 agrees with a run at
-    # 1/16 of the first step to 1.4e-3 (a run at 1/4 of it to 2.3e-4).
+    # the run restarts from t = 0 at half the step, which holds.  The
+    # step is first order: sigma^2 agrees with a run at 1/16 of the first
+    # step to 7.1e-4.
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
                      "inertial = true\n"
@@ -577,8 +577,8 @@ def test_quantum_telegraph_default_box_start_completes(tmp_path):
                      "pde.t_final = 1.0\n")
     assert code == 0
     manifest = (out / "manifest.txt").read_text()
-    assert "dt_max = 0.0025\n" in manifest
-    assert "dt_min = 0.00015625\n" in manifest
+    assert "dt_max = 0.00125\n" in manifest
+    assert "dt_min = 0.00125\n" in manifest
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     sigma2 = np.array([float(row.split(",")[2]) for row in rows])
     # one step of 2.5e-3 / 16 per record interval, 64 per interval of 1e-2

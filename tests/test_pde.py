@@ -292,6 +292,15 @@ def test_ring_density_field_has_unit_mass():
     assert g.h * np.sum(f.rho) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_ring_gaussian_takes_the_minimum_image():
+    # mu on node 0 of a ring with h = 1/8, where every distance is exact:
+    # node -k lies k h from mu across the seam, as node k does inside
+    g = Grid1D(-4.0, 3.875, 64, "periodic")
+    rho = DensityField.gaussian(g, -4.0, 0.5).rho
+    assert rho[1] == rho[-1]
+    assert np.array_equal(rho[1:], rho[:0:-1])
+
+
 def test_quantum_potential_wraps_on_a_ring():
     # the wrapped central stencil at every node, the ends included; the
     # one-sided box stencil missed it at node 0 by 1.6e-3 of the peak
@@ -369,8 +378,8 @@ def test_evolve_conserves_mass_and_positivity(amp, phase, mu, sigma2, model,
 # the first rejects 35 steps and completes, the second aborts at the cap
 @example(n=32, half_width=8.0, mu=0.0, sigma2=0.05, well=False,
          model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="box")
-@example(n=24, half_width=8.0, mu=1.0, sigma2=0.02, well=False,
-         model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="periodic")
+@example(n=33, half_width=5.5, mu=-1.0, sigma2=0.5, well=True,
+         model=PdeModel.QUANTUM_ZERO_T_TELEGRAPH, boundary="box")
 @given(n=st.integers(24, 48), half_width=st.floats(5.0, 8.0),
        mu=st.floats(-1.0, 1.0), sigma2=st.floats(0.02, 0.5),
        well=st.booleans(),
@@ -380,9 +389,9 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
                                          model, boundary):
     # mass only: a telegraph equation's own solution can go negative, so a
     # linear telegraph may abort on a negative density; the quantum one
-    # halves its step where a record interval fails, and aborts only once
-    # the failure survives 64x refinement (on these grids, with sigma0^2
-    # below 0.1, about 4 in 9 quantum runs refine and 1 in 7 aborts)
+    # restarts at half its step where a record fails, and aborts only once
+    # the failure survives 3 halvings (on these grids about 1 in 13
+    # quantum runs refines and 1 in 60 aborts)
     g = Grid1D(-half_width, half_width, n, boundary)
     p = PhysicalParams.natural(omega0=1.0 if well else 0.0,
                                temperature=0.0 if model.quantum else 1.0)
@@ -391,7 +400,7 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
         res = evolve(DensityField.gaussian(g, mu, sigma2), model, U, p, 0.5,
                      n_records=5)
     except ConvergenceError as exc:
-        assert ("survived refinement by 6 halvings" in str(exc)
+        assert ("survived refinement by 3 halvings" in str(exc)
                 if model.quantum else str(exc).startswith("density fell to"))
         return
     assert np.max(np.abs(res.mass - res.mass[0])) <= 1e-12
@@ -659,14 +668,14 @@ def test_record_checks_come_before_the_moments(monkeypatch, kind, message):
 def test_quantum_telegraph_blow_up_is_not_a_result():
     # the ground state sigma^2 = hbar / 2 m omega0 of this well; the
     # tapered explicit step loses positivity by t = 0.5 at every step down
-    # to 1/64 of the first one, so the run aborts at the record, naming
+    # to 1/8 of the first one, so the run aborts at the record, naming
     # the refinement it survived
     g = Grid1D(-6.0, 6.0, 121)
     p = PhysicalParams.natural(omega0=1.0, temperature=0.0)
     with pytest.raises(ConvergenceError, match=(
-            r"density fell to -1\.254e-07 at step 1820 \(t = 0\.5\); it "
-            r"survived refinement by 6 halvings of the step, to "
-            r"dt = 1\.395e-04")):
+            r"density fell to -1\.241e-07 at step 448 \(t = 0\.5\); it "
+            r"survived refinement by 3 halvings of the step, to "
+            r"dt = 1\.116e-03")):
         evolve(DensityField.gaussian(g, 0.0, 0.5),
                PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.harmonic(1.0),
                p, 1.0, n_records=5)
@@ -674,24 +683,55 @@ def test_quantum_telegraph_blow_up_is_not_a_result():
 
 def test_quantum_telegraph_refines_a_failing_interval():
     # at the first step, 0.25 h sqrt(m / scale), this narrow start breaks
-    # down in the second record interval; that interval is redone at half
-    # the step, which the run keeps.  n_steps counts the accepted steps
-    # (46 + 3 * 92), rejected_steps the discarded ones.  The step is first
-    # order: sigma^2 agrees with a run at 1/16 of the first step to 1.4e-3
-    # (a run at half the refined step to 3.7e-4).
+    # down in the second record interval; the run restarts from t = 0 at
+    # half the step.  n_steps counts the kept run's steps (4 * 92),
+    # rejected_steps the discarded run's (2 * 46).  The step is first
+    # order: sigma^2 agrees with a run at 1/16 of the first step to 7.7e-4
     g = Grid1D(-8.0, 8.0, 161)
     p = PhysicalParams.natural(temperature=0.0)
     rho0 = DensityField.gaussian(g, 0.0, 0.04)
     res = evolve(rho0, PdeModel.QUANTUM_ZERO_T_TELEGRAPH,
                  PotentialSpec.free(), p, 0.5, n_records=5)
     d = res.diagnostics
-    assert (res.n_steps, d["rejected_steps"]) == (322, 46)
-    assert d["dt_min"] == d["dt_max"] / 2
+    assert (res.n_steps, d["rejected_steps"]) == (368, 92)
+    assert d["dt_min"] == d["dt_max"]
     # one step per record interval, 16 per interval of the first step
     ref = evolve(rho0, PdeModel.QUANTUM_ZERO_T_TELEGRAPH,
                  PotentialSpec.free(), p, 0.5, n_records=4 * 46 * 16 + 1)
     assert ref.n_steps == 4 * 46 * 16
     assert np.max(np.abs(res.sigma2 - ref.sigma2[::46 * 16])) <= 2e-3
+
+
+@pytest.fixture(scope="module")
+def default_box_reference():
+    """The narrow default-box start at one step of 2.5e-3 / 16 per record
+    interval, to t = 1."""
+    ref = evolve(DensityField.gaussian(Grid1D(-8.0, 8.0, 161), 0.0, 0.04),
+                 PdeModel.QUANTUM_ZERO_T_TELEGRAPH, PotentialSpec.free(),
+                 PhysicalParams.natural(temperature=0.0), 1.0,
+                 n_records=6401)
+    assert ref.n_steps == 6400
+    return ref
+
+
+@pytest.mark.parametrize("n_records", [5, 11, 101, 401])
+def test_quantum_telegraph_answer_does_not_hinge_on_the_record_grid(
+        n_records, default_box_reference):
+    # the narrow start of the CLI's default box, which breaks down at the
+    # first step: each record grid restarts the whole run at a halved step
+    # until it holds, so none restarts from a state that coarser steps
+    # spoiled.  The final sigma^2 of the four grids spread by 6.2e-5, and
+    # each agrees with a run at 1/16 of the first step, 2.5e-3, to 7.8e-4
+    g = Grid1D(-8.0, 8.0, 161)
+    p = PhysicalParams.natural(temperature=0.0)
+    rho0 = DensityField.gaussian(g, 0.0, 0.04)
+    res = evolve(rho0, PdeModel.QUANTUM_ZERO_T_TELEGRAPH,
+                 PotentialSpec.free(), p, 1.0, n_records=n_records)
+    assert res.diagnostics["dt_min"] == res.diagnostics["dt_max"]
+    assert abs(res.sigma2[-1] - 1.3918) <= 1e-4
+    stride = 6400 // (n_records - 1)
+    assert (np.max(np.abs(res.sigma2 - default_box_reference.sigma2[::stride]))
+            <= 2e-3)
 
 
 @pytest.mark.parametrize("model", [m for m in PdeModel if not m.quantum],
