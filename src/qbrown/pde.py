@@ -761,13 +761,18 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     which newton_failures were rejected because Newton failed.
 
     The three telegraph models share one explicit loop over (rho, g =
-    drho/dt) from g = 0, with semi-implicit damping: g <- (g + dt div G / m)
-    / (1 + dt b/m), rho <- rho + dt g, G the fitted flux or the quantum
-    model's tapered _flux (its floored Bohm potential recomputed every
-    step), scaled by dt / (m (1 + dt b/m)) once per step size.  Their step
-    is the wave bound 0.25 h sqrt(m / scale), which buys accuracy; the
-    quantum one's is at most 0.9 m h^2 / hbar, just inside the stability
-    limit m h^2 / hbar of the Bohm term linearized about a constant density.
+    drho/dt), g <- g / damping + k div G, rho <- rho + dt g, G the fitted
+    flux or the quantum model's tapered _flux (its floored Bohm potential
+    recomputed every step), scaled by k once per step size.  With gamma =
+    dt b/m, the two linear models step a second-order staggered leapfrog
+    (Stoermer-Verlet) with exponential damping: g lives at half steps,
+    damping = e^gamma and k = (1 - e^-gamma) / b, and g starts from the
+    half kick (1 - e^(-gamma/2)) div G(rho0) / b from rest.  Their step is
+    the wave bound 0.9 h sqrt(m / scale).  The quantum model stays first
+    order, with semi-implicit damping from g = 0: damping = 1 + gamma and k
+    = dt / (m damping).  Its step is the wave bound 0.25 h sqrt(m / scale)
+    and at most 0.9 m h^2 / hbar, just inside the stability limit m h^2 /
+    hbar of the Bohm term linearized about a constant density.
     Each record interval takes ceil(interval / dt) equal steps, and the
     march yields each record to the same check as the implicit models.
     Where a quantum telegraph run fails a check, the whole run restarts
@@ -813,7 +818,9 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     else:
         scale = max(kT, float(np.ptp(phi_static)), 1e-300)
     if model.inertial:
-        dt_bound = 0.25 * h * math.sqrt(p.mass / scale)
+        # the wave bound, wider for the linear models' second-order leapfrog
+        dt_bound = ((0.25 if model.quantum else 0.9)
+                    * h * math.sqrt(p.mass / scale))
         if model.quantum:
             # the Bohm term linearizes to a fourth-order wave operator,
             # stable for dt <= m h^2 / hbar
@@ -836,23 +843,44 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         equal steps per record interval from rho0 at rest."""
         dt = interval / n_sub
         stats.update(dt_min=dt, dt_max=dt)
-        damping = 1.0 + dt * p.friction / p.mass
-        k = dt / (p.mass * damping)         # the flux times dt / (m damping)
+        gamma = dt * p.friction / p.mass
+        if model.quantum:
+            # g <- (g + dt div G / m) / (1 + gamma), from rest
+            damping = 1.0 + gamma
+            k = dt / (p.mass * damping)
+            kick = 0.0
+        else:
+            # the leapfrog: g at half steps, g <- e^-gamma g + (1 -
+            # e^-gamma) div G / b; the first pass, from g = (1 - e^(gamma
+            # / 2)) div G(rho0) / b, gives the half kick (1 - e^(-gamma /
+            # 2)) div G(rho0) / b.  Past gamma = 700, e^(-gamma / 2) is far
+            # below rounding, so the cap keeps e^gamma finite at high
+            # friction and changes nothing above rounding
+            gamma = min(gamma, 700.0)
+            damping = math.exp(gamma)
+            k = -math.expm1(-gamma) / p.friction
+            kick = -math.expm1(0.5 * gamma) / p.friction
         flux = _flux(dphi, grid, p, k) if model.quantum else rate_of.flux(k)
         # rho with a ring's wrap node, g, padded face fluxes, an update
         n, width = grid.n, rate_of._width
         rr, g, pad, step = (_ring(rho0.rho, grid).copy(), np.zeros(n),
                             np.zeros(n + 1), np.empty(n))
         rho, faces = rr[:n], pad[1:dphi.size + 1]
+
+        def divergence(flux, out):
+            flux(rr, faces)
+            pad[0] = pad[-1]                    # a ring's wrap face
+            np.subtract(pad[1:], pad[:-1], out=out)
+            out /= width
+
+        if kick:
+            divergence(rate_of.flux(kick), g)
         for _ in t_records[1:]:
-            # g <- (g + dt div G / m) / damping, rho <- rho + dt g; a
-            # blow-up shows as a failed check of the record
+            # g <- g / damping + k div G, rho <- rho + dt g; a blow-up
+            # shows as a failed check of the record
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(n_sub):
-                    flux(rr, faces)
-                    pad[0] = pad[-1]            # a ring's wrap face
-                    np.subtract(pad[1:], pad[:-1], out=step)
-                    step /= width
+                    divergence(flux, step)
                     g /= damping
                     g += step
                     np.multiply(g, dt, out=step)

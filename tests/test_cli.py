@@ -659,7 +659,7 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 1
     manifest = (out / "manifest.txt").read_text()
     assert "status = numerical failure" in manifest
-    assert "cause = density fell to -5.267e-04 at step 684 (t = 2.88)" in manifest
+    assert "cause = density fell to -5.238e-04 at step 216 (t = 2.88)" in manifest
 
 
 def test_config_error_exit_code(tmp_path):

@@ -12,6 +12,8 @@ t with no time-step error: the program's runs are checked against the
 time integration alone, at matched spatial discretization.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -102,28 +104,47 @@ def test_reference_keeps_mass_and_relaxes_to_boltzmann():
                          ids=lambda m: m.value)
 def test_evolve_matches_the_modal_reference(model):
     # the implicit stepper to its local error tolerance (6.4e-6 and 7.7e-6
-    # of the peak at t = 8), the explicit telegraph step to O(dt) (2.1e-4
-    # at t = 2.8, before the density turns negative)
-    t_final, tol = (2.8, 3e-4) if model.inertial else (8.0, 1e-5)
+    # of the peak at t = 8), the telegraph leapfrog to O(dt^2) (1.8e-5 at
+    # t = 2.8, before the density turns negative)
+    t_final, tol = (2.8, 5e-5) if model.inertial else (8.0, 1e-5)
     res = evolve(RHO0, model, U, P, t_final, n_records=21)
     exact = _reference_at(model, t_final)
     err = np.max(np.abs(res.density.rho - exact)) / np.max(RHO0.rho)
     assert err <= tol
 
 
+@pytest.mark.parametrize("model", [m for m in PdeModel
+                                   if m.inertial and not m.quantum],
+                         ids=lambda m: m.value)
+def test_telegraph_error_is_second_order_in_the_step(model):
+    # one step per record at either wave bound, so doubling the records
+    # halves the step; the leapfrog's error falls 4.0x (2.0x for a
+    # first-order step)
+    t_final = 2.5
+    exact = _reference_at(model, t_final)
+    errs = []
+    for n_steps in (640, 1280):
+        res = evolve(RHO0, model, U, P, t_final, n_records=n_steps + 1)
+        assert res.n_steps == n_steps
+        errs.append(np.max(np.abs(res.density.rho - exact)))
+    assert errs[0] >= 3.5 * errs[1]
+
+
 def test_telegraph_abort_is_the_equations_own():
     # the exact semi-discrete telegraph density first falls below -1e-9 of
     # the initial peak between the records at t = 2.80 and 2.88, and the
-    # explicit run aborts at the first record after it, near the exact
-    # minimum there
+    # explicit run aborts at the first record after it, its minimum within
+    # 3e-3 of the exact one there (1.3e-3; 6.8e-3 with a first-order step)
     model = PdeModel.CLASSICAL_TELEGRAPH
     floor = -1e-9 * np.max(RHO0.rho)
     with pytest.raises(ConvergenceError, match=(
-            r"density fell to -5\.267e-04 at step 684 \(t = 2\.88\); the "
+            r"density fell to -5\.238e-04 at step 216 \(t = 2\.88\); the "
             r"linear telegraph equation does not keep the density "
-            r"non-negative, so the step is not refined$")):
+            r"non-negative, so the step is not refined$")) as failure:
         evolve(RHO0, model, U, P, 8.0, n_records=101)
     assert np.min(_reference_at(model, 2.80)) >= floor
     exact_min = np.min(_reference_at(model, 2.88))
     assert exact_min < floor
-    assert exact_min == pytest.approx(-5.267e-4, rel=1e-2)
+    assert exact_min == pytest.approx(-5.2314e-4, rel=1e-4)
+    reported = float(re.search(r"fell to (\S+) at", str(failure.value))[1])
+    assert reported == pytest.approx(exact_min, rel=3e-3)

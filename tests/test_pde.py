@@ -407,11 +407,14 @@ def test_telegraph_evolve_conserves_mass(n, half_width, mu, sigma2, well,
 
 
 def _telegraph_reference(rho, phi, grid, p, quantum, dt, n_steps):
-    """n_steps of the documented explicit step from rest, g <- (g + dt div
-    G / m) / (1 + dt b/m), rho <- rho + dt g, with the face flux G written
-    out: alpha_- rho_+ - alpha_+ rho, alpha_+ = (kT/h) B(h Phi' / kT) for
-    T > 0; at T = 0 the drift upwinded and the Bohm term tapered off below
-    1e-6 of the peak."""
+    """n_steps of the documented explicit step from rest, with the face
+    flux G written out: alpha_- rho_+ - alpha_+ rho, alpha_+ = (kT/h) B(h
+    Phi' / kT) for T > 0; at T = 0 the drift upwinded and the Bohm term
+    tapered off below 1e-6 of the peak.  With gamma = dt b/m, the linear
+    models' leapfrog takes the half kick g = (1 - e^(-gamma/2)) div G / b
+    from rest, then g <- e^-gamma g + (1 - e^-gamma) div G / b before each
+    rho <- rho + dt g; the quantum model starts at g = 0 and takes g <- (g
+    + dt div G / m) / (1 + gamma) there."""
     h, ring = grid.h, grid.boundary == "periodic"
     kT = p.k_B * p.temperature
     dphi = np.diff(np.append(phi, phi[0]) if ring else phi) / h
@@ -419,8 +422,9 @@ def _telegraph_reference(rho, phi, grid, p, quantum, dt, n_steps):
         z = h * dphi / kT
         with np.errstate(divide="ignore", invalid="ignore"):
             ap = kT / h * np.where(z == 0.0, 1.0, z / np.expm1(z))
+    gamma = dt * p.friction / p.mass
     g = np.zeros_like(rho)
-    for _ in range(n_steps):
+    for i in range(n_steps):
         r = np.append(rho, rho[0]) if ring else rho
         if quantum:
             r_half = 0.5 * (r[1:] + r[:-1])
@@ -437,7 +441,13 @@ def _telegraph_reference(rho, phi, grid, p, quantum, dt, n_steps):
         else:
             div = np.concatenate(([2.0 * G[0]], np.diff(G),
                                   [-2.0 * G[-1]])) / h
-        g = (g + dt * div / p.mass) / (1.0 + dt * p.friction / p.mass)
+        if quantum:
+            g = (g + dt * div / p.mass) / (1.0 + gamma)
+        elif i == 0:
+            g = (1.0 - math.exp(-0.5 * gamma)) * div / p.friction
+        else:
+            g = (math.exp(-gamma) * g
+                 + (1.0 - math.exp(-gamma)) * div / p.friction)
         rho = rho + dt * g
     return rho
 
@@ -448,8 +458,8 @@ def _telegraph_reference(rho, phi, grid, p, quantum, dt, n_steps):
                          ids=lambda m: m.value)
 def test_telegraph_interval_matches_the_documented_step(model, boundary):
     # one record interval of the buffered loop, whose flux carries the
-    # factor dt / (m (1 + dt b/m)), against the step as written, in a tilted
-    # cosine well that is periodic on the ring
+    # step's factor, against the step as written, in a tilted cosine well
+    # that is periodic on the ring
     g = Grid1D(-5.0, 5.0 - (10.0 / 80 if boundary == "periodic" else 0.0),
                80 if boundary == "periodic" else 81, boundary)
     p = PhysicalParams.natural(friction=2.0, temperature=(
@@ -464,6 +474,26 @@ def test_telegraph_interval_matches_the_documented_step(model, boundary):
                                res.diagnostics["dt_max"], res.n_steps)
     np.testing.assert_allclose(res.density.rho, np.maximum(ref, 0.0),
                                rtol=0, atol=1e-13 * np.max(ref))
+
+
+@pytest.mark.parametrize("model", [PdeModel.CLASSICAL_TELEGRAPH,
+                                   PdeModel.SEMICLASSICAL_TELEGRAPH],
+                         ids=lambda m: m.value)
+def test_linear_telegraph_steps_where_e_to_the_gamma_overflows(model):
+    # b = 1e5 makes gamma = dt b/m = 8333 (12 steps per record), past the
+    # float range of e^gamma; the run is the overdamped limit, free
+    # spreading by 2D (t - tau (1 - e^(-t/tau))), D = kT/b, tau = m/b,
+    # less the lag 2D tau, which a step of 8333 tau does not resolve (1e-5
+    # of the spread at t = 1)
+    g = Grid1D(-4.0, 4.0, 81)
+    p = PhysicalParams.natural(friction=1e5)
+    res = evolve(DensityField.gaussian(g, 0.0, 0.25), model,
+                 PotentialSpec.free(), p, 10.0, n_records=11)
+    D, tau = 1.0 / p.friction, p.mass / p.friction
+    t = res.times
+    np.testing.assert_allclose(res.sigma2 - res.sigma2[0],
+                               2.0 * D * (t - tau * -np.expm1(-t / tau)),
+                               rtol=2e-5, atol=0.0)
 
 
 def _bohm_flux_reference(rho, dphi, h, ring, p, k):
