@@ -93,22 +93,16 @@ def lambert_w_minus1(x):
 
 
 def coth(x):
-    """cosh(x)/sinh(x), stable near 0 (Laurent 1/x + x/3) and at large |x|.
+    """cosh(x)/sinh(x) as 1/tanh(x), which tanh keeps accurate near 0 and
+    at large |x|, where it rounds to +-1.
 
     Raises on x = 0.  Accepts scalars or arrays.
     """
-    scalar = np.isscalar(x)
-    z = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.asarray(x, dtype=float)
     if np.any(z == 0):
         raise ValueError("coth is singular at x = 0")
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    big = np.abs(z) > 20.0
-    mid = ~(small | big)
-    out[small] = 1.0 / z[small] + z[small] / 3.0
-    out[big] = np.sign(z[big])
-    out[mid] = np.cosh(z[mid]) / np.sinh(z[mid])
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    out = 1.0 / np.tanh(z)
+    return float(out) if np.isscalar(x) else out
 
 
 # ---------------------------------------------------------------------------

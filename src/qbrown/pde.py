@@ -763,16 +763,15 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     The three telegraph models share one explicit loop over (rho, g =
     drho/dt), g <- g / damping + k div G, rho <- rho + dt g, G the fitted
     flux or the quantum model's tapered _flux (its floored Bohm potential
-    recomputed every step), scaled by k once per step size.  With gamma =
-    dt b/m, the two linear models step a second-order staggered leapfrog
-    (Stoermer-Verlet) with exponential damping: g lives at half steps,
+    recomputed every step), scaled by k once per step size.  All three
+    step one second-order staggered leapfrog (Stoermer-Verlet) with
+    exponential damping: with gamma = dt b/m, g lives at half steps,
     damping = e^gamma and k = (1 - e^-gamma) / b, and g starts from the
-    half kick (1 - e^(-gamma/2)) div G(rho0) / b from rest.  Their step is
-    the wave bound 0.9 h sqrt(m / scale).  The quantum model stays first
-    order, with semi-implicit damping from g = 0: damping = 1 + gamma and k
-    = dt / (m damping).  Its step is the wave bound 0.25 h sqrt(m / scale)
-    and at most 0.9 m h^2 / hbar, just inside the stability limit m h^2 /
-    hbar of the Bohm term linearized about a constant density.
+    half kick (1 - e^(-gamma/2)) div G(rho0) / b from rest.  The linear
+    models' step is the wave bound 0.9 h sqrt(m / scale).  The quantum
+    model's is the wave bound 0.25 h sqrt(m / scale) and at most 0.9 m
+    h^2 / hbar, just inside the stability limit m h^2 / hbar of the Bohm
+    term linearized about a constant density.
     Each record interval takes ceil(interval / dt) equal steps, and the
     march yields each record to the same check as the implicit models.
     Where a quantum telegraph run fails a check, the whole run restarts
@@ -818,7 +817,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     else:
         scale = max(kT, float(np.ptp(phi_static)), 1e-300)
     if model.inertial:
-        # the wave bound, wider for the linear models' second-order leapfrog
+        # the wave bound; at 0.9 the quantum model needs more whole-run
+        # restarts than it saves steps
         dt_bound = ((0.25 if model.quantum else 0.9)
                     * h * math.sqrt(p.mass / scale))
         if model.quantum:
@@ -843,24 +843,17 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         equal steps per record interval from rho0 at rest."""
         dt = interval / n_sub
         stats.update(dt_min=dt, dt_max=dt)
-        gamma = dt * p.friction / p.mass
-        if model.quantum:
-            # g <- (g + dt div G / m) / (1 + gamma), from rest
-            damping = 1.0 + gamma
-            k = dt / (p.mass * damping)
-            kick = 0.0
-        else:
-            # the leapfrog: g at half steps, g <- e^-gamma g + (1 -
-            # e^-gamma) div G / b; the first pass, from g = (1 - e^(gamma
-            # / 2)) div G(rho0) / b, gives the half kick (1 - e^(-gamma /
-            # 2)) div G(rho0) / b.  Past gamma = 700, e^(-gamma / 2) is far
-            # below rounding, so the cap keeps e^gamma finite at high
-            # friction and changes nothing above rounding
-            gamma = min(gamma, 700.0)
-            damping = math.exp(gamma)
-            k = -math.expm1(-gamma) / p.friction
-            kick = -math.expm1(0.5 * gamma) / p.friction
-        flux = _flux(dphi, grid, p, k) if model.quantum else rate_of.flux(k)
+        # the leapfrog: g at half steps, g <- e^-gamma g + (1 - e^-gamma)
+        # div G / b; the first pass, from g = (1 - e^(gamma / 2)) div
+        # G(rho0) / b, gives the half kick (1 - e^(-gamma / 2)) div G(rho0)
+        # / b.  Past gamma = 700, e^(-gamma / 2) is far below rounding, so
+        # the cap keeps e^gamma finite at high friction and changes nothing
+        # above rounding
+        gamma = min(dt * p.friction / p.mass, 700.0)
+        damping = math.exp(gamma)
+        flux_of = ((lambda k: _flux(dphi, grid, p, k)) if model.quantum
+                   else rate_of.flux)
+        flux = flux_of(-math.expm1(-gamma) / p.friction)
         # rho with a ring's wrap node, g, padded face fluxes, an update
         n, width = grid.n, rate_of._width
         rr, g, pad, step = (_ring(rho0.rho, grid).copy(), np.zeros(n),
@@ -873,8 +866,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
             np.subtract(pad[1:], pad[:-1], out=out)
             out /= width
 
-        if kick:
-            divergence(rate_of.flux(kick), g)
+        divergence(flux_of(-math.expm1(0.5 * gamma) / p.friction), g)
         for _ in t_records[1:]:
             # g <- g / damping + k div G, rho <- rho + dt g; a blow-up
             # shows as a failed check of the record

@@ -559,7 +559,7 @@ def test_nan_density_is_a_numerical_failure(tmp_path):
                      "pde.t_final = 1\n"
                      "pde.n_records = 5\n")
     assert code == 1
-    assert ("cause = density fell to -1.241e-07 at step 448 (t = 0.5); it "
+    assert ("cause = density fell to -1.237e-07 at step 448 (t = 0.5); it "
             "survived refinement by 3 halvings of the step, to "
             "dt = 1.116e-03" in (out / "manifest.txt").read_text())
     assert not (out / "density_final.csv").exists()
@@ -568,8 +568,8 @@ def test_nan_density_is_a_numerical_failure(tmp_path):
 def test_quantum_telegraph_default_box_start_completes(tmp_path):
     # the first step, 2.5e-3, breaks this narrow start down at t = 0.23;
     # the run restarts from t = 0 at half the step, which holds.  The
-    # step is first order: sigma^2 agrees with a run at 1/16 of the first
-    # step to 7.1e-4.
+    # leapfrog is second order: sigma^2 agrees with a run at 1/16 of the
+    # first step to 4.8e-6.
     code, out = _run(tmp_path,
                      "scenario = quantum-zero-T-pde\n"
                      "inertial = true\n"
@@ -588,7 +588,7 @@ def test_quantum_telegraph_default_box_start_completes(tmp_path):
         qbrown.PhysicalParams.natural(temperature=0.0), 1.0,
         n_records=100 * 64 + 1)
     assert ref.n_steps == 100 * 64
-    assert np.max(np.abs(sigma2 - ref.sigma2[::64])) <= 2e-3
+    assert np.max(np.abs(sigma2 - ref.sigma2[::64])) <= 2e-5
 
 
 def test_equilibrium_scenario(tmp_path):
