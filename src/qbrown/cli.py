@@ -551,8 +551,7 @@ _EQUILIBRIUM_CHECKS = (
 _HARMONIC_CHECKS = (_LINEAR_TIMES, _Check(
     1, "the quantum coefficient", ("params.hbar", "params.mass", "sigma0_sq",
                                    "params.k_B", "params.temperature"),
-    lambda cfg: quantum_coefficient(cfg.params, cfg.options["sigma0_sq"],
-                                    cfg.params.beta)))
+    lambda cfg: quantum_coefficient(cfg.params, cfg.options["sigma0_sq"])))
 
 # one row per scenario: its runner, its keys beyond _PARAMS (the params its
 # run reads, with its bounds) and its checks; a PDE runner carries its models

@@ -228,20 +228,6 @@ def make_beta_grid(beta: float, n: int = 48,
     return grid
 
 
-def _beta_nodes(beta: float, beta_grid):
-    """The beta grid a surface solver marches, make_beta_grid(beta) when
-    None, and the index of its physical column.  Refuses a grid that does
-    not increase from 0 or lacks beta before anything is marched."""
-    beta_grid = (make_beta_grid(beta) if beta_grid is None
-                 else np.asarray(beta_grid, dtype=float))
-    if beta_grid[0] != 0.0 or np.any(np.diff(beta_grid) <= 0):
-        raise ValueError("beta_grid must increase from 0")
-    j = int(np.argmin(np.abs(beta_grid - beta)))
-    if not math.isclose(beta_grid[j], beta, rel_tol=1e-9):
-        raise ValueError(f"beta = {beta} is not a node of beta_grid")
-    return beta_grid, j
-
-
 # ---------------------------------------------------------------------------
 # Zero-temperature inertial dynamics (mean + dispersion, second order)
 
@@ -301,29 +287,29 @@ def _trapezoid_weights(beta_grid):
     return W
 
 
-def quantum_coefficient(p: PhysicalParams, sigma0_sq: float,
-                        beta: float) -> float:
+def quantum_coefficient(p: PhysicalParams, sigma0_sq: float) -> float:
     """hbar^2/(4 m^2 sigma0_sq^2), the coefficient of solve_harmonic's
     beta-integral of 1/s^2, s = S/sigma0_sq.  The march starts from s = 1,
-    where the integral up to beta is about coefficient * beta;
-    OverflowError when that product is not a finite float."""
+    where the integral up to the physical beta is about coefficient *
+    beta; OverflowError when that product is not a finite float."""
     try:    # ** raises on overflow
         coef = p.hbar ** 2 / (4.0 * p.mass ** 2 * sigma0_sq ** 2)
     except ArithmeticError:
         coef = math.inf
-    if not math.isfinite(coef * beta):
+    if not math.isfinite(coef * p.beta):
         raise OverflowError(f"hbar^2/(4 m^2 sigma0_sq^2) = {coef:.6g} "
-                            f"integrated to beta = {beta:.6g} is not a finite "
-                            f"float")
+                            f"integrated to beta = {p.beta:.6g} is not a "
+                            f"finite float")
     return coef
 
 
 def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
-                   mu0: float, dmu0: float, t_grid, beta_grid=None):
+                   mu0: float, dmu0: float, t_grid):
     """Integrate the harmonic dispersion equation with its beta-integral.
 
     S'' = 2 k_B T / m - (b / m) S' - 2 (omega0^2 - k_B T I) S for
-    S = sigma_x^2 at every beta node (k_B T = 1 / beta, b fixed), where
+    S = sigma_x^2 at every node of make_beta_grid(p.beta), whose last
+    column is the physical beta (k_B T = 1 / beta, b fixed), where
     I = int_0^beta hbar^2 / (4 m^2 S(t, beta')^2) dbeta' softens the spring
     (clamped at 1e-8 omega0^2).  I couples only the columns of one time,
     so (S, S') of every column and the mean are one ODE system, marched
@@ -346,7 +332,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise ValueError("t_grid needs at least two times")
-    beta_grid, j_phys = _beta_nodes(p.beta, beta_grid)
+    beta_grid = make_beta_grid(p.beta)
 
     # unit-free variables keep the tolerances relative in any units: the
     # phase x = omega0 t, s = S / sigma0^2 and the mean in units of sigma0
@@ -354,7 +340,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     w0 = p.omega0
     sig0 = math.sqrt(sigma0_sq)
     kT_w = 1.0 / (beta_grid[1:] * w0 ** 2)
-    q_coef = quantum_coefficient(p, sigma0_sq, float(beta_grid[-1]))
+    q_coef = quantum_coefficient(p, sigma0_sq)
     damp = p.friction / (p.mass * w0)
     f_s = p.force / (p.mass * sig0 * w0 ** 2)
     drive = 2.0 * kT_w / (p.mass * sigma0_sq)
@@ -385,7 +371,7 @@ def solve_harmonic(p: PhysicalParams, sigma0_sq: float, dsigma0_sq: float,
     values[t_grid == 0, 0] = sigma0_sq
     values[:, 1:] = sigma0_sq * y[:, 2:2 + ncol]
     grid_fn = BetaGridFunction(t_grid=t_grid, beta_grid=beta_grid, values=values)
-    traj = DispersionTrajectory.from_sigma(t_grid, values[:, j_phys], p,
+    traj = DispersionTrajectory.from_sigma(t_grid, values[:, -1], p,
                                            mu=sig0 * y[:, 0])
     return grid_fn, traj
 
@@ -468,12 +454,21 @@ def solve_overdamped_full(p: PhysicalParams, t_grid, beta_grid=None):
     rule of the integral, with hbar^2 / 4m folded in, is one
     lower-triangular weight matrix built per solve: a right-hand side
     takes the integral at every column in one matrix-vector product.
+    beta_grid defaults to make_beta_grid(p.beta); one that does not
+    increase from 0 or lacks the physical beta is refused before anything
+    is marched.
     Returns (BetaGridFunction, trajectory at the physical beta).
     """
     if p.temperature <= 0 or p.friction <= 0:
         raise ModelCompatibilityError("overdamped solver requires T > 0, b > 0")
     t_grid = np.asarray(t_grid, dtype=float)
-    beta_grid, j_phys = _beta_nodes(p.beta, beta_grid)
+    beta_grid = (make_beta_grid(p.beta) if beta_grid is None
+                 else np.asarray(beta_grid, dtype=float))
+    if beta_grid[0] != 0.0 or np.any(np.diff(beta_grid) <= 0):
+        raise ValueError("beta_grid must increase from 0")
+    j_phys = int(np.argmin(np.abs(beta_grid - p.beta)))
+    if not math.isclose(beta_grid[j_phys], p.beta, rel_tol=1e-9):
+        raise ValueError(f"beta = {p.beta} is not a node of beta_grid")
 
     has_zero = t_grid[0] == 0.0
     tp = t_grid[1:] if has_zero else t_grid

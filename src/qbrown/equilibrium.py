@@ -63,13 +63,24 @@ class ImaginaryTimeConfig:
 def _hamiltonian_tridiag(U: PotentialSpec, p: PhysicalParams, grid: Grid1D):
     """Diagonal and off-diagonal of H = -hbar^2/2m d2/dx2 + U on a box.
 
-    The box stencil only: eigen_density couples a ring's two end nodes by
-    off[0] itself."""
+    The box stencil only: on a ring, _ring_matrix couples the two end
+    nodes by off[0]."""
     h = grid.h
     kin = p.hbar ** 2 / (2.0 * p.mass * h ** 2)
     diag = 2.0 * kin + U.energy(grid, p)
     off = np.full(grid.n - 1, -kin)
     return diag, off
+
+
+def _ring_matrix(diag, off):
+    """The dense symmetric tridiagonal matrix of diag and off, closed
+    around a ring by off[0] in both corners."""
+    n = diag.size
+    M = np.zeros((n, n))
+    M.flat[::n + 1] = diag
+    M.flat[1::n + 1] = M.flat[n::n + 1] = off
+    M[0, -1] = M[-1, 0] = off[0]
+    return M
 
 
 def min_beta_steps(p: PhysicalParams, h: float, beta_final: float) -> int:
@@ -167,17 +178,14 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     # which the dense solve takes
     half_kin = 0.5 * db * p.hbar ** 2 / (2.0 * p.mass * grid.h ** 2)
     rhs = np.diag(2.0 * half_pot)
+    a_diag = np.full(n, 1.0 + 2.0 * half_kin)
+    a_off = np.full(n - 1, -half_kin)
     if cfg.boundary == "periodic":
-        A = np.zeros((n, n))
-        A.flat[1::n + 1] = A.flat[n::n + 1] = -half_kin
-        A[0, -1] = A[-1, 0] = -half_kin
-        A.flat[::n + 1] = 1.0 + 2.0 * half_kin
-        X = solve(A, rhs, overwrite_a=True, overwrite_b=True)
-        del A
+        X = solve(_ring_matrix(a_diag, a_off), rhs, overwrite_a=True,
+                  overwrite_b=True)
     else:
-        off = np.full(n - 1, -half_kin)
-        X, info = dgtsv(off, np.full(n, 1.0 + 2.0 * half_kin), off.copy(),
-                        rhs.T, True, True, True, True)[3:]
+        X, info = dgtsv(a_off, a_diag, a_off.copy(), rhs.T, True, True, True,
+                        True)[3:]
         if info:
             raise LinAlgError("singular Crank-Nicolson matrix")
     S = half_pot[:, None] * X
@@ -234,7 +242,8 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta,
                   grid: Grid1D):
     """Equilibrium density from the spectrum of the discretized Hamiltonian.
 
-    rho = sum_n exp(-beta E_n) phi_n^2 / Z with Z = sum_n exp(-beta E_n);
+    rho is sum_n exp(-beta E_n) phi_n^2 over the orthonormal eigenvectors
+    phi_n, normalized by DensityField, and Z = sum_n exp(-beta E_n);
     states are retained until the Boltzmann tail weight falls below
     1e-12 of the ground term.  On a periodic grid (Grid1D.boundary) the
     two corner entries of the kinetic stencil join the ends, and the
@@ -254,21 +263,17 @@ def eigen_density(U: PotentialSpec, p: PhysicalParams, beta,
     ring = grid.boundary == "periodic"
     diag, off = _hamiltonian_tridiag(U, p, grid)
     if ring:
-        H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        H[0, -1] = H[-1, 0] = off[0]
-        energies, vecs = eigh(H)
+        energies, vecs = eigh(_ring_matrix(diag, off))
     else:
         energies, vecs = eigh_tridiagonal(diag, off)
 
-    h = grid.h
     out = []
     for b in np.atleast_1d(betas).tolist():
         rel = np.exp(-b * (energies - energies[0]))
         keep = max(1, min(int(np.searchsorted(-rel, -1e-12)), energies.size))
-        phi = vecs[:, :keep] / math.sqrt(h)
         weights = rel[:keep]
         Z = float(np.sum(weights)) * math.exp(-b * energies[0])
-        rho = DensityField(grid=grid, rho=(phi ** 2) @ weights)
+        rho = DensityField(grid=grid, rho=(vecs[:, :keep] ** 2) @ weights)
         out.append((rho, Z, energies[:keep]))
 
     # invariant checks on the retained states of the largest keep

@@ -29,11 +29,10 @@ _log = logging.getLogger(__name__)
 class Grid1D:
     """Uniform spatial grid with both endpoints included, on a box or a ring.
 
-    boundary is "box" (walls at x_min and x_max; quadratures take the
-    trapezoid rule, half weight at the walls) or "periodic" (a ring of
-    length n h, on which x_max + h is x_min again; every node has full
-    weight).  DensityField, moments, quantum_potential, evolve and
-    eigen_density read it from here.
+    boundary is "box" (walls at x_min and x_max) or "periodic" (a ring
+    of length n h, on which x_max + h is x_min again).  DensityField,
+    moments, quantum_potential, evolve and eigen_density read it from
+    here, and every quadrature on the grid is weights @ values.
     """
 
     x_min: float
@@ -57,19 +56,20 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
 
-
-def _trapz(values: np.ndarray, grid: Grid1D) -> float:
-    """The grid's quadrature: the trapezoid rule on a box, every node at
-    full weight on a ring."""
-    if grid.boundary == "periodic":
-        return float(grid.h * np.sum(values))
-    return float(grid.h * (np.sum(values) - 0.5 * (values[0] + values[-1])))
+    @property
+    def weights(self) -> np.ndarray:
+        """The grid's one quadrature rule, its cell widths: h at every
+        node, h/2 at a box's two walls (the trapezoid rule)."""
+        w = np.full(self.n, self.h)
+        if self.boundary == "box":
+            w[[0, -1]] *= 0.5
+        return w
 
 
 @dataclass
 class DensityField:
     """Probability density on a Grid1D, normalized to unit mass by the
-    grid's quadrature (_trapz): h sum(rho) = 1 on a ring."""
+    grid's quadrature: grid.weights @ rho = 1."""
 
     grid: Grid1D
     rho: np.ndarray
@@ -80,7 +80,7 @@ class DensityField:
             raise ValueError("rho length must match the grid")
         if np.any(self.rho < 0):
             raise ValueError("rho must be non-negative")
-        mass = _trapz(self.rho, self.grid)
+        mass = float(self.grid.weights @ self.rho)
         if mass <= 0:
             raise ValueError("density has no mass")
         self.rho = self.rho / mass
@@ -264,8 +264,8 @@ class Moments:
 
 def moments(rho: DensityField) -> Moments:
     """Mean, dispersion and norm of a density field by its grid's
-    quadrature (_trapz), the rule DensityField normalizes by and evolve
-    records by; a warning is emitted when the norm strays from 1 by more
+    quadrature (Grid1D.weights), the rule DensityField normalizes by and
+    evolve records by; a warning is emitted when the norm strays from 1 by more
     than 1e-6."""
     mean, dispersion, norm = _moments(_moment_weights(rho.grid), rho.rho)
     if abs(norm - 1.0) > 1e-6:
@@ -275,12 +275,8 @@ def moments(rho: DensityField) -> Moments:
 
 def _moment_weights(grid):
     """The (3, n) matrix whose product with a density gives its mass,
-    first and second moments by the grid's quadrature: weight h, half at
-    a box's walls."""
-    w = np.full(grid.n, grid.h)
-    if grid.boundary == "box":
-        w[[0, -1]] *= 0.5
-    x = grid.x
+    first and second moments by the grid's quadrature, Grid1D.weights."""
+    w, x = grid.weights, grid.x
     return np.stack([w, w * x, w * x * x])
 
 
@@ -292,7 +288,7 @@ def _moments(weights, r):
 
 
 def _record_fault(r, mass, mass0, neg_tol):
-    """The first record check that the density r, of trapezoid mass mass,
+    """The first record check that the density r, of quadrature mass mass,
     fails, or None: a non-finite value, a mass more than 1e-8 from mass0,
     a minimum below -neg_tol, in this order."""
     if not np.isfinite(r).all():
@@ -415,11 +411,9 @@ class _LogDensityRate:
         ap = kT / h * _bernoulli(h * dphi / kT) if kT > 0 else -0.5 * dphi
         self._am, self._ap = ap + dphi, ap
         ring, nf = grid.boundary == "periodic", dphi.size
-        # cell widths, half cells at a box's walls, and their inverses at
+        # cell widths, the grid's quadrature weights, and their inverses at
         # each face's left and right node
-        self._width = np.full(n, h)
-        if not ring:
-            self._width[[0, -1]] = 0.5 * h
+        self._width = grid.weights
         inv = 1.0 / self._width
         self._inv = inv_l, inv_r = inv[:nf], _ring(inv, grid)[1:]
         self._apw = inv_r * ap
@@ -443,7 +437,6 @@ class _LogDensityRate:
         # the band's half-width b, its storage, and where diagonal d of face
         # f goes: entry (f, f + d) for d > 0, (f + 1, f + 1 + d) for d < 0
         half = 2 if c else 1
-        pos = np.arange(n)
         self._order = self._pos = None
         if ring:
             order = np.empty(n, dtype=int)
@@ -451,9 +444,9 @@ class _LogDensityRate:
             order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
             pos = np.argsort(order)
             self._order, self._pos = order, pos
-        self.bands = b = half if not ring else max(
-            int(np.max(np.abs(pos - np.roll(pos, -d))))
-            for d in range(1, half + 1))
+        # on a ring the order 0, n-1, 1, n-2, ... puts every node within
+        # 2 half positions of its stencil neighbours, the wrap included
+        self.bands = b = 2 * half if ring else half
         self._ab = (np.zeros((3, n)) if b == 1 else
                     np.zeros((3 * b + 1, n), order="F"))
         off = self._ab.shape[0] - 1 - b
@@ -546,7 +539,7 @@ class _LogDensityRate:
 _NEWTON_TOL = 1e-9
 _NEWTON_WEIGHT_FLOOR = 1e-6
 _NEWTON_MAX_ITER = 12
-# local error per step: the trapezoid L1 norm of the predictor-corrector
+# local error per step: the quadrature L1 norm of the predictor-corrector
 # difference, scaled to the BDF error constant, relative to the mass
 _LOCAL_ERROR_TOL = 1e-5
 
@@ -623,7 +616,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
     counts into stats: accepted steps, Newton iterations, rejected steps
     and, of those, the steps rejected because Newton failed.
 
-    The BDF formula differences rho, not y, so the trapezoid mass moves
+    The BDF formula differences rho, not y, so the quadrature mass moves
     only by the Newton residual.  The local error is estimated from a
     predictor in rho: the slope at t = 0 for the first step, the Hermite
     quadratic through it and the first step for the second, then the
@@ -634,11 +627,9 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
     half its size, one over the error tolerance at the size the estimate
     asks for, and the step after a failure does not grow.
     """
-    def mass_of(r):
-        return _trapz(r, rate_of.grid)
-
+    quadrature = rate_of.grid.weights
     y = _log_start(rho0)
-    mass0 = mass_of(rho0)
+    mass0 = quadrature @ rho0
     drho0 = rho0 * rate_of.rate_and_jacobian(y)[0] / friction
     hist = [(0.0, y, np.exp(y))]           # the last three accepted states
     t = 0.0
@@ -692,7 +683,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                         f"dt = {dt:.3e}")
                 continue
             rho_new = np.exp(y_new)
-            est = factor * mass_of(np.abs(rho_new - rho_p)) / mass0
+            est = factor * (quadrature @ np.abs(rho_new - rho_p)) / mass0
             growth = (2.0 if est == 0.0 else
                       0.9 * (_LOCAL_ERROR_TOL / est) ** (1.0 / (order + 1)))
             if est > _LOCAL_ERROR_TOL:
@@ -725,8 +716,8 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     + rho dQ/dx): Phi is U or the semiclassical effective potential, Q
     the Bohm potential of the zero-T quantum models, else 0, on the box
     or the ring of rho0.grid.  The flux conserves the mass by the grid's
-    quadrature (_trapz: the trapezoid rule on a box, h * sum(rho) on a
-    ring), which the mass check, records and moments use.  The result's
+    quadrature (Grid1D.weights: the trapezoid rule on a box, h * sum(rho)
+    on a ring), which the mass check, records and moments use.  The result's
     density is the final state as stepped, negative round-off clipped to
     0 but not rescaled, so its mass and moments are those of the last
     record.
@@ -831,7 +822,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
 
     t_records = record_times(t_final, n_records)
     weights = _moment_weights(grid)
-    mass0 = _trapz(rho, grid)
+    mass0 = weights[0] @ rho
     neg_tol = 1e-9 * float(np.max(rho))
     stats = {"newton_iterations": 0, "rejected_steps": 0,
              "newton_failures": 0, "n_steps": 0}

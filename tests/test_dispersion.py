@@ -444,14 +444,14 @@ def test_harmonic_matches_stepped_sweeps(caplog):
     the reference is DOP853 at rtol 1e-13."""
     p = PhysicalParams.natural(omega0=1.0, friction=2.0)
     t = np.linspace(0.0, 5.0, 26)
-    beta = make_beta_grid(1.0, n=8)
     with caplog.at_level(logging.DEBUG, logger="qbrown.numerics"):
-        surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t, beta)
-    ref = _march_harmonic(p, 1.3, 0.2, t, beta)
+        surface, _ = solve_harmonic(p, 1.3, 0.2, 1.0, 0.0, t)
+    np.testing.assert_array_equal(surface.beta_grid, make_beta_grid(p.beta))
+    ref = _march_harmonic(p, 1.3, 0.2, t, surface.beta_grid)
     err = np.max(np.abs(surface.values[:, 1:] - ref) / ref)
     assert err <= 1e-9
-    assert ("solve_ode: 44 accepted and 1 rejected steps, 542 "
-            "right-hand-side calls, 18 components" in caplog.text)
+    assert ("solve_ode: 40 accepted and 2 rejected steps, 506 "
+            "right-hand-side calls, 98 components" in caplog.text)
 
 
 @settings(max_examples=25, deadline=None)
@@ -460,12 +460,10 @@ def test_harmonic_matches_stepped_sweeps(caplog):
 def test_harmonic_surface_in_any_units(mass, length, time, k_B):
     nat = PhysicalParams.natural(omega0=1.0, friction=2.0, force=0.3)
     t = np.linspace(0.0, 5.0, 26)
-    beta = make_beta_grid(1.0, n=8)
-    want, want_tr = solve_harmonic(nat, 1.3, 0.2, 1.0, 0.5, t, beta)
+    want, want_tr = solve_harmonic(nat, 1.3, 0.2, 1.0, 0.5, t)
     p = _in_units(nat, mass, length, time, k_B)
     got, got_tr = solve_harmonic(p, 1.3 * length ** 2, 0.2 * length ** 2 / time,
-                                 length, 0.5 * length / time, t * time,
-                                 beta * p.beta)
+                                 length, 0.5 * length / time, t * time)
     np.testing.assert_allclose(got.values[:, 1:] / length ** 2,
                                want.values[:, 1:], rtol=1e-9)
     np.testing.assert_allclose(got_tr.mu / length, want_tr.mu, rtol=1e-9)
@@ -501,8 +499,6 @@ def test_surface_solvers_check_the_beta_grid_first(monkeypatch, beta_grid,
     monkeypatch.setattr(dispersion, "solve_ode", no_march)
     p = PhysicalParams.natural(omega0=1.0)
     t = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match=match):
-        solve_harmonic(p, 1.0, 0.0, 0.0, 0.0, t, beta_grid)
     with pytest.raises(ValueError, match=match):
         solve_overdamped_full(p, t, beta_grid)
 

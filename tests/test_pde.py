@@ -292,6 +292,27 @@ def test_ring_density_field_has_unit_mass():
     assert g.h * np.sum(f.rho) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+def test_grid_weights_are_the_one_quadrature(boundary):
+    # Grid1D.weights is the rule DensityField normalizes by, moments
+    # integrate by and both evolve steppers conserve and record
+    g = Grid1D(-3.0, 4.0, 57, boundary)
+    length = g.x_max - g.x_min if boundary == "box" else g.n * g.h
+    assert np.sum(g.weights) == pytest.approx(length, rel=1e-15)
+    rng = np.random.default_rng(38)
+    f = DensityField.gaussian(g, rng.uniform(-0.5, 0.5),
+                              rng.uniform(0.2, 0.6))
+    mass = g.weights @ f.rho
+    assert mass == pytest.approx(1.0, rel=1e-15)
+    assert moments(f).norm == pytest.approx(mass, rel=1e-15)
+    for model in (PdeModel.CLASSICAL_SMOLUCHOWSKI,
+                  PdeModel.CLASSICAL_TELEGRAPH):
+        res = evolve(f, model, PotentialSpec.free(), NAT, 0.05, n_records=2)
+        assert res.diagnostics["min_density"] >= 0.0
+        assert res.mass[-1] == pytest.approx(g.weights @ res.density.rho,
+                                             rel=1e-14)
+
+
 def test_ring_gaussian_takes_the_minimum_image():
     # mu on node 0 of a ring with h = 1/8, where every distance is exact:
     # node -k lies k h from mu across the seam, as node k does inside
@@ -657,6 +678,21 @@ def test_log_density_solve_matches_a_dense_solve(kT, c, boundary):
     np.testing.assert_allclose(rate_of.solve(ab, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.25], ids=["c-zero", "c-positive"])
+def test_ring_band_holds_every_stencil_neighbour(c):
+    # the ring's solve order 0, n-1, 1, n-2, ... puts each node's stencil
+    # neighbours i +- d, d <= half (1 for c = 0, 2 for c > 0), the wrap
+    # included, at most 2 half positions from it, the band's half-width
+    half = 2 if c else 1
+    for n in range(16, 402):
+        g = Grid1D(0.0, n - 1.0, n, "periodic")
+        rate_of = _LogDensityRate(np.zeros(n), 1.0, c, g)
+        pos = rate_of._pos
+        reach = max(int(np.max(np.abs(pos - np.roll(pos, -d))))
+                    for d in range(1, half + 1))
+        assert reach == rate_of.bands == 2 * half, n
 
 
 def _spoiled(kind, r):
