@@ -148,15 +148,19 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     kernel S^N is formed by square-and-multiply over the bits of N =
     n_beta_steps, about log2(N) dense products, each rescaled to unit
     peak with its scale carried as a logarithm, the last formed only on
-    its diagonal (a row times a column per node).  After each rescale,
-    entries below sqrt(tiny) ~ 1.5e-154 are set to zero, so that no
-    product forms a subnormal number, which runs several times slower
-    than a normal one; such entries lie 153 decades below the peak and
-    move neither Z nor a moment of rho.  The kernel diagonal is the
-    thermal mixture of all states, its trace the partition sum over the
-    discrete spectrum; this matches the eigen-expansion route on the same
-    grid exactly up to the O(dbeta^2) splitting error.  check_beta_steps
-    refuses an n_beta_steps below min_beta_steps.
+    its diagonal (a row times a column per node).  S, symmetric up to
+    round-off, is symmetrized once, and each squaring is formed as
+    M M^T, which equals M^2 for every power of a symmetric S: BLAS syrk
+    computes half of it and the result is exactly symmetric.  After
+    each rescale, entries below sqrt(tiny) ~ 1.5e-154 are set to zero,
+    so that no product forms a subnormal number, which runs several
+    times slower than a normal one; such entries lie 153 decades below
+    the peak and move neither Z nor a moment of rho.  The kernel
+    diagonal is the thermal mixture of all states, its trace the
+    partition sum over the discrete spectrum; this matches the
+    eigen-expansion route on the same grid exactly up to the O(dbeta^2)
+    splitting error.  check_beta_steps refuses an n_beta_steps below
+    min_beta_steps.
 
     Returns (DensityField, Z).
     """
@@ -191,6 +195,8 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     S = half_pot[:, None] * X
     S.flat[::n + 1] -= half_pot ** 2
     del X, rhs                  # only S and its powers stay alive
+    S += S.T
+    S *= 0.5
 
     # the product of two entries at or above sqrt(tiny) is a normal float
     flush = math.sqrt(np.finfo(float).tiny)
@@ -209,7 +215,7 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
     M, log_m, power = S, log_s, 1
     *bits, last = bin(cfg.n_beta_steps)[3:]
     for bit in bits:
-        M = M @ M
+        M = M @ M.T
         power *= 2
         log_m = 2.0 * log_m + unit_peak(M, power)
         if bit == "1":
@@ -218,7 +224,7 @@ def imaginary_time_density(U: PotentialSpec, p: PhysicalParams,
             log_m += log_s + unit_peak(M, power)
     # of the last squaring, or of the last product, only the diagonal
     if last == "1":
-        M = M @ M
+        M = M @ M.T
         power *= 2
         log_m = 2.0 * log_m + unit_peak(M, power)
         diag, log_m = np.einsum("ij,ji->i", M, S), log_m + log_s

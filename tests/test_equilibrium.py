@@ -252,6 +252,7 @@ def test_kernel_flush_leaves_rho_and_z_bit_identical():
               np.diag(2.0 * half_pot).T)[3]
     M = half_pot[:, None] * X
     M.flat[::g.n + 1] -= half_pot ** 2
+    M = 0.5 * (M + M.T)
     subnormal = []
 
     def unit_peak(M):
@@ -263,7 +264,7 @@ def test_kernel_flush_leaves_rho_and_z_bit_identical():
 
     log_m = unit_peak(M)
     for _ in range(7):
-        M = M @ M
+        M = M @ M.T
         log_m = 2.0 * log_m + unit_peak(M)
     assert sum(subnormal) > 0
     diag = np.einsum("ij,ji->i", M, M)

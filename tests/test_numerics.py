@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,44 @@ def test_lambert_converges_in_a_few_halley_steps(caplog, monkeypatch):
     monkeypatch.setattr(numerics, "_HALLEY_MAX", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
         lambert_w_minus1(-np.exp(-1.0 - c))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4), (2, 1), (1, 3)])
+def test_lambert_keeps_the_input_shape(shape):
+    # the sweeps run on the flat view, so any shape gives the flat answer
+    x = -np.exp(-1.0 - np.geomspace(1e-9, 600.0, math.prod(shape)))
+    w = lambert_w_minus1(x.reshape(shape))
+    assert np.shape(w) == shape
+    np.testing.assert_array_equal(w, lambert_w_minus1(x).reshape(shape))
+    assert isinstance(lambert_w_minus1(-0.1), float)
+
+
+def test_lambert_blocks_do_not_change_the_answer():
+    # three blocks and 17 points over the benchmark's range, with points
+    # within 1e-15 of -1/e; slices cut off the block edges give the same
+    # answer bit for bit
+    n = 3 * numerics._BLOCK + 17
+    rng = np.random.default_rng(11)
+    x = -np.exp(-1.0 - np.geomspace(1e-9, 600.0, n) * rng.uniform(0.5, 1.0, n))
+    near = rng.choice(n, 40, replace=False)
+    x[near] = -math.exp(-1.0) + rng.uniform(1e-16, 1e-15, 40)
+    rng.shuffle(x)
+    cuts = [0, 1_000, numerics._BLOCK + 3, 2 * numerics._BLOCK - 5, n]
+    pieces = [lambert_w_minus1(x[i:j]) for i, j in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(lambert_w_minus1(x), np.concatenate(pieces))
+
+
+def test_lambert_working_set_stays_near_its_output():
+    rng = np.random.default_rng(7)
+    c = np.geomspace(1e-9, 600.0, 200_000) * rng.uniform(0.5, 1.0, 200_000)
+    x = -np.exp(-1.0 - c)
+    tracemalloc.start()
+    try:
+        w = lambert_w_minus1(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * w.nbytes
 
 
 # ---------------------------------------------------------------------------
