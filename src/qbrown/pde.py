@@ -3,7 +3,8 @@
 Telegraph (inertial) and Smoluchowski (overdamped) equations in one
 dimension, classical, semiclassical and zero-T quantum, with one
 exponentially fitted flux for T > 0, the Bohm potential and moments.
-Smoluchowski steps are implicit in ln rho, telegraph steps explicit.
+Telegraph steps are explicit, Smoluchowski steps implicit: one banded
+solve in rho for T > 0, Newton in ln rho at T = 0.
 """
 
 from __future__ import annotations
@@ -379,47 +380,46 @@ def _bernoulli(z):
 
 
 class _LogDensityRate:
-    """The divergence of the face flux, in rho and in y = ln rho.
+    """The divergence of the face flux G = alpha_- rho_+ - alpha_+ rho -
+    c (w_+ - w)/h, alpha_- = alpha_+ + dPhi/dx, on the grid's h, n and
+    boundary.  For kT > 0, alpha_+ = (kT/h) B(h dPhi/dx / kT), the
+    exponentially fitted (Scharfetter-Gummel) flux: zero on the discrete
+    Boltzmann density, positive at every cell Peclet number and centred
+    where dPhi/dx = 0.  At kT = 0, alpha_+ = -dPhi/dx / 2.  The zero-T
+    quantum Smoluchowski model adds rho dQ/dx = -(hbar^2/4m) d/dx(rho
+    d^2y/dx^2), y = ln rho: c = hbar^2/4m, w = rho * (second difference of
+    y), mirror ghosts at a box's walls; c = 0 otherwise.
 
-    The face flux is G = alpha_- rho_+ - alpha_+ rho - c (w_+ - w)/h,
-    alpha_- = alpha_+ + dPhi/dx.  For kT > 0, alpha_+ = (kT/h) B(h dPhi/dx
-    / kT), the exponentially fitted (Scharfetter-Gummel) flux: zero on the
-    discrete Boltzmann density, positive at every cell Peclet number and
-    centred where dPhi/dx = 0.  At kT = 0, alpha_+ = -dPhi/dx / 2.  The
-    zero-T quantum Smoluchowski model adds rho dQ/dx = -(hbar^2/4m)
-    d/dx(rho d^2y/dx^2): c = hbar^2/4m, w = rho * (second difference of
-    y), mirror ghosts at a box's walls; c = 0 otherwise.  The grid gives
-    h, n and the boundary.
-    flux(k) gives k G for c = 0 (the explicit telegraph step).
-
-    rate_and_jacobian(y) gives div G / rho, each face entering through e =
-    exp(y_right - y_left) only, so tails where rho underflows stay finite,
-    and d rate / dy: 3 diagonals from e alone for c = 0, 5 with the second
-    difference of y for c > 0, rows summing to zero (the rate sees only
-    differences of y).  Each diagonal goes straight into the LAPACK band
-    storage that solve() reads, entry (i, j) at row off + p_i - p_j,
-    column p_j, p node order on a box and 0, n-1, 1, n-2, ... on a ring
-    (which puts its corners inside the band).  solve() picks the routine
-    by the band's half-width b: gtsv (off = 1) for b = 1, c = 0 on a box,
-    else gbsv (off = 2b, below its b rows of LU fill-in); either factors
-    and solves in one call.
+    For c = 0, div G = L rho, (L rho)_i = (G_i - G_(i-1)) / w_i, w the cell
+    widths: L is tridiagonal (upper alpha_-/w, lower alpha_+/w) with zero
+    column sums under the quadrature, made once as generator for solve()
+    to take a0 - k L; flux(k) writes k G.  For c > 0, rate_and_jacobian(y)
+    gives div G / rho, each face entering through e = exp(y_right -
+    y_left) only, so tails where rho underflows stay finite, and its
+    5-diagonal Jacobian in y, rows summing to zero.  Either matrix is
+    written in the LAPACK band storage that solve() reads, entry (i, j) at
+    row off + p_i - p_j, column p_j, p node order on a box and 0, n-1, 1,
+    n-2, ... on a ring (which puts its corners inside the band).  solve()
+    factors and solves in one call: gtsv (off = 1) for the band's
+    half-width b = 1 (c = 0 on a box), else gbsv (off = 2b, below its b
+    rows of LU fill-in).
     """
 
     def __init__(self, dphi, kT, c, grid):
         self.c, self.grid = c, grid
         h, n = grid.h, grid.n
         ap = kT / h * _bernoulli(h * dphi / kT) if kT > 0 else -0.5 * dphi
-        self._am, self._ap = ap + dphi, ap
+        self._am, self._ap = am, ap = ap + dphi, ap
         ring, nf = grid.boundary == "periodic", dphi.size
         # cell widths, the grid's quadrature weights, and their inverses at
         # each face's left and right node
         self._width = grid.weights
         inv = 1.0 / self._width
         self._inv = inv_l, inv_r = inv[:nf], _ring(inv, grid)[1:]
-        self._apw = inv_r * ap
         # face values padded to n + 1: [1:] is the face right of each node,
         # [:-1] the face left of it, zero beyond a box's walls
         self._fs, self._pad = slice(1, nf + 1), np.zeros((4, n + 1))
+        self._faces = np.zeros(n + 1)
         # c > 0: y with ghost nodes (mirror images at a box's walls); s =
         # c/h^3 times its second difference, whose coefficients (cm, -2, cp)
         # make the +-2 diagonals' factors and the +-1 ones' constant parts
@@ -460,6 +460,15 @@ class _LogDensityRate:
                 self._at.append((slice(max(0, -1 - d), n - max(1, d)),
                                  (off - d, slice(max(0, d), n + min(0, d)))))
         self.diagonal = (off, pos if ring else slice(None))
+        if not c:
+            # L's diagonal: -(alpha_+ right of each node + alpha_- left) / w
+            self.generator = L = np.zeros_like(self._ab)
+            leave = np.zeros((2, n + 1))
+            leave[0, self._fs], leave[1, self._fs] = ap * inv_l, am * inv_r
+            leave[:, 0] = leave[:, -1]          # a ring's wrap face
+            L[self.diagonal] = -(leave[0, 1:] + leave[1, :-1])
+            for (sel, at), diag in zip(self._at, (am * inv_l, ap * inv_r)):
+                L[at] = diag[sel]
 
     def flux(self, k):
         """flux(rr, out) writes k G for c = 0 into out, as _flux does."""
@@ -470,26 +479,26 @@ class _LogDensityRate:
             out -= np.multiply(ap, rr[:-1], out=tmp)
         return flux
 
+    def divergence(self, flux, rr, out):
+        """out = div G, the face fluxes flux(rr, faces) differenced."""
+        pad = self._faces
+        flux(rr, pad[self._fs])
+        pad[0] = pad[-1]                        # a ring's wrap face
+        np.subtract(pad[1:], pad[:-1], out=out)
+        out /= self._width
+        return out
+
     def rate_and_jacobian(self, y):
-        """(div G / rho, its Jacobian in the band storage solve() uses)."""
-        fs, lx, (inv_l, inv_r) = self._fs, self._lx, self._inv
+        """(div G / rho, its Jacobian in solve()'s band storage), c > 0."""
+        fs, lx, dys, (inv_l, inv_r) = self._fs, self._lx, self._dys, self._inv
         a, b, out, into = pad = self._pad
-        am, ap = self._am, self._ap
-        dys = self._dys
-        if self.c:
-            # y_i - y_(i-1), i = 0 .. n, and s times the second difference
-            yg = np.take(y, self._ghosted, out=self._yg)
-            np.subtract(yg[1:], yg[:-1], out=dys)
-            np.subtract(dys[1:], dys[:-1], out=lx[:-1])
-            lx[:-1] *= self._s
-            lx[-1] = lx[0]                      # a ring's wrap node
-            am = am - lx[1:fs.stop]
-            ap = ap - lx[:fs.stop - 1]
-        else:
-            # y_(i+1) - y_i across each face
-            np.subtract(y[1:], y[:-1], out=dys[1:y.size])
-            if self._pos is not None:
-                dys[-1] = y[0] - y[-1]          # a ring's wrap face
+        # y_i - y_(i-1), i = 0 .. n, and s times the second difference
+        yg = np.take(y, self._ghosted, out=self._yg)
+        np.subtract(yg[1:], yg[:-1], out=dys)
+        np.subtract(dys[1:], dys[:-1], out=lx[:-1])
+        lx[:-1] *= self._s
+        lx[-1] = lx[0]                          # a ring's wrap node
+        am, ap = self._am - lx[1:fs.stop], self._ap - lx[:fs.stop - 1]
         e = np.exp(dys[fs])
         p = am * e
         # the face flux over rho at its left node, a, and at its right, b
@@ -497,16 +506,11 @@ class _LogDensityRate:
         np.divide(a[fs], e, out=b[fs])
         # per face: d rate / dy_right in the left node's row, d rate /
         # dy_left in the right node's row, then the +-2 diagonals
-        if self.c:
-            out2, in2, c1, c_1 = self._bohm
-            diags = ((p + 2.0 * self._s * e) * inv_l + c1,
-                     (ap + 2.0 * self._s) / e * inv_r + c_1, out2 * e, in2 / e)
-            np.add(diags[0], diags[2], out=out[fs])
-            np.add(diags[1], diags[3], out=into[fs])
-        else:
-            np.multiply(p, inv_l, out=out[fs])
-            np.divide(self._apw, e, out=into[fs])
-            diags = (out[fs], into[fs])
+        out2, in2, c1, c_1 = self._bohm
+        diags = ((p + 2.0 * self._s * e) * inv_l + c1,
+                 (ap + 2.0 * self._s) / e * inv_r + c_1, out2 * e, in2 / e)
+        np.add(diags[0], diags[2], out=out[fs])
+        np.add(diags[1], diags[3], out=into[fs])
         ab = self._ab
         if self._pos is not None:               # a ring
             pad[:, 0] = pad[:, -1]
@@ -533,9 +537,7 @@ class _LogDensityRate:
         return x if self._pos is None else x[self._pos]
 
 
-# Newton stops once max |dy| max(rho / rho_max, _NEWTON_WEIGHT_FLOOR)
-# falls below _NEWTON_TOL, and a step whose Newton solve has not converged
-# after _NEWTON_MAX_ITER iterations is halved
+# the zero-T Newton solve's tolerance, weight floor and cap (_newton)
 _NEWTON_TOL = 1e-9
 _NEWTON_WEIGHT_FLOOR = 1e-6
 _NEWTON_MAX_ITER = 12
@@ -547,7 +549,7 @@ _LOCAL_ERROR_TOL = 1e-5
 def _newton(rate_of, y_guess, a0, history, k):
     """Solve a0 + sum_j a_j rho_j / rho = k rate(y) for y, by Newton.
 
-    history holds (a_j, y_j) of the earlier states of the BDF formula;
+    history holds (a_j, (t_j, y_j, rho_j)) of the BDF formula's states;
     dividing by rho = exp(y) leaves exp(y_j - y), formed once from the
     guess and multiplied by exp(-dy) after each update dy.  The test is
     weighted by the density of the guess: dy converges once max |dy|
@@ -558,7 +560,7 @@ def _newton(rate_of, y_guess, a0, history, k):
     _NEWTON_MAX_ITER (12) iterations.
     """
     y = y_guess.copy()
-    past = sum(aj * np.exp(yj - y) for aj, yj in history)
+    past = sum(aj * np.exp(yj - y) for aj, (_, yj, _) in history)
     weight = np.exp(y - y.max())
     np.maximum(weight, _NEWTON_WEIGHT_FLOOR, out=weight)
     for it in range(1, _NEWTON_MAX_ITER + 1):
@@ -610,30 +612,35 @@ def _log_start(rho):
     return y
 
 
-def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
-    """Variable-step BDF2 in y = ln rho (backward Euler first) with local
-    error control; yields rho at each record time after the first and
-    counts into stats: accepted steps, Newton iterations, rejected steps
-    and, of those, the steps rejected because Newton failed.
-
-    The BDF formula differences rho, not y, so the quadrature mass moves
-    only by the Newton residual.  The local error is estimated from a
-    predictor in rho: the slope at t = 0 for the first step, the Hermite
+def _step_log_density(rho0, rate_of, friction, t_records, dt, neg_tol,
+                      stats):
+    """Variable-step BDF2 (backward Euler first) with local error control,
+    counting accepted and rejected steps into stats; yields rho at each
+    record time after the first.  The local error is estimated against a
+    predictor rho_p: the slope at t = 0 for the first step, the Hermite
     quadratic through it and the first step for the second, then the
-    quadratic through the last three states.  The march starts from
-    _log_start(rho0), smooth where rho0 underflows at the walls.  Newton
-    starts from the y extrapolated through the accepted states, moved by
-    at most 1 per node from the last one.  A step that fails is retried at
-    half its size, one over the error tolerance at the size the estimate
-    asks for, and the step after a failure does not grow.
+    quadratic through the last three states.  At T > 0 (c = 0) a step
+    attempt is one banded solve of a0 rho - k L rho = -sum_j a_j rho_j, k =
+    dt / b, for rho - rho_p, so its round-off scales with the local error,
+    not with rho (the mass would drift as dt / h^2), and is rejected if a
+    node falls below -neg_tol.  At T = 0, _newton solves the formula in y =
+    ln rho from _log_start(rho0), each guess extrapolated through the
+    accepted states and moved by at most 1 per node from the last.  A
+    failed solve halves the step, an error over tolerance sets the size
+    the estimate asks for, and the step after either does not grow.
     """
     quadrature = rate_of.grid.weights
-    y = _log_start(rho0)
+    newton = rate_of.c > 0
     mass0 = quadrature @ rho0
-    drho0 = rho0 * rate_of.rate_and_jacobian(y)[0] / friction
-    hist = [(0.0, y, np.exp(y))]           # the last three accepted states
-    t = 0.0
-    max_growth = 2.0
+    if newton:
+        y = _log_start(rho0)
+        drho0 = rho0 * rate_of.rate_and_jacobian(y)[0] / friction
+        hist = [(0.0, y, np.exp(y))]        # the last three accepted states
+    else:
+        flux, grid, lr = rate_of.flux(1.0), rate_of.grid, np.empty_like(rho0)
+        drho0 = rate_of.divergence(flux, _ring(rho0, grid), lr) / friction
+        hist = [(0.0, None, rho0)]
+    t, max_growth = 0.0, 2.0
     stats.update(dt_min=math.inf, dt_max=0.0)
     for t_next in t_records[1:]:
         while t < t_next:
@@ -642,19 +649,15 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
             t_new = t_next if dt == span else t + dt
             t1, y1, r1 = hist[-1]
             if len(hist) == 1:
-                a0, past, order = 1.0, [(-1.0, y1)], 1
-                rho_p, guess = r1 + dt * drho0, y1
+                a0, past, order = 1.0, [(-1.0, hist[-1])], 1
+                rho_p, weights = r1 + dt * drho0, None
                 factor = 0.5
             else:
                 t0, y0, r0 = hist[-2]
                 w = dt / (t1 - t0)
                 a0, order = (1.0 + 2.0 * w) / (1.0 + w), 2
-                past = [(-(1.0 + w), y1), (w * w / (1.0 + w), y0)]
+                past = [(-(1.0 + w), hist[-1]), (w * w / (1.0 + w), hist[-2])]
                 weights = _lagrange([tk for tk, _, _ in hist], t_new)
-                guess = sum(yk * wk for (_, yk, _), wk in zip(hist, weights))
-                guess -= y1
-                np.clip(guess, -1.0, 1.0, out=guess)
-                guess += y1
                 if len(hist) == 2:
                     nodes = (t0, t0, t1)
                     s = (t_new - t0) / (t1 - t0)
@@ -667,22 +670,36 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
                 # BDF2 and predictor errors, both per unit third derivative
                 lte = dt ** 2 * (t_new - t0) ** 2 / (t1 - t0 + 2.0 * dt)
                 factor = lte / (lte + math.prod(t_new - tm for tm in nodes))
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                y_new, its = _newton(rate_of, guess, a0, past, dt / friction)
-            stats["newton_iterations"] += its
-            if y_new is None:
-                stats["newton_failures"] += 1
+            if newton:
+                guess = y1 if weights is None else np.clip(sum(
+                    yk * wk for (_, yk, _), wk in zip(hist, weights)) - y1,
+                    -1.0, 1.0) + y1
+                with np.errstate(all="ignore"):
+                    y_new, its = _newton(rate_of, guess, a0, past,
+                                         dt / friction)
+                stats["newton_iterations"] += its
+                stats["newton_failures"] += y_new is None
+                rho_new = None if y_new is None else np.exp(y_new)
+            else:
+                # a0 - k L, an M-matrix: w^T (a0 - k L) = a0 w^T > 0
+                ab = np.multiply(rate_of.generator, -dt / friction,
+                                 out=rate_of._ab)
+                ab[rate_of.diagonal] += a0
+                rhs = rate_of.divergence(flux, _ring(rho_p, grid), lr)
+                rhs *= dt / friction
+                rhs -= a0 * rho_p + sum(aj * rj for aj, (_, _, rj) in past)
+                rho_new = rho_p + rate_of.solve(ab, rhs)
+                rho_new = rho_new if rho_new.min() >= -neg_tol else None
+            if rho_new is None:
                 stats["rejected_steps"] += 1
                 max_growth = 1.0
                 dt *= 0.5
                 if dt < 1e-12 * t_records[-1]:
                     raise ConvergenceError(
-                        f"Newton solve failed at step "
-                        f"{stats['n_steps'] + 1} (t = {t:.6g}) down to "
-                        f"dt = {dt:.3e}")
+                        ("Newton solve failed" if newton else "solution went "
+                         "negative") + f" at step {stats['n_steps'] + 1} (t = "
+                        f"{t:.6g}) down to dt = {dt:.3e}")
                 continue
-            rho_new = np.exp(y_new)
             est = factor * (quadrature @ np.abs(rho_new - rho_p)) / mass0
             growth = (2.0 if est == 0.0 else
                       0.9 * (_LOCAL_ERROR_TOL / est) ** (1.0 / (order + 1)))
@@ -695,7 +712,7 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, stats):
             stats["n_steps"] += 1
             stats["dt_min"] = min(stats["dt_min"], dt)
             stats["dt_max"] = max(stats["dt_max"], dt)
-            hist = hist[-2:] + [(t, y_new, rho_new)]
+            hist = hist[-2:] + [(t, y_new if newton else None, rho_new)]
             dt *= max(0.2, min(growth, max_growth))
             max_growth = 2.0
         yield hist[-1][2]
@@ -716,63 +733,52 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     + rho dQ/dx): Phi is U or the semiclassical effective potential, Q
     the Bohm potential of the zero-T quantum models, else 0, on the box
     or the ring of rho0.grid.  The flux conserves the mass by the grid's
-    quadrature (Grid1D.weights: the trapezoid rule on a box, h * sum(rho)
-    on a ring), which the mass check, records and moments use.  The result's
-    density is the final state as stepped, negative round-off clipped to
-    0 but not rescaled, so its mass and moments are those of the last
-    record.
+    quadrature (Grid1D.weights), which the mass check, records and moments
+    use.  The result's density is the final state as stepped, negative
+    round-off clipped to 0 but not rescaled, so its mass and moments are
+    the last record's.
 
-    Every model's stepper lands on the record times t_final j /
-    (n_records - 1), j = 0 .. n_records - 1, where the density is checked
-    before its moments are recorded, in this order: a non-finite value,
-    mass drift beyond 1e-8, a minimum below -1e-9 of the initial peak
-    (_record_fault).  Each aborts with ConvergenceError naming the
-    quantity, the step count and t; a breakdown between two records is
-    caught at the next.  Each record is checked once, its mass, first and
-    second moments taken from one product with the (3, n) matrix of
-    _moment_weights, made once per call.  Each stepper starts from dt =
-    min(stability bound, t_final / 10); the diagnostics dt_min and dt_max
-    are the smallest and largest steps taken, and n_steps counts accepted
-    steps.
+    Every stepper starts from dt = min(stability bound, t_final / 10) and
+    lands on the record times t_final j / (n_records - 1), where the
+    density is checked once (_record_fault: a non-finite value, mass drift
+    beyond 1e-8, a minimum below -1e-9 of the initial peak, in this order)
+    before one product with the (3, n) matrix of _moment_weights gives its
+    mass, first and second moments.  A failed check aborts with
+    ConvergenceError naming the quantity, the step count and t, so a
+    breakdown between two records is caught at the next.  n_steps counts
+    accepted steps, dt_min and dt_max are the smallest and largest steps
+    taken, and rejected_steps the rest.
 
-    The three Smoluchowski models step y = ln rho implicitly on the flux of
+    The three Smoluchowski models step implicitly on the flux of
     _LogDensityRate, exponentially fitted for T > 0 as in the linear
     telegraph models, so the discrete Boltzmann density is stationary:
-    variable-step BDF2 (backward Euler first), local error control, a halved
-    step where Newton fails, and per step a Newton solve on a band of 3
-    diagonals (T > 0) or 5 (the Bohm term), by LAPACK gtsv where it is
-    tridiagonal (T > 0 on a box), else by gbsv.  rho = exp(y) stays positive
-    with no density floor.  Where rho0 underflows at the walls, y starts on
-    the line through the last two normal nodes; each Newton guess moves no
-    node by more than 1; and Newton, allowed 12 iterations, converges once
-    max |dy| max(rho / rho_max, 1e-6) < 1e-9, the weight taken once per
-    solve from the guess, so the tails need ln rho only to 1e-3.  There dt
-    is only the first step tried, and the steps taken are not bounded;
-    n_steps counts accepted steps and the diagnostics rejected_steps, of
-    which newton_failures were rejected because Newton failed.
+    variable-step BDF2 (backward Euler first) with local error control and
+    unbounded steps (dt is only the first tried).  At T > 0 the equation
+    is linear, b drho/dt = L rho with L the fitted flux's divergence, and
+    a step attempt is one banded solve, halved if a node falls below -1e-9
+    of the initial peak.  The zero-T model steps y = ln rho by Newton,
+    rho = exp(y) positive with no floor, halving a step where Newton
+    fails; newton_iterations and newton_failures count its iterations and
+    failed solves, 0 for every other model.
 
     The three telegraph models share one explicit loop over (rho, g =
     drho/dt), g <- g / damping + k div G, rho <- rho + dt g, G the fitted
     flux or the quantum model's tapered _flux (its floored Bohm potential
-    recomputed every step), scaled by k once per step size.  All three
-    step one second-order staggered leapfrog (Stoermer-Verlet) with
-    exponential damping: with gamma = dt b/m, g lives at half steps,
-    damping = e^gamma and k = (1 - e^-gamma) / b, and g starts from the
-    half kick (1 - e^(-gamma/2)) div G(rho0) / b from rest.  The linear
-    models' step is the wave bound 0.9 h sqrt(m / scale).  The quantum
-    model's is the wave bound 0.25 h sqrt(m / scale) and at most 0.9 m
-    h^2 / hbar, just inside the stability limit m h^2 / hbar of the Bohm
-    term linearized about a constant density.
-    Each record interval takes ceil(interval / dt) equal steps, and the
-    march yields each record to the same check as the implicit models.
-    Where a quantum telegraph run fails a check, the whole run restarts
-    from t = 0 at half the step, at most 3 times (to 1/8 of the first
-    step), so the run kept has one step, dt_min == dt_max, and no record
-    starts from a state that coarser steps spoiled; the steps of the
-    discarded runs count into rejected_steps, and a failure at 1/8 aborts,
-    saying that it survived that refinement.  A linear telegraph's failure
-    is its equation's (the exact semi-discrete solution goes negative
-    too), so it aborts at once.
+    recomputed every step): a second-order staggered leapfrog
+    (Stoermer-Verlet) with exponential damping.  With gamma = dt b/m, g
+    lives at half steps, damping = e^gamma and k = (1 - e^-gamma) / b, and
+    g starts from the half kick (1 - e^(-gamma/2)) div G(rho0) / b from
+    rest.  The linear models' step is the wave bound 0.9 h sqrt(m /
+    scale); the quantum model's is 0.25 h sqrt(m / scale) and at most 0.9
+    m h^2 / hbar, inside the stability limit m h^2 / hbar of the Bohm term
+    linearized about a constant density.  Each record interval takes
+    ceil(interval / dt) equal steps.  Where a quantum telegraph run fails
+    a check, the whole run restarts from t = 0 at half the step, at most 3
+    times (to 1/8 of the first step), so the run kept has one step and no
+    record starts from a state that coarser steps spoiled; the discarded
+    runs' steps count into rejected_steps, and a failure at 1/8 aborts,
+    saying so.  A linear telegraph's failure is its equation's (the exact
+    semi-discrete solution goes negative too), so it aborts at once.
     """
     if model.quantum:
         if p.temperature != 0:
@@ -845,25 +851,17 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         flux_of = ((lambda k: _flux(dphi, grid, p, k)) if model.quantum
                    else rate_of.flux)
         flux = flux_of(-math.expm1(-gamma) / p.friction)
-        # rho with a ring's wrap node, g, padded face fluxes, an update
-        n, width = grid.n, rate_of._width
-        rr, g, pad, step = (_ring(rho0.rho, grid).copy(), np.zeros(n),
-                            np.zeros(n + 1), np.empty(n))
-        rho, faces = rr[:n], pad[1:dphi.size + 1]
-
-        def divergence(flux, out):
-            flux(rr, faces)
-            pad[0] = pad[-1]                    # a ring's wrap face
-            np.subtract(pad[1:], pad[:-1], out=out)
-            out /= width
-
-        divergence(flux_of(-math.expm1(0.5 * gamma) / p.friction), g)
+        # rho with a ring's wrap node, g, an update
+        n, divergence = grid.n, rate_of.divergence
+        rr, g, step = _ring(rho0.rho, grid).copy(), np.zeros(n), np.empty(n)
+        rho = rr[:n]
+        divergence(flux_of(-math.expm1(0.5 * gamma) / p.friction), rr, g)
         for _ in t_records[1:]:
             # g <- g / damping + k div G, rho <- rho + dt g; a blow-up
             # shows as a failed check of the record
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(n_sub):
-                    divergence(flux, step)
+                    divergence(flux, rr, step)
                     g /= damping
                     g += step
                     np.multiply(g, dt, out=step)
@@ -878,7 +876,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     for halvings in range(max_halvings + 1):
         states = (march(n_sub * 2 ** halvings) if model.inertial else
                   _step_log_density(rho, rate_of, p.friction,
-                                    t_records.tolist(), dt, stats))
+                                    t_records.tolist(), dt, neg_tol, stats))
         rows = []                           # (mass, first, second moment)
         for t, r in zip(t_records, itertools.chain([rho], states)):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -918,11 +916,13 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
     if model.quantum and model.inertial:
         floor = _RHO_FLOOR_FACTOR * float(np.max(final.rho))
         diagnostics["floored_fraction"] = float(np.mean(final.rho < floor))
-    _log.debug("evolve %s: %d steps (dt %.3e to %.3e), %d rejected (%d "
-               "Newton failures), %d Newton iterations, min density %.3e",
-               model.value, n_steps, stats["dt_min"], stats["dt_max"],
-               stats["rejected_steps"], stats["newton_failures"],
-               stats["newton_iterations"], diagnostics["min_density"])
+    _log.debug("evolve %s: %d steps (dt %.3e to %.3e), %d rejected, %s; %d "
+               "Newton iterations (%d failed), min density %.3e", model.value,
+               n_steps, stats["dt_min"], stats["dt_max"],
+               stats["rejected_steps"], "explicit" if model.inertial else
+               "Newton in ln rho" if c else "one banded solve per attempt",
+               stats["newton_iterations"], stats["newton_failures"],
+               diagnostics["min_density"])
     return EvolveResult(
         density=final, times=t_records, mu=mu, sigma2=sigma2, mass=masses,
         n_steps=n_steps, diagnostics=diagnostics)

@@ -608,11 +608,13 @@ def test_quantum_smoluchowski_takes_steps_beyond_the_explicit_bound(caplog):
 
 
 # ---------------------------------------------------------------------------
-# the Newton system of the implicit ln rho stepper
+# the step matrices of the implicit stepper: L for T > 0, the Newton system
+# in ln rho for the zero-T Bohm term
 
 
 def _log_density_rate(kT, c, boundary, n=32):
-    """_LogDensityRate on a tilted cosine potential, with a smooth ln rho."""
+    """_LogDensityRate on a tilted cosine potential, with a smooth ln rho,
+    and the potential's face slopes dPhi/dx."""
     if boundary == "periodic":
         g = Grid1D(0.0, 2.0 * math.pi * (n - 1) / n, n, boundary)
     else:
@@ -620,9 +622,29 @@ def _log_density_rate(kT, c, boundary, n=32):
     phi = np.cos(g.x) - 0.5 * np.sin(2.0 * g.x)
     if boundary == "periodic":
         phi = np.append(phi, phi[0])
-    rate_of = _LogDensityRate(np.diff(phi) / g.h, kT, c, g)
+    dphi = np.diff(phi) / g.h
+    rate_of = _LogDensityRate(dphi, kT, c, g)
     y = np.cos(g.x) + np.log1p(0.3 * np.sin(3.0 * g.x))
-    return rate_of, y
+    return rate_of, y, dphi
+
+
+def _fitted_divergence(dphi, kT, g):
+    """The dense matrix of rho -> (G_f - G_(f-1)) / w at each node, w the
+    cell widths and G_f = alpha_- rho_(f+1) - alpha_+ rho_f the fitted flux
+    through face f, alpha_+ = (kT/h) B(h dPhi/dx / kT), alpha_- = alpha_+ +
+    dPhi/dx, assembled face by face from that formula; a ring's face n - 1
+    joins node n - 1 to node 0."""
+    z = g.h * dphi / kT
+    ap = kT / g.h * z / np.expm1(z)
+    am, w, n = ap + dphi, g.weights, g.n
+    dense = np.zeros((n, n))
+    for f in range(dphi.size):
+        i, j = f, (f + 1) % n
+        dense[i, j] += am[f] / w[i]
+        dense[i, i] -= ap[f] / w[i]
+        dense[j, i] += ap[f] / w[j]
+        dense[j, j] -= am[f] / w[j]
+    return dense
 
 
 def _dense(rate_of, ab):
@@ -651,7 +673,18 @@ _newton_cases = pytest.mark.parametrize("kT, c, boundary", [
 
 @_newton_cases
 def test_log_density_jacobian_matches_central_differences(kT, c, boundary):
-    rate_of, y = _log_density_rate(kT, c, boundary)
+    rate_of, y, dphi = _log_density_rate(kT, c, boundary)
+    if not c:
+        # T > 0: div G is linear in rho, and its matrix is L itself, which
+        # the stepper assembles once; its columns sum to zero under the
+        # quadrature, so a solve keeps the mass
+        dense = _fitted_divergence(dphi, kT, rate_of.grid)
+        scale = np.max(np.abs(dense))
+        np.testing.assert_allclose(_dense(rate_of, rate_of.generator), dense,
+                                   rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(rate_of.grid.weights @ dense, 0.0,
+                                   rtol=0, atol=1e-14 * scale * rate_of.grid.h)
+        return
     jac = _dense(rate_of, rate_of.rate_and_jacobian(y)[1])
     eps = 1e-6
     fd = np.empty_like(jac)
@@ -666,12 +699,21 @@ def test_log_density_jacobian_matches_central_differences(kT, c, boundary):
 
 @_newton_cases
 def test_log_density_solve_matches_a_dense_solve(kT, c, boundary):
-    # the Newton matrix 1 - k J of a backward Euler step; on a ring its
-    # corner entries couple the first and last nodes
-    rate_of, y = _log_density_rate(kT, c, boundary)
-    ab = -1e-2 * rate_of.rate_and_jacobian(y)[1]
-    ab[rate_of.diagonal] += 1.0
-    a = _dense(rate_of, ab)
+    # T > 0: the BDF2 matrix a0 - k L, against the fitted flux's divergence
+    # assembled densely; zero-T: the Newton matrix 1 - k J of a backward
+    # Euler step.  On a ring the corner entries couple the first and last
+    # nodes
+    rate_of, y, dphi = _log_density_rate(kT, c, boundary)
+    if c:
+        ab = -1e-2 * rate_of.rate_and_jacobian(y)[1]
+        ab[rate_of.diagonal] += 1.0
+        a = _dense(rate_of, ab)
+    else:
+        a0, k = 1.5, 0.3
+        ab = -k * rate_of.generator
+        ab[rate_of.diagonal] += a0
+        a = a0 * np.eye(y.size) - k * _fitted_divergence(dphi, kT,
+                                                         rate_of.grid)
     if boundary == "periodic":
         assert a[0, -1] != 0.0 and a[-1, 0] != 0.0
     rhs = np.sin(np.arange(y.size) + 0.5)
@@ -845,6 +887,44 @@ def test_detailed_balance_stationarity(model):
     assert abs(m1.mean - m0.mean) <= 1e-3
     assert (np.max(np.abs(res.density.rho - rho_eq.rho))
             <= 1e-12 * np.max(rho_eq.rho))
+
+
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+@pytest.mark.parametrize("model", [PdeModel.CLASSICAL_SMOLUCHOWSKI,
+                                   PdeModel.SEMICLASSICAL_SMOLUCHOWSKI],
+                         ids=lambda m: m.value)
+def test_fitted_boltzmann_density_is_a_fixed_point_of_the_step(model,
+                                                               boundary):
+    # the discrete Boltzmann density exp(-Phi / k_B T) of a tilted cosine
+    # potential zeroes the fitted flux through every face, a ring's seam
+    # included, so L rho = 0 and each BDF2 solve returns it: a wrong column
+    # sum or kernel of L would move it
+    kT = 0.7
+    p = PhysicalParams.natural(temperature=kT)
+    g = _property_grid(boundary)
+    U = PotentialSpec.tabulated(np.cos(g.x) - 0.3 * g.x)
+    phi = (effective_potential(U, p.beta, p, g) if model.semiclassical
+           else U.energy(g, p))
+    rho0 = DensityField(grid=g, rho=np.exp(-(phi - phi.min()) / kT))
+    res = evolve(rho0, model, U, p, 4.0, n_records=5)
+    assert res.n_steps >= 4
+    assert (np.max(np.abs(res.density.rho - rho0.rho))
+            <= 1e-12 * np.max(rho0.rho))
+
+
+@pytest.mark.parametrize("temperature, max_rejected", [(0.02, 0), (0.05, 5)])
+def test_cold_relaxation_steps_where_the_tails_underflow(temperature,
+                                                         max_rejected):
+    # a narrow start at mu0 = 2 in a harmonic well at low T, whose far
+    # tails underflow as it relaxes: the T > 0 step is linear in rho, so
+    # the tails cost it nothing, and sigma^2 reaches k_B T / m omega0^2
+    p = PhysicalParams.natural(temperature=temperature, omega0=1.0)
+    rho0 = DensityField.gaussian(Grid1D(-8.0, 8.0, 161), 2.0, 0.05)
+    res = evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI,
+                 PotentialSpec.harmonic(1.0), p, 8.0, n_records=21)
+    assert res.diagnostics["rejected_steps"] <= max_rejected
+    assert res.diagnostics["newton_iterations"] == 0
+    assert res.sigma2[-1] == pytest.approx(temperature, rel=1e-3)
 
 
 def test_evolve_guards():
