@@ -163,10 +163,8 @@ class DispersionTrajectory:
     mu: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.times.size
-        if self.sigma_x2.size != n or self.sigma_p2.size != n:
-            raise ValueError("trajectory arrays must share one length")
-        if self.mu is not None and self.mu.size != n:
+        if any(a.size != self.times.size for a in
+               (self.sigma_x2, self.sigma_p2, self.mu) if a is not None):
             raise ValueError("trajectory arrays must share one length")
         if self.times[0] < 0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be non-negative and increasing")

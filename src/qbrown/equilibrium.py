@@ -306,10 +306,8 @@ def semiclassical_density(U: PotentialSpec, p: PhysicalParams, beta: float,
 
     rho proportional to exp(-beta U_eff) with the O(hbar^2) effective
     potential; overflow is avoided by subtracting the exponent maximum
-    before exponentiation.
+    before exponentiation; effective_potential refuses beta <= 0.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     expo = -beta * effective_potential(U, beta, p, grid)
     rho = np.exp(expo - np.max(expo))
     return DensityField(grid=grid, rho=rho)

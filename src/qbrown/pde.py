@@ -268,7 +268,8 @@ def moments(rho: DensityField) -> Moments:
     quadrature (Grid1D.weights), the rule DensityField normalizes by and
     evolve records by; a warning is emitted when the norm strays from 1 by more
     than 1e-6."""
-    mean, dispersion, norm = _moments(_moment_weights(rho.grid), rho.rho)
+    mean, dispersion, norm = _moments(
+        *(_moment_weights(rho.grid) @ rho.rho).tolist())
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"density norm {norm} deviates from 1", stacklevel=2)
     return Moments(mean=mean, dispersion=dispersion, norm=norm)
@@ -281,9 +282,9 @@ def _moment_weights(grid):
     return np.stack([w, w * x, w * x * x])
 
 
-def _moments(weights, r):
-    """(mean, dispersion, norm) of the density r by _moment_weights."""
-    norm, first, second = (weights @ r).tolist()
+def _moments(norm, first, second):
+    """(mean, dispersion, norm) from the mass, first and second moments
+    that _moment_weights gives, floats or arrays of records alike."""
     mean = first / norm
     return mean, second / norm - mean ** 2, norm
 
@@ -313,6 +314,12 @@ class EvolveResult:
     mass: np.ndarray
     n_steps: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def drift_per_1e3_steps(self) -> float:
+        """The largest mass drift from the first record, per 10^3 steps."""
+        drift = float(np.max(np.abs(self.mass - self.mass[0])))
+        return drift * 1000.0 / self.n_steps
 
 
 def _ring(a, grid):
@@ -720,7 +727,11 @@ def _step_log_density(rho0, rate_of, friction, t_records, dt, neg_tol,
 
 def record_times(t_final: float, n_records: int) -> np.ndarray:
     """The times t_final j / (n_records - 1), j = 0 .. n_records - 1, on
-    which evolve records."""
+    which evolve records; ValueError unless t_final > 0 and n_records >= 2."""
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if n_records < 2:
+        raise ValueError("n_records must be at least 2")
     return t_final * np.arange(n_records) / (n_records - 1)
 
 
@@ -787,10 +798,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         raise ValueError(f"{model.value} requires T > 0")
     if p.friction <= 0:
         raise ValueError("evolution requires friction b > 0")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if n_records < 2:
-        raise ValueError("n_records must be at least 2")
+    t_records = record_times(t_final, n_records)
 
     grid = rho0.grid
     h = grid.h
@@ -826,7 +834,6 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         dt_bound = 0.4 * h ** 2 * p.friction / scale
     dt = min(dt_bound, t_final / 10.0)
 
-    t_records = record_times(t_final, n_records)
     weights = _moment_weights(grid)
     mass0 = weights[0] @ rho
     neg_tol = 1e-9 * float(np.max(rho))
@@ -901,9 +908,7 @@ def evolve(rho0: DensityField, model: PdeModel, U: PotentialSpec,
         stats["rejected_steps"] += stats["n_steps"]
         stats["n_steps"] = 0
     rho = r
-    masses, first, second = np.stack(rows, axis=1)
-    mu = first / masses
-    sigma2 = second / masses - mu ** 2
+    mu, sigma2, masses = _moments(*np.stack(rows, axis=1))
     n_steps = stats.pop("n_steps")
 
     # DensityField rescales to unit mass, which the stepped state misses by

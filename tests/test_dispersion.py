@@ -503,6 +503,77 @@ def test_surface_solvers_check_the_beta_grid_first(monkeypatch, beta_grid,
         solve_overdamped_full(p, t, beta_grid)
 
 
+def test_full_surface_from_t_zero_is_the_run_without_it():
+    # t = 0 adds a zero row; the march and every later row are unchanged
+    t = np.geomspace(1e-2, 1e2, 21) * derived_scales(NAT).t_c
+    beta = make_beta_grid(NAT.beta, n=16)
+    surface, traj = solve_overdamped_full(NAT, t, beta)
+    surface0, traj0 = solve_overdamped_full(NAT, np.append(0.0, t), beta)
+    assert np.all(surface0.values[0] == 0.0) and traj0.sigma_x2[0] == 0.0
+    np.testing.assert_array_equal(surface0.values[1:], surface.values)
+    np.testing.assert_array_equal(traj0.sigma_x2[1:], traj.sigma_x2)
+
+
+_T2 = np.array([0.0, 1.0])
+_ONE = np.ones(2)
+_COLD = PhysicalParams.natural(omega0=1.0, temperature=0.0)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: eval_closed_form(ClosedForm.PURE_QUANTUM, 1.0,
+                              PhysicalParams.natural(friction=0.0)),
+     ModelCompatibilityError, "pure quantum diffusion requires b > 0"),
+    (lambda: DispersionTrajectory(_T2, _ONE, np.ones(3)), ValueError,
+     "trajectory arrays must share one length"),
+    (lambda: DispersionTrajectory(_T2, _ONE, _ONE, mu=np.ones(1)), ValueError,
+     "trajectory arrays must share one length"),
+    (lambda: DispersionTrajectory(np.array([-1.0, 1.0]), _ONE, _ONE),
+     ValueError, "times must be non-negative and increasing"),
+    (lambda: DispersionTrajectory(np.array([1.0, 1.0]), _ONE, _ONE),
+     ValueError, "times must be non-negative and increasing"),
+    (lambda: DispersionTrajectory(_T2, np.array([1.0, 0.0]), _ONE),
+     ValueError, "sigma_x2 must be positive for t > 0"),
+    (lambda: dispersion.BetaGridFunction(_T2, _T2, np.ones((3, 2))),
+     ValueError, "surface shape does not match its grids"),
+    (lambda: dispersion.BetaGridFunction(_T2, _T2, np.ones((2, 3))),
+     ValueError, "surface shape does not match its grids"),
+    (lambda: dispersion.BetaGridFunction(_T2, np.array([0.5, 1.0]),
+                                         np.ones((2, 2))),
+     ValueError, "beta_grid must increase from 0"),
+    (lambda: dispersion.BetaGridFunction(_T2, np.array([0.0, 0.0]),
+                                         np.ones((2, 2))),
+     ValueError, "beta_grid must increase from 0"),
+    (lambda: dispersion.BetaGridFunction(_T2, _T2, np.array([[1.0, 1.0],
+                                                             [1.0, 0.0]])),
+     ValueError, "surface must be finite and positive for t > 0"),
+    (lambda: dispersion.BetaGridFunction(_T2, _T2, np.array([[1.0, 1.0],
+                                                             [1.0, np.inf]])),
+     ValueError, "surface must be finite and positive for t > 0"),
+    (lambda: solve_harmonic(_COLD, 1.0, 0.0, 0.0, 0.0, _T2),
+     ModelCompatibilityError, "harmonic solver requires T > 0"),
+    (lambda: solve_overdamped_bounded(NAT, -1e-3, _T2), ValueError,
+     "sigma0_sq must be non-negative"),
+    (lambda: solve_overdamped_full(_COLD, _T2), ModelCompatibilityError,
+     "overdamped solver requires T > 0, b > 0"),
+    (lambda: solve_overdamped_full(PhysicalParams.natural(friction=0.0), _T2),
+     ModelCompatibilityError, "overdamped solver requires T > 0, b > 0"),
+    (lambda: solve_overdamped_full(NAT, [0.0]), ValueError,
+     "t_grid needs at least one positive time"),
+    (lambda: solve_overdamped_full(NAT, [-1.0, 1.0]), ValueError,
+     "t_grid needs at least one positive time"),
+], ids=["pure-quantum-no-friction", "trajectory-sigma-p2-length",
+        "trajectory-mu-length", "trajectory-negative-time",
+        "trajectory-repeated-time", "trajectory-zero-sigma-x2",
+        "surface-t-rows", "surface-beta-columns",
+        "surface-beta-not-from-zero", "surface-beta-repeated",
+        "surface-zero-value", "surface-infinite-value",
+        "harmonic-cold", "bounded-negative-sigma0-sq", "full-cold",
+        "full-no-friction", "full-only-t-zero", "full-negative-time"])
+def test_dispersion_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # comparison table
 

@@ -16,6 +16,8 @@ from qbrown import (DensityField, Grid1D, ImaginaryTimeConfig, PhysicalParams,
 from qbrown.equilibrium import GridMismatchError, min_beta_steps
 from qbrown.numerics import coth
 
+NAT = PhysicalParams.natural()
+
 
 def _harmonic_setup(bho, n=257, half_width=None):
     p = PhysicalParams.natural(omega0=1.0, temperature=1.0 / bho)
@@ -400,6 +402,32 @@ def test_quantum_entropy_is_the_trapezoid_on_uneven_nodes():
     want = 2.0 * (2.0 * q[-1] - trapezoid(q, nodes, axis=0))
     np.testing.assert_allclose(quantum_entropy(fields, p, nodes), want,
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+_G = Grid1D(-5.0, 5.0, 65)
+_FIELDS = [DensityField.uniform(_G), DensityField.gaussian(_G, 0.0, 2.0),
+           DensityField.gaussian(_G, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: semiclassical_density(PotentialSpec.free(), NAT, 0.0, _G),
+     "beta must be positive"),
+    (lambda: semiclassical_density(PotentialSpec.free(), NAT, -1.0, _G),
+     "beta must be positive"),
+    (lambda: quantum_entropy(_FIELDS[:1], NAT, [0.0]),
+     "need at least two beta nodes"),
+    (lambda: quantum_entropy(_FIELDS, NAT, [0.0, 1.0]),
+     "beta_nodes length must match the field list"),
+    (lambda: quantum_entropy(_FIELDS, NAT, [0.5, 0.75, 1.0]),
+     "beta_nodes must increase from 0"),
+    (lambda: quantum_entropy(_FIELDS, NAT, [0.0, 1.0, 0.5]),
+     "beta_nodes must increase from 0"),
+], ids=["semiclassical-zero-beta", "semiclassical-negative-beta",
+        "entropy-one-node", "entropy-node-count", "entropy-not-from-zero",
+        "entropy-not-increasing"])
+def test_equilibrium_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_quantum_entropy_grid_mismatch():

@@ -763,8 +763,7 @@ def test_record_checks_come_before_the_moments(monkeypatch, kind, message):
     rho0 = DensityField.gaussian(g, 0.0, 1.0)
     if kind == "huge":
         with pytest.raises(ZeroDivisionError):
-            _moments(_moment_weights(g),
-                     _spoiled(kind, rho0.rho))
+            _moments(*(_moment_weights(g) @ _spoiled(kind, rho0.rho)).tolist())
     monkeypatch.setattr(
         pde, "_step_log_density",
         lambda rho, *args: iter([_spoiled(kind, rho)]))
@@ -937,6 +936,40 @@ def test_evolve_guards():
     with pytest.raises(ValueError):
         evolve(rho0, PdeModel.CLASSICAL_SMOLUCHOWSKI, PotentialSpec.free(),
                cold, 1.0)
+
+
+_BOX = Grid1D(-4.0, 4.0, 33)
+
+
+def _evolve_free(p=NAT, t_final=1.0, n_records=5):
+    return evolve(DensityField.uniform(_BOX), PdeModel.CLASSICAL_SMOLUCHOWSKI,
+                  PotentialSpec.free(), p, t_final, n_records=n_records)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: DensityField.gaussian(_BOX, 0.0, 0.0), "sigma2 must be positive"),
+    (lambda: DensityField.gaussian(_BOX, 0.0, -1.0),
+     "sigma2 must be positive"),
+    (lambda: PotentialSpec.tabulated(np.zeros(32)).energy(_BOX, NAT),
+     "tabulated potential length must match the grid"),
+    (lambda: effective_potential(PotentialSpec.free(), 0.0, NAT, _BOX),
+     "beta must be positive"),
+    (lambda: effective_potential(PotentialSpec.free(), -1.0, NAT, _BOX),
+     "beta must be positive"),
+    (lambda: _evolve_free(PhysicalParams.natural(friction=0.0)),
+     "evolution requires friction b > 0"),
+    (lambda: _evolve_free(t_final=0.0), "t_final must be positive"),
+    (lambda: _evolve_free(n_records=1), "n_records must be at least 2"),
+    (lambda: pde.record_times(-1.0, 5), "t_final must be positive"),
+    (lambda: pde.record_times(1.0, 0), "n_records must be at least 2"),
+], ids=["gaussian-zero-sigma2", "gaussian-negative-sigma2",
+        "tabulated-length", "effective-potential-zero-beta",
+        "effective-potential-negative-beta", "evolve-no-friction",
+        "evolve-zero-t-final", "evolve-one-record",
+        "record-times-negative-t-final", "record-times-no-records"])
+def test_density_layer_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_translation_invariance():
